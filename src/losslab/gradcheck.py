@@ -9,7 +9,7 @@ flip within the step are reported as skipped rather than failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,7 @@ from .losses import (
     LogitBatch,
     LossConfig,
     LossFn,
+    LossResult,
     LovaszMode,
     ce_loss,
     combined_loss,
@@ -105,49 +106,47 @@ def finite_difference_check(
     return GradCheckReport(max_rel, worst, skipped, checked, tolerance)
 
 
-def build_loss_fn(
-    name: str, config: LossConfig | None = None
-) -> tuple[LossFn, Callable[[LogitBatch, float], set[int]] | None]:
+TieFn = Callable[[LogitBatch, float], set[int]]
+
+# Name -> (loss of a batch under a config, tie-row detector or None). Each
+# entry looks its loss up by module-level name when called, so a loss rebound
+# on this module (for tracing, say) is the one the check runs.
+_NAMED_LOSSES: dict[str, tuple[Callable[[LogitBatch, LossConfig], LossResult], TieFn | None]] = {
+    "ce": (lambda b, c: ce_loss(b, FULL_CONTEXT, c.reduction), None),
+    "fl": (lambda b, c: focal_loss(b, c.gamma, FULL_CONTEXT, c.reduction), None),
+    "dl": (lambda b, c: dice_loss(b, FULL_CONTEXT), None),
+    "gdl": (lambda b, c: generalized_dice_loss(b, FULL_CONTEXT, c.empty_class_policy), None),
+    "sadl": (lambda b, c: self_adjusting_dice_loss(b, FULL_CONTEXT), None),
+    "ll": (
+        lambda b, c: lovasz_loss(b, FULL_CONTEXT, LovaszMode.MULTICLASS_SOFTMAX),
+        lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h),
+    ),
+    "combined": (
+        lambda b, c: combined_loss(b, c),
+        lambda b, h: lovasz_tie_rows(b, ANSWER_ONLY, h),
+    ),
+}
+
+LOSS_NAMES = tuple(_NAMED_LOSSES)
+
+
+def build_loss_fn(name: str, config: LossConfig | None = None) -> tuple[LossFn, TieFn | None]:
     """Named loss closure plus an optional tie-row detector for Lovász cases.
 
-    Known names: ce, fl, dl, gdl, sadl, ll, combined.
+    Known names: ce, fl, dl, gdl, sadl, ll, combined. ``combined`` with no
+    auxiliary loss checks the Lovász auxiliary instead, and has a tie-row
+    detector only when its auxiliary is Lovász.
     """
+    if name not in _NAMED_LOSSES:
+        raise ValueError(f"unknown loss name {name!r}")
     cfg = config or LossConfig()
-    if name == "ce":
-        return (lambda b: ce_loss(b, FULL_CONTEXT, cfg.reduction)), None
-    if name == "fl":
-        return (lambda b: focal_loss(b, cfg.gamma, FULL_CONTEXT, cfg.reduction)), None
-    if name == "dl":
-        return (lambda b: dice_loss(b, FULL_CONTEXT)), None
-    if name == "gdl":
-        return (
-            lambda b: generalized_dice_loss(b, FULL_CONTEXT, cfg.empty_class_policy)
-        ), None
-    if name == "sadl":
-        return (lambda b: self_adjusting_dice_loss(b, FULL_CONTEXT)), None
-    if name == "ll":
-        fn = lambda b: lovasz_loss(b, FULL_CONTEXT, LovaszMode.MULTICLASS_SOFTMAX)
-        ties = lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h)
-        return fn, ties
+    loss, ties = _NAMED_LOSSES[name]
     if name == "combined":
-        combined_cfg = cfg
-        if combined_cfg.auxiliary_kind is AuxiliaryKind.NONE:
-            combined_cfg = LossConfig(
-                mix=cfg.mix,
-                gamma=cfg.gamma,
-                auxiliary_kind=AuxiliaryKind.LOVASZ,
-                empty_class_policy=cfg.empty_class_policy,
-                reduction=cfg.reduction,
-            )
-        fn = lambda b: combined_loss(b, combined_cfg)
-        if combined_cfg.auxiliary_kind is AuxiliaryKind.LOVASZ:
-            ties = lambda b, h: lovasz_tie_rows(b, ANSWER_ONLY, h)
-            return fn, ties
-        return fn, None
-    raise ValueError(f"unknown loss name {name!r}")
-
-
-LOSS_NAMES = ("ce", "fl", "dl", "gdl", "sadl", "ll", "combined")
+        if cfg.auxiliary_kind is AuxiliaryKind.NONE:
+            cfg = replace(cfg, auxiliary_kind=AuxiliaryKind.LOVASZ)
+        if cfg.auxiliary_kind is not AuxiliaryKind.LOVASZ:
+            ties = None
+    return (lambda b: loss(b, cfg)), ties
 
 
 def check_named_loss(

@@ -87,10 +87,6 @@ class EmptyAnswerMask(LossInputError):
     """An auxiliary loss was requested but the batch has no answer positions."""
 
 
-class AllClassesEmpty(LossInputError):
-    """Every class weight in generalized Dice was suppressed."""
-
-
 class EmptyInput(LossInputError):
     """An operation that needs at least one element received none."""
 
@@ -119,8 +115,10 @@ class LogitBatch:
             raise LossInputError("vocabulary size must be at least 2")
         if self.targets.shape != (n,) or self.role_mask.shape != (n,):
             raise LossInputError("targets and role_mask must be 1-d of length len(logits)")
-        if np.isnan(self.logits).any() or np.isposinf(self.logits).any():
-            raise LossInputError("logits must not contain NaN or +inf")
+        # NaN and +inf propagate into the row maximum; an all -inf row has maximum -inf
+        finite_max = np.isfinite(self.logits.max(axis=1))
+        if not finite_max.all():
+            raise LossInputError(f"logits row {finite_max.argmin()} has NaN, +inf or only -inf")
         if self.targets.min(initial=0) < 0 or self.targets.max(initial=0) >= vocab:
             raise LossInputError("every target index must be in [0, vocabulary)")
         valid_roles = {int(Role.INSTRUCTION), int(Role.ANSWER), int(Role.PAD)}
@@ -269,89 +267,82 @@ def focal_loss(
     return LossResult(float(values.sum() * scale), _scatter(batch, idx, grad_sel))
 
 
-def soft_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Soft Dice loss of one class column: 1 - 2*sum(p*y) / (sum(p^2) + sum(y^2)).
+RegionTerm = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
 
-    Returns the scalar term and its gradient with respect to ``p``. A column
-    with zero denominator (possible only when y is all zero and p is exactly
-    zero) yields term 1 with zero gradient.
+
+def _region_loss(
+    batch: LogitBatch, roles: Iterable[Role], term: RegionTerm, every_class: bool = False
+) -> LossResult:
+    """Shared path of the region losses, which differ only in their per-class term.
+
+    ``term(p, y)`` receives the positions x classes softmax columns ``p`` and
+    their one-hot targets ``y`` and returns the loss value and d(value)/dp.
+    The columns are the classes present in the selected targets, or the whole
+    vocabulary when ``every_class`` is set.
     """
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    num = 2.0 * float(np.dot(p, y))
-    den = float(np.dot(p, p) + np.dot(y, y))
-    if den == 0.0:
-        return 1.0, np.zeros_like(p)
-    value = 1.0 - num / den
-    dp = -(2.0 * y * den - 2.0 * p * num) / den**2
-    return value, dp
-
-
-def self_adjusting_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Self-adjusting Dice loss of one class column.
-
-    1 - 2*sum((1-p)*p*y) / sum((1-p)*p + y), with the denominator grouping the
-    per-position (1-p)*p weight and the label inside one sum. The (1-p) factor
-    suppresses easy examples, so a perfectly confident correct prediction
-    still carries term 1 (the numerator collapses to zero).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    w = (1.0 - p) * p
-    num = 2.0 * float(np.dot(w, y))
-    den = float(np.sum(w + y))
-    if den == 0.0:
-        return 1.0, np.zeros_like(p)
-    value = 1.0 - num / den
-    dnum = 2.0 * (1.0 - 2.0 * p) * y
-    dden = 1.0 - 2.0 * p
-    dp = -(dnum * den - num * dden) / den**2
-    return value, dp
-
-
-def _present_classes(targets: np.ndarray) -> np.ndarray:
-    return np.unique(targets)
-
-
-def dice_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
-    """Soft Dice loss per vocabulary class, averaged over classes present."""
     idx = _selected(batch, roles)
     probs = softmax(batch.logits[idx])
     targets = batch.targets[idx]
-    classes = _present_classes(targets)
+    classes = np.arange(batch.vocab_size) if every_class else np.unique(targets)
     y = (targets[:, None] == classes[None, :]).astype(np.float64)
-    p = probs[:, classes]
+    value, dp = term(probs[:, classes], y)
+    dprobs = np.zeros_like(probs)
+    dprobs[:, classes] = dp
+    grad_sel = _softmax_backward(probs, dprobs)
+    return LossResult(float(value), _scatter(batch, idx, grad_sel))
+
+
+def _dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     num = 2.0 * np.sum(p * y, axis=0)
     den = np.sum(p * p, axis=0) + np.sum(y, axis=0)
     terms = 1.0 - num / den
-    dprobs_cols = -(2.0 * y * den[None, :] - 2.0 * p * num[None, :]) / den[None, :] ** 2
-    dprobs = np.zeros_like(probs)
-    dprobs[:, classes] = dprobs_cols / classes.size
-    grad_sel = _softmax_backward(probs, dprobs)
-    return LossResult(float(terms.mean()), _scatter(batch, idx, grad_sel))
+    dp = -(2.0 * y * den - 2.0 * p * num) / den**2
+    return terms.mean(), dp / terms.size
 
 
-def self_adjusting_dice_loss(
-    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT
-) -> LossResult:
-    """Self-adjusting Dice per vocabulary class, averaged over classes present."""
-    idx = _selected(batch, roles)
-    probs = softmax(batch.logits[idx])
-    targets = batch.targets[idx]
-    classes = _present_classes(targets)
-    y = (targets[:, None] == classes[None, :]).astype(np.float64)
-    p = probs[:, classes]
+def _self_adjusting_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     w = (1.0 - p) * p
     num = 2.0 * np.sum(w * y, axis=0)
     den = np.sum(w + y, axis=0)
     terms = 1.0 - num / den
     dnum = 2.0 * (1.0 - 2.0 * p) * y
     dden = 1.0 - 2.0 * p
-    dprobs_cols = -(dnum * den[None, :] - num[None, :] * dden) / den[None, :] ** 2
-    dprobs = np.zeros_like(probs)
-    dprobs[:, classes] = dprobs_cols / classes.size
-    grad_sel = _softmax_backward(probs, dprobs)
-    return LossResult(float(terms.mean()), _scatter(batch, idx, grad_sel))
+    dp = -(dnum * den - num * dden) / den**2
+    return terms.mean(), dp / terms.size
+
+
+def _generalized_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    volume = np.sum(y, axis=0)
+    weights = 1.0 / np.where(volume > 0, volume, EMPTY_CLASS_EPSILON) ** 2
+    num = 2.0 * float(np.sum(weights * np.sum(p * y, axis=0)))
+    den = float(np.sum(weights * np.sum(p + y, axis=0)))
+    dp = -(2.0 * weights * y * den - num * weights) / den**2
+    return 1.0 - num / den, dp
+
+
+def _lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    terms, derr = _lovasz_extension(np.where(y > 0, 1.0 - p, p), y)
+    return terms.mean(), derr * (1.0 - 2.0 * y) / terms.size
+
+
+def dice_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
+    """Soft Dice loss per vocabulary class, averaged over classes present.
+
+    Each class column scores 1 - 2*sum(p*y) / (sum(p^2) + sum(y^2)).
+    """
+    return _region_loss(batch, roles, _dice_term)
+
+
+def self_adjusting_dice_loss(
+    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT
+) -> LossResult:
+    """Self-adjusting Dice per vocabulary class, averaged over classes present.
+
+    Each class column scores 1 - 2*sum((1-p)*p*y) / sum((1-p)*p + y); the
+    (1-p) factor suppresses easy examples, so a perfectly confident correct
+    prediction still carries term 1.
+    """
+    return _region_loss(batch, roles, _self_adjusting_dice_term)
 
 
 def generalized_dice_loss(
@@ -364,30 +355,8 @@ def generalized_dice_loss(
     Under ZERO_WEIGHT, classes with zero ground-truth volume are dropped from
     both sums; under EPSILON they stay with weight 1/EMPTY_CLASS_EPSILON^2.
     """
-    idx = _selected(batch, roles)
-    probs = softmax(batch.logits[idx])
-    targets = batch.targets[idx]
-    if empty_class_policy is EmptyClassPolicy.ZERO_WEIGHT:
-        classes = _present_classes(targets)
-    else:
-        classes = np.arange(batch.vocab_size)
-    y = (targets[:, None] == classes[None, :]).astype(np.float64)
-    p = probs[:, classes]
-    volume = np.sum(y, axis=0)
-    weights = np.empty_like(volume)
-    nonempty = volume > 0
-    weights[nonempty] = 1.0 / volume[nonempty] ** 2
-    weights[~nonempty] = 1.0 / EMPTY_CLASS_EPSILON**2
-    if not nonempty.any() and empty_class_policy is EmptyClassPolicy.ZERO_WEIGHT:
-        raise AllClassesEmpty("every class weight was suppressed")
-    num = 2.0 * float(np.sum(weights * np.sum(p * y, axis=0)))
-    den = float(np.sum(weights * np.sum(p + y, axis=0)))
-    value = 1.0 - num / den
-    dprobs_cols = -(2.0 * weights[None, :] * y * den - num * weights[None, :]) / den**2
-    dprobs = np.zeros_like(probs)
-    dprobs[:, classes] = dprobs_cols
-    grad_sel = _softmax_backward(probs, dprobs)
-    return LossResult(value, _scatter(batch, idx, grad_sel))
+    every_class = empty_class_policy is EmptyClassPolicy.EPSILON
+    return _region_loss(batch, roles, _generalized_dice_term, every_class)
 
 
 def lovasz_grad_weights(sorted_gt: np.ndarray) -> np.ndarray:
@@ -396,20 +365,36 @@ def lovasz_grad_weights(sorted_gt: np.ndarray) -> np.ndarray:
     With cumulative foreground/background counts through rank k,
     J[k] = 1 - (sum(gt) - cum_fg[k]) / (sum(gt) + cum_bg[k]); the weights are
     the first differences of J. They are nonnegative and sum to the Jaccard
-    loss of mispredicting the full support.
+    loss of mispredicting the full support. A 2-d (n, k) input holds k
+    independently sorted columns and gets the weights of each column.
     """
     gt = np.asarray(sorted_gt, dtype=np.float64)
-    if gt.ndim != 1 or gt.size == 0:
-        raise EmptyInput("sorted ground truth must be a nonempty 1-d array")
+    if gt.ndim not in (1, 2) or gt.size == 0:
+        raise EmptyInput("sorted ground truth must be a nonempty 1-d or 2-d array")
     if not np.isin(gt, (0.0, 1.0)).all():
         raise LossInputError("ground truth entries must be 0 or 1")
-    gts = gt.sum()
-    intersection = gts - np.cumsum(gt)
-    union = gts + np.cumsum(1.0 - gt)
+    gts = gt.sum(axis=0)
+    intersection = gts - np.cumsum(gt, axis=0)
+    union = gts + np.cumsum(1.0 - gt, axis=0)
     jaccard = 1.0 - intersection / union
     weights = jaccard.copy()
     weights[1:] -= jaccard[:-1]
     return weights
+
+
+def _lovasz_extension(errors: np.ndarray, fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lovász extension of the Jaccard loss for each column of ``errors``.
+
+    Each column is sorted descending, ties broken by position, and dotted with
+    the Jaccard-extension weights of the permuted foreground indicator ``fg``.
+    Returns the per-column values and their gradient wrt ``errors`` with the
+    sort permutation held fixed.
+    """
+    perm = np.argsort(-errors, axis=0, kind="stable")
+    weights = lovasz_grad_weights(np.take_along_axis(fg, perm, axis=0))
+    derr = np.empty_like(errors)
+    np.put_along_axis(derr, perm, weights, axis=0)
+    return np.sum(np.take_along_axis(errors, perm, axis=0) * weights, axis=0), derr
 
 
 def lovasz_hinge(scores: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
@@ -428,15 +413,8 @@ def lovasz_hinge(scores: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarr
     if not np.isin(signs, (-1.0, 1.0)).all():
         raise LossInputError("signs must be -1 or +1")
     margins = 1.0 - scores * signs
-    errors = np.maximum(margins, 0.0)
-    perm = np.argsort(-errors, kind="stable")
-    fg = (signs > 0).astype(np.float64)
-    weights = lovasz_grad_weights(fg[perm])
-    value = float(errors[perm] @ weights)
-    derr = np.zeros_like(errors)
-    derr[perm] = weights
-    dscores = np.where(margins > 0.0, -signs * derr, 0.0)
-    return value, dscores
+    value, derr = _lovasz_extension(np.maximum(margins, 0.0), (signs > 0).astype(np.float64))
+    return float(value), np.where(margins > 0.0, -signs * derr, 0.0)
 
 
 def lovasz_loss(
@@ -455,12 +433,12 @@ def lovasz_loss(
     BINARY_HINGE requires vocabulary size 2; the per-position score is the
     logit margin logits[:, 1] - logits[:, 0] and targets map to sign -1/+1.
     """
-    idx = _selected(batch, roles)
-    logits = batch.logits[idx]
-    targets = batch.targets[idx]
     if mode is LovaszMode.BINARY_HINGE:
         if batch.vocab_size != 2:
             raise LossInputError("binary hinge mode requires vocabulary size 2")
+        idx = _selected(batch, roles)
+        logits = batch.logits[idx]
+        targets = batch.targets[idx]
         scores = logits[:, 1] - logits[:, 0]
         signs = np.where(targets == 1, 1.0, -1.0)
         value, dscores = lovasz_hinge(scores, signs)
@@ -469,39 +447,20 @@ def lovasz_loss(
         grad_sel[:, 0] = -dscores
         return LossResult(value, _scatter(batch, idx, grad_sel))
 
-    probs = softmax(logits)
-    classes = _present_classes(targets)
-    dprobs = np.zeros_like(probs)
-    total = 0.0
-    for col, cls in enumerate(classes):
-        fg = (targets == cls).astype(np.float64)
-        p_c = probs[:, cls]
-        errors = np.where(fg > 0, 1.0 - p_c, p_c)
-        perm = np.argsort(-errors, kind="stable")
-        weights = lovasz_grad_weights(fg[perm])
-        total += float(errors[perm] @ weights)
-        derr = np.zeros_like(errors)
-        derr[perm] = weights
-        dprobs[:, cls] += derr * (1.0 - 2.0 * fg)
-    total /= classes.size
-    dprobs /= classes.size
-    grad_sel = _softmax_backward(probs, dprobs)
-    return LossResult(total, _scatter(batch, idx, grad_sel))
+    return _region_loss(batch, roles, _lovasz_softmax_term)
 
 
-def _auxiliary(batch: LogitBatch, config: LossConfig) -> LossResult:
-    kind = config.auxiliary_kind
-    if kind is AuxiliaryKind.FOCAL:
-        return focal_loss(batch, config.gamma, ANSWER_ONLY, config.reduction)
-    if kind is AuxiliaryKind.DICE:
-        return dice_loss(batch, ANSWER_ONLY)
-    if kind is AuxiliaryKind.GENERALIZED_DICE:
-        return generalized_dice_loss(batch, ANSWER_ONLY, config.empty_class_policy)
-    if kind is AuxiliaryKind.SELF_ADJUSTING_DICE:
-        return self_adjusting_dice_loss(batch, ANSWER_ONLY)
-    if kind is AuxiliaryKind.LOVASZ:
-        return lovasz_loss(batch, ANSWER_ONLY, LovaszMode.MULTICLASS_SOFTMAX)
-    raise LossInputError(f"no auxiliary dispatch for {kind}")
+# Each entry looks its loss up by module-level name when called, so a loss
+# rebound on this module (for tracing, say) is the one combined_loss runs.
+_AUXILIARY: dict[AuxiliaryKind, Callable[[LogitBatch, LossConfig], LossResult]] = {
+    AuxiliaryKind.FOCAL: lambda b, c: focal_loss(b, c.gamma, ANSWER_ONLY, c.reduction),
+    AuxiliaryKind.DICE: lambda b, c: dice_loss(b, ANSWER_ONLY),
+    AuxiliaryKind.GENERALIZED_DICE: lambda b, c: generalized_dice_loss(
+        b, ANSWER_ONLY, c.empty_class_policy
+    ),
+    AuxiliaryKind.SELF_ADJUSTING_DICE: lambda b, c: self_adjusting_dice_loss(b, ANSWER_ONLY),
+    AuxiliaryKind.LOVASZ: lambda b, c: lovasz_loss(b, ANSWER_ONLY, LovaszMode.MULTICLASS_SOFTMAX),
+}
 
 
 def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
@@ -524,7 +483,7 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
         value += config.mix * ce.value
         gradient += config.mix * ce.gradient
     if config.mix < 1.0 and kind is not AuxiliaryKind.NONE:
-        aux = _auxiliary(batch, config)
+        aux = _AUXILIARY[kind](batch, config)
         value += (1.0 - config.mix) * aux.value
         gradient += (1.0 - config.mix) * aux.gradient
     return LossResult(value, gradient)
@@ -546,30 +505,25 @@ def lovasz_tie_rows(
     idx = _selected(batch, roles)
     logits = batch.logits[idx]
     targets = batch.targets[idx]
-    flagged: set[int] = set()
     window = 2.0 * step
     if mode is LovaszMode.BINARY_HINGE:
-        scores = logits[:, 1] - logits[:, 0]
-        signs = np.where(targets == 1, 1.0, -1.0)
-        margins = 1.0 - scores * signs
-        errors = np.maximum(margins, 0.0)
-        for i in range(idx.size):
-            if abs(margins[i]) <= window:
-                flagged.add(int(idx[i]))
-                continue
-            gaps = np.abs(errors - errors[i])
-            gaps[i] = np.inf
-            if gaps.min() <= window:
-                flagged.add(int(idx[i]))
-        return flagged
-
-    probs = softmax(logits)
-    for cls in _present_classes(targets):
-        fg = targets == cls
-        errors = np.where(fg, 1.0 - probs[:, cls], probs[:, cls])
-        for i in range(idx.size):
-            gaps = np.abs(errors - errors[i])
-            gaps[i] = np.inf
-            if gaps.min() <= window:
-                flagged.add(int(idx[i]))
-    return flagged
+        margins = 1.0 - (logits[:, 1] - logits[:, 0]) * np.where(targets == 1, 1.0, -1.0)
+        errors = np.maximum(margins, 0.0)[:, None]
+        flagged = np.abs(margins) <= window
+    else:
+        classes = np.unique(targets)
+        p = softmax(logits)[:, classes]
+        errors = np.where(targets[:, None] == classes[None, :], 1.0 - p, p)
+        flagged = np.zeros(idx.size, dtype=bool)
+    # In sorted order the nearest other error of a column is a sorted
+    # neighbour, and rounded subtraction is monotone, so checking neighbour
+    # gaps finds every gap <= window that comparing all pairs would.
+    order = np.argsort(errors, axis=0)
+    close_gap = np.diff(np.take_along_axis(errors, order, axis=0), axis=0) <= window
+    close_sorted = np.zeros(errors.shape, dtype=bool)
+    close_sorted[1:] |= close_gap
+    close_sorted[:-1] |= close_gap
+    close = np.empty_like(close_sorted)
+    np.put_along_axis(close, order, close_sorted, axis=0)
+    flagged |= close.any(axis=1)
+    return set(idx[flagged].tolist())

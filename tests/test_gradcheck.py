@@ -8,7 +8,18 @@ from losslab.gradcheck import (
     check_named_loss,
     finite_difference_check,
 )
-from losslab.losses import FULL_CONTEXT, LogitBatch, LossConfig, ce_loss, lovasz_tie_rows
+from losslab.cli import build_parser
+from losslab.losses import (
+    ANSWER_ONLY,
+    FULL_CONTEXT,
+    AuxiliaryKind,
+    LogitBatch,
+    LossConfig,
+    LovaszMode,
+    ce_loss,
+    lovasz_tie_rows,
+    softmax,
+)
 
 
 def random_batch(seed, n=8, vocab=17):
@@ -90,6 +101,81 @@ class TestLovaszTieHandling:
         batch = random_batch(3)
         report = check_named_loss("ce", batch)
         assert report.skipped == []
+
+
+def all_pairs_tie_rows(batch, roles, step, mode=LovaszMode.MULTICLASS_SOFTMAX):
+    """Reference tie detector: compares every pair of errors in each class column."""
+    idx = np.flatnonzero(np.isin(batch.role_mask, [int(r) for r in roles]))
+    logits = batch.logits[idx]
+    targets = batch.targets[idx]
+    flagged = set()
+    window = 2.0 * step
+    if mode is LovaszMode.BINARY_HINGE:
+        scores = logits[:, 1] - logits[:, 0]
+        signs = np.where(targets == 1, 1.0, -1.0)
+        margins = 1.0 - scores * signs
+        errors = np.maximum(margins, 0.0)
+        for i in range(idx.size):
+            if abs(margins[i]) <= window:
+                flagged.add(int(idx[i]))
+                continue
+            gaps = np.abs(errors - errors[i])
+            gaps[i] = np.inf
+            if gaps.min() <= window:
+                flagged.add(int(idx[i]))
+        return flagged
+
+    probs = softmax(logits)
+    for cls in np.unique(targets):
+        fg = targets == cls
+        errors = np.where(fg, 1.0 - probs[:, cls], probs[:, cls])
+        for i in range(idx.size):
+            gaps = np.abs(errors - errors[i])
+            gaps[i] = np.inf
+            if gaps.min() <= window:
+                flagged.add(int(idx[i]))
+    return flagged
+
+
+class TestTieRowsAgainstAllPairs:
+    def batches(self, vocab):
+        for seed in range(20):
+            batch = random_batch(seed, n=12, vocab=vocab)
+            yield batch
+            logits, targets = batch.logits.copy(), batch.targets.copy()
+            logits[[1, 7]], targets[[1, 7]] = logits[0], targets[0]
+            yield LogitBatch(logits, targets, batch.role_mask)
+        yield LogitBatch(np.zeros((6, vocab)), np.arange(6) % vocab, np.ones(6, dtype=np.int64))
+        yield LogitBatch(np.ones((1, vocab)), np.array([1]), np.array([1]))
+
+    def test_multiclass_sets_are_identical(self):
+        for batch in self.batches(vocab=9):
+            for roles in (FULL_CONTEXT, ANSWER_ONLY):
+                for step in (1e-5, 1e-2, 0.1):
+                    assert lovasz_tie_rows(batch, roles, step) == all_pairs_tie_rows(
+                        batch, roles, step
+                    )
+
+    def test_binary_hinge_sets_are_identical(self):
+        mode = LovaszMode.BINARY_HINGE
+        for batch in self.batches(vocab=2):
+            for roles in (FULL_CONTEXT, ANSWER_ONLY):
+                for step in (1e-5, 1e-2, 0.3):
+                    assert lovasz_tie_rows(batch, roles, step, mode) == all_pairs_tie_rows(
+                        batch, roles, step, mode
+                    )
+
+
+class TestLossTables:
+    def test_auxiliary_names_match_auxiliary_kinds(self):
+        named = set(LOSS_NAMES) - {"ce", "combined"}
+        assert named == {kind.value for kind in AuxiliaryKind} - {"none"}
+
+    def test_grad_check_choices_are_all_and_loss_names(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.choices and "grad-check" in a.choices)
+        loss = next(a for a in sub.choices["grad-check"]._actions if a.dest == "loss")
+        assert tuple(loss.choices) == ("all", *LOSS_NAMES)
 
 
 class TestCombinedVariants:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losslab.losses import (
     ANSWER_ONLY,
     FULL_CONTEXT,
-    AllClassesEmpty,
     AuxiliaryKind,
     EmptyAnswerMask,
     EmptyClassPolicy,
@@ -25,8 +26,6 @@ from losslab.losses import (
     lovasz_hinge,
     lovasz_loss,
     self_adjusting_dice_loss,
-    self_adjusting_dice_term,
-    soft_dice_term,
     softmax,
 )
 
@@ -47,14 +46,119 @@ def random_batch(seed, n=8, vocab=17):
     return LogitBatch(logits, targets, roles)
 
 
+def soft_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Soft Dice loss of one class column: 1 - 2*sum(p*y) / (sum(p^2) + sum(y^2)).
+
+    Returns the scalar term and its gradient with respect to ``p``. A column
+    with zero denominator (possible only when y is all zero and p is exactly
+    zero) yields term 1 with zero gradient.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    num = 2.0 * float(np.dot(p, y))
+    den = float(np.dot(p, p) + np.dot(y, y))
+    if den == 0.0:
+        return 1.0, np.zeros_like(p)
+    value = 1.0 - num / den
+    dp = -(2.0 * y * den - 2.0 * p * num) / den**2
+    return value, dp
+
+
+def self_adjusting_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Self-adjusting Dice loss of one class column.
+
+    1 - 2*sum((1-p)*p*y) / sum((1-p)*p + y), with the denominator grouping the
+    per-position (1-p)*p weight and the label inside one sum. The (1-p) factor
+    suppresses easy examples, so a perfectly confident correct prediction
+    still carries term 1 (the numerator collapses to zero).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = (1.0 - p) * p
+    num = 2.0 * float(np.dot(w, y))
+    den = float(np.sum(w + y))
+    if den == 0.0:
+        return 1.0, np.zeros_like(p)
+    value = 1.0 - num / den
+    dnum = 2.0 * (1.0 - 2.0 * p) * y
+    dden = 1.0 - 2.0 * p
+    dp = -(dnum * den - num * dden) / den**2
+    return value, dp
+
+
+def lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lovász-Softmax term of one class column, on the 1-d Jaccard weights."""
+    errors = np.where(y > 0, 1.0 - p, p)
+    perm = np.argsort(-errors, kind="stable")
+    weights = lovasz_grad_weights(y[perm])
+    derr = np.zeros_like(errors)
+    derr[perm] = weights
+    return float(errors[perm] @ weights), derr * (1.0 - 2.0 * y)
+
+
+def per_class_reference(batch, roles, column_term, classes=None):
+    """Mean of ``column_term`` over class columns, chained back to the logits."""
+    idx = np.flatnonzero(np.isin(batch.role_mask, [int(r) for r in roles]))
+    probs = softmax(batch.logits[idx])
+    targets = batch.targets[idx]
+    classes = np.unique(targets) if classes is None else classes
+    total = 0.0
+    dprobs = np.zeros_like(probs)
+    for c in classes:
+        value, dp = column_term(probs[:, c], (targets == c).astype(np.float64))
+        total += value
+        dprobs[:, c] += dp
+    return total / classes.size, logit_gradient(batch, idx, probs, dprobs / classes.size)
+
+
+def generalized_dice_reference(batch, roles, policy):
+    idx = np.flatnonzero(np.isin(batch.role_mask, [int(r) for r in roles]))
+    probs = softmax(batch.logits[idx])
+    targets = batch.targets[idx]
+    classes = (
+        np.unique(targets) if policy is EmptyClassPolicy.ZERO_WEIGHT
+        else np.arange(batch.vocab_size)
+    )
+    num = den = 0.0
+    weights = {}
+    for c in classes:
+        y = (targets == c).astype(np.float64)
+        weights[c] = 1.0 / (y.sum() if y.sum() > 0 else 1e-6) ** 2
+        num += 2.0 * weights[c] * float(np.dot(probs[:, c], y))
+        den += weights[c] * float(np.sum(probs[:, c] + y))
+    dprobs = np.zeros_like(probs)
+    for c in classes:
+        y = (targets == c).astype(np.float64)
+        dprobs[:, c] = -(2.0 * weights[c] * y * den - num * weights[c]) / den**2
+    return 1.0 - num / den, logit_gradient(batch, idx, probs, dprobs)
+
+
+def logit_gradient(batch, idx, probs, dprobs):
+    """Chain rule through each selected row's softmax Jacobian diag(p) - p p^T."""
+    grad = np.zeros_like(batch.logits)
+    for row, (p, d) in enumerate(zip(probs, dprobs)):
+        grad[idx[row]] = (np.diag(p) - np.outer(p, p)) @ d
+    return grad
+
+
 class TestLogitBatch:
     def test_coerces_dtype_to_float64(self):
         batch = LogitBatch(np.zeros((1, 2), dtype=np.float32), np.array([0]), np.array([1]))
         assert batch.logits.dtype == np.float64
 
     def test_rejects_nan_logits(self):
-        with pytest.raises(LossInputError):
+        with pytest.raises(LossInputError, match="row 0"):
             LogitBatch(np.array([[np.nan, 0.0]]), np.array([0]), np.array([1]))
+
+    @pytest.mark.parametrize("bad", [[np.inf, 0.0], [-np.inf, -np.inf]])
+    def test_rejects_row_without_finite_maximum(self, bad):
+        logits = np.array([[0.0, 1.0], bad, [2.0, 0.0]])
+        with pytest.raises(LossInputError, match="row 1"):
+            LogitBatch(logits, np.array([0, 0, 1]), np.array([1, 1, 1]))
+
+    def test_accepts_partly_negative_infinite_row(self):
+        batch = LogitBatch(np.array([[0.0, -np.inf, 1.0]]), np.array([2]), np.array([1]))
+        assert np.isfinite(ce_loss(batch).value)
 
     def test_rejects_target_out_of_range(self):
         with pytest.raises(LossInputError):
@@ -443,3 +547,56 @@ class TestMaskingInvariants:
         batch = LogitBatch.from_probs(probs, np.array([0, 1]), np.array([1, 1]))
         value = generalized_dice_loss(batch, empty_class_policy=EmptyClassPolicy.ZERO_WEIGHT)
         assert np.isfinite(value.value)
+
+
+@st.composite
+def tied_batches(draw):
+    """Random batches of up to 24 positions with some rows duplicated exactly."""
+    n = draw(st.integers(1, 24))
+    vocab = draw(st.integers(2, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.standard_normal((n, vocab))
+    targets = rng.integers(0, vocab, n)
+    roles = rng.integers(0, 3, n)
+    for _ in range(draw(st.integers(0, n // 2))):
+        src, dst = rng.integers(0, n, 2)
+        logits[dst], targets[dst], roles[dst] = logits[src], targets[src], roles[src]
+    roles[draw(st.integers(0, n - 1))] = int(Role.ANSWER)
+    return LogitBatch(logits, targets, roles)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=tied_batches(), roles=st.sampled_from([FULL_CONTEXT, ANSWER_ONLY]))
+def test_region_losses_match_per_class_references(batch, roles):
+    cases = [
+        (dice_loss(batch, roles), per_class_reference(batch, roles, soft_dice_term)),
+        (
+            self_adjusting_dice_loss(batch, roles),
+            per_class_reference(batch, roles, self_adjusting_dice_term),
+        ),
+        (lovasz_loss(batch, roles), per_class_reference(batch, roles, lovasz_softmax_term)),
+    ]
+    for policy in EmptyClassPolicy:
+        cases.append(
+            (
+                generalized_dice_loss(batch, roles, policy),
+                generalized_dice_reference(batch, roles, policy),
+            )
+        )
+    for result, (value, gradient) in cases:
+        assert abs(result.value - value) <= 1e-12
+        assert np.max(np.abs(result.gradient - gradient)) <= 1e-12
+
+
+class TestLovaszWeightColumns:
+    def test_columns_match_one_dimensional_weights(self):
+        rng = np.random.default_rng(5)
+        gt = rng.integers(0, 2, size=(9, 6)).astype(np.float64)
+        gt[0] = 1.0
+        weights = lovasz_grad_weights(gt)
+        for k in range(gt.shape[1]):
+            assert np.array_equal(weights[:, k], lovasz_grad_weights(gt[:, k]))
+
+    def test_rejects_three_dimensional_input(self):
+        with pytest.raises(EmptyInput):
+            lovasz_grad_weights(np.ones((2, 2, 2)))
