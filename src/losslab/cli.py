@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -637,15 +638,25 @@ def _cmd_tokens(args, argv: list[str]) -> int:
         tokens = record["tokens"]
         if not isinstance(tokens, list):
             raise MalformedLine(f"{args.input}: record {lineno}: 'tokens' must be a list")
-        stream.extend(int(t) for t in tokens if int(t) not in exclude)
+        for t in tokens:
+            if type(t) is not int:  # JSON true/false load as bool, a subclass of int
+                raise MalformedLine(
+                    f"{args.input}: record {lineno}: token {json.dumps(t)} is not an integer"
+                )
+            if t not in exclude:
+                stream.append(t)
     if not stream:
         raise DataError("token stream is empty after exclusions")
     bandwidth = args.bandwidth
     if bandwidth != "scott":
         try:
             bandwidth = float(bandwidth)
-        except ValueError as exc:
-            raise ConfigError("--bandwidth must be 'scott' or a number") from exc
+        except ValueError:
+            bandwidth = math.nan
+        if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
+            raise ConfigError(
+                f"--bandwidth must be 'scott' or a positive finite number, got {args.bandwidth!r}"
+            )
     density = token_density(stream, bandwidth)
     lines = ["id,density"]
     for i, d in zip(density.ids, density.density):

@@ -589,6 +589,27 @@ class TestTokensCommand:
         assert code == EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_or_nonfinite_bandwidth_exits_2(self, tmp_path, capsys, value):
+        src = self.write_tokens(tmp_path)
+        out = tmp_path / "d.csv"
+        code = run_main(
+            ["tokens", "--input", src, "--out", str(out), f"--bandwidth={value}"]
+        )
+        assert code == EXIT_DATA
+        assert "--bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ['"a"', "null", "2.7", "true"])
+    def test_non_integer_token_exits_2(self, tmp_path, capsys, token):
+        path = tmp_path / "tokens.jsonl"
+        path.write_text('{"tokens": [0, 1]}\n' + '{"tokens": [2, %s, 3]}\n' % token)
+        code = run_main(["tokens", "--input", str(path), "--out", str(tmp_path / "d.csv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert f"record 2: token {token} " in err
+
     def test_byte_identical_reruns(self, tmp_path):
         src = self.write_tokens(tmp_path)
         out = tmp_path / "density.csv"

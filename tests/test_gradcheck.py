@@ -17,6 +17,7 @@ from losslab.losses import (
     LossConfig,
     LovaszMode,
     ce_loss,
+    lovasz_loss,
     lovasz_tie_rows,
     softmax,
 )
@@ -101,6 +102,22 @@ class TestLovaszTieHandling:
         batch = random_batch(3)
         report = check_named_loss("ce", batch)
         assert report.skipped == []
+
+
+class TestBinaryHingeGradient:
+    def test_hinge_gradient_matches_central_differences(self):
+        mode = LovaszMode.BINARY_HINGE
+        checked = 0
+        for seed in range(20):
+            batch = random_batch(seed, n=12, vocab=2)
+            ties = lovasz_tie_rows(batch, FULL_CONTEXT, 1e-5, mode)
+            report = finite_difference_check(
+                lambda b: lovasz_loss(b, FULL_CONTEXT, mode), batch, skip_rows=ties
+            )
+            assert report.passed, f"seed {seed}: {report.summary()}"
+            assert report.n_checked + len(report.skipped) == batch.logits.size
+            checked += report.n_checked
+        assert checked > 0
 
 
 def all_pairs_tie_rows(batch, roles, step, mode=LovaszMode.MULTICLASS_SOFTMAX):

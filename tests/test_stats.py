@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losslab.stats import (
     EmptyStream,
@@ -308,8 +311,9 @@ class TestTokenDensity:
     def test_explicit_bandwidth(self):
         profile = token_density([1, 2, 3, 4], bandwidth=2.5)
         assert profile.bandwidth == 2.5
-        with pytest.raises(ValueError):
-            token_density([1, 2, 3], bandwidth=0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                token_density([1, 2, 3], bandwidth=bad)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyStream):
@@ -321,3 +325,75 @@ class TestTokenDensity:
         b = token_density(ids)
         assert np.array_equal(a.density, b.density)
         assert a.bandwidth == b.bandwidth
+
+    def test_peak_memory_is_linear_in_the_id_range(self):
+        ids = np.random.default_rng(37).integers(0, 4000, size=20_000)
+        ids[:2] = (0, 3999)
+        tracemalloc.start()
+        try:
+            profile = token_density(ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert profile.ids.size == 4000
+        assert peak < 2 * 2**20
+
+
+def gram_token_density(token_ids, bandwidth="scott"):
+    """Reference density: the direct and both reflected kernel sums, each built
+    as a G x G matrix over the id grid (O(G^2) memory)."""
+    ids = np.asarray(token_ids, dtype=np.int64).ravel()
+    n = ids.size
+    lo, hi = int(ids.min()), int(ids.max())
+    grid = np.arange(lo, hi + 1, dtype=np.float64)
+    counts = np.bincount(ids - lo, minlength=hi - lo + 1).astype(np.float64)
+    if bandwidth == "scott":
+        h = (float(ids.std(ddof=1)) if n > 1 else 0.0) * n ** (-1.0 / 5.0)
+        if not (h > 0.0):
+            h = 1.0
+    else:
+        h = float(bandwidth)
+
+    def kernel_sum(points):
+        z = (grid[:, None] - points[None, :]) / h
+        return (np.exp(-0.5 * z * z) * counts[None, :]).sum(axis=1)
+
+    left, right = lo - 0.5, hi + 0.5
+    total = kernel_sum(grid) + kernel_sum(2.0 * left - grid) + kernel_sum(2.0 * right - grid)
+    density = total / (n * h * math.sqrt(2.0 * math.pi))
+    if grid.size > 1:
+        mass = trapezoid(density, grid)
+        if mass > 0.0:
+            density = density / mass
+    return grid.astype(np.int64), density, counts, h, n
+
+
+@st.composite
+def token_streams(draw):
+    """Id streams on grids 1 to 400 ids wide, negative ids included; both
+    ends always occur, so a bare pair is two ids far apart, and one drawn id
+    may repeat hundreds of times."""
+    lo = draw(st.integers(-1000, 1000))
+    hi = lo + draw(st.integers(0, 399))
+    ids = [lo, hi] + draw(st.lists(st.integers(lo, hi), max_size=40))
+    ids += [draw(st.sampled_from(ids))] * draw(st.integers(0, 500))
+    return ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=token_streams(),
+    bandwidth=st.one_of(st.just("scott"), st.floats(0.05, 1e4)),
+)
+def test_token_density_matches_gram_reference(ids, bandwidth):
+    profile = token_density(ids, bandwidth)
+    grid, density, counts, h, n = gram_token_density(ids, bandwidth)
+    assert np.array_equal(profile.ids, grid)
+    assert np.array_equal(profile.histogram, counts)
+    assert profile.bandwidth == h
+    assert profile.n == n
+    assert np.all(np.abs(profile.density - density) <= 1e-12 * density)
+    shown = density > 1e-300
+    assert np.all(np.abs(profile.log_density[shown] - np.log(density[shown])) <= 1e-9)
+    if grid.size > 1:
+        assert abs(trapezoid(profile.density, grid) - 1.0) <= 1e-12
