@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
+MAX_TOKEN_SPAN = 2**20  # token_density takes O(G) memory and O(G^2) time over G ids
+
 EVAL_FORMATS = ("gsm8k", "mathqa", "qa_letter")
 
 HIGHER_IS_BETTER = {
@@ -117,28 +120,11 @@ class ConfigError(DataError):
     pass
 
 
-class EmptyQuestion(DataError):
-    """render_prompt needs a nonempty question."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D401 - argparse hook
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def render_prompt(question: str, context: str | None = None, answer: str | None = None) -> str:
-    """Question/Context/Answer prompt template used for every record."""
-    if question is None or not question.strip():
-        raise EmptyQuestion("question must be nonempty")
-    prompt = f"Question: {question.strip()}"
-    if context is not None and context.strip():
-        prompt += f" Context: {context.strip()}"
-    prompt += " Answer:"
-    if answer is not None:
-        prompt += f" {answer.strip()}"
-    return prompt
 
 
 def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
@@ -167,6 +153,8 @@ def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
                 raise MissingField(f"{path}:{lineno}: missing field {field!r}")
         if "id" in required:
             rid = record["id"]
+            if isinstance(rid, (list, dict)):
+                raise MalformedLine(f"{path}:{lineno}: id {json.dumps(rid)} is an array or object")
             if rid in seen_ids:
                 raise DuplicateId(f"{path}:{lineno}: duplicate id {rid!r}")
             seen_ids.add(rid)
@@ -220,19 +208,16 @@ def score_record(record_id, gold_text: str, pred_text: str, fmt: str, commutativ
     comm_pred = StepSet.from_steps(pred.steps, commutative=True)
     comm_gold = StepSet.from_steps(gold.steps, commutative=True)
 
-    iou = step_overlap_metrics(plain_pred, plain_gold, commutative=False).iou
-    ciou = step_overlap_metrics(comm_pred, comm_gold, commutative=True).iou
-    if commutative:
-        overlap = step_overlap_metrics(comm_pred, comm_gold, commutative=True)
-        typology = error_typology(comm_pred, comm_gold)
-    else:
-        overlap = step_overlap_metrics(plain_pred, plain_gold, commutative=False)
-        typology = error_typology(plain_pred, plain_gold)
+    plain = step_overlap_metrics(plain_pred, plain_gold, commutative=False)
+    comm = step_overlap_metrics(comm_pred, comm_gold, commutative=True)
+    matched = (comm_pred, comm_gold) if commutative else (plain_pred, plain_gold)
+    overlap = comm if commutative else plain
+    typology = error_typology(*matched)
 
     sample = SampleMetrics(
         em=em,
-        iou=iou,
-        ciou=ciou,
+        iou=plain.iou,
+        ciou=comm.iou,
         precision=overlap.precision,
         recall=overlap.recall,
         dice=overlap.dice,
@@ -377,24 +362,28 @@ def _load_report(path: str) -> dict:
 
 
 def _aligned_columns(reports: list[dict], paths: list[str], column: str) -> list[list]:
-    id_sets = [tuple(sorted((str(r["id"]) for r in rep["per_sample"]))) for rep in reports]
-    if len(set(id_sets)) != 1:
+    """Per-sample ``column`` of each report, rows matched by the text of their ids."""
+    tables = []
+    for rep, path in zip(reports, paths):
+        by_id: dict[str, dict] = {}
+        for row in rep["per_sample"]:
+            if by_id.setdefault(str(row["id"]), row) is not row:
+                raise IncompatibleReports(f"{path}: two per-sample ids read {str(row['id'])!r}")
+        tables.append(by_id)
+    ids = sorted(tables[0])
+    if any(sorted(table) != ids for table in tables[1:]):
         raise IncompatibleReports("reports cover different sample ids")
-    columns = []
-    for rep in reports:
-        by_id = {str(r["id"]): r for r in rep["per_sample"]}
-        try:
-            columns.append([by_id[i][column] for i in id_sets[0]])
-        except KeyError as exc:
-            raise IncompatibleReports(f"per-sample records lack column {column!r}") from exc
-    return columns
+    try:
+        return [[table[i][column] for i in ids] for table in tables]
+    except KeyError as exc:
+        raise IncompatibleReports(f"per-sample records lack column {column!r}") from exc
 
 
 def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
     reports = [_load_report(p) for p in paths]
+    if test in ("mcnemar", "ttest", "pearson") and len(reports) != 2:
+        raise IncompatibleReports(f"{test} compares exactly two reports")
     if test == "mcnemar":
-        if len(reports) != 2:
-            raise IncompatibleReports("mcnemar compares exactly two reports")
         a, b = _aligned_columns(reports, paths, "em")
         result = mcnemar_test(PairedOutcomes(np.array(a, bool), np.array(b, bool)))
         return {
@@ -407,8 +396,6 @@ def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
             "significant": result.p_value < 0.05,
         }
     if test == "ttest":
-        if len(reports) != 2:
-            raise IncompatibleReports("ttest compares exactly two reports")
         x, y = _aligned_columns(reports, paths, metric)
         result = paired_t_test(x, y)
         return {
@@ -421,8 +408,6 @@ def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
             "significant": result.p_value < 0.05,
         }
     if test == "pearson":
-        if len(reports) != 2:
-            raise IncompatibleReports("pearson compares exactly two reports")
         x, y = _aligned_columns(reports, paths, metric)
         return {"test": "pearson", "metric": metric, "r": pearson_r(x, y), "n": len(x)}
     if test == "meanrank":
@@ -465,22 +450,14 @@ def _cmd_stats(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
+# AdamW's betas and eps are fixed; the loss is built from mix, gamma and auxiliary
+_NOT_CONFIG_KEYS = ("beta1", "beta2", "eps", "loss")
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name not in _NOT_CONFIG_KEYS}
 TRAIN_CONFIG_KEYS = {
-    "seed": 0,
-    "steps": 200,
-    "batch_size": 2,
-    "max_lr": 1e-4,
-    "warmup_steps": 50,
-    "embed_dim": 32,
-    "window": 4,
-    "adapter_rank": 0,
-    "adapter_scale": 1.0,
-    "weight_decay": 0.01,
-    "accum_steps": 1,
-    "eval_interval": 100,
-    "mix": 0.6,
-    "gamma": 2.0,
-    "auxiliary": "none",
+    **_TRAIN_DEFAULTS,
+    "mix": LossConfig.mix,
+    "gamma": LossConfig.gamma,
+    "auxiliary": LossConfig.auxiliary_kind.value,
     "vocab_size": 32,
     "zipf_exponent": 1.0,
     "samples": 256,
@@ -489,10 +466,11 @@ TRAIN_CONFIG_KEYS = {
     "seq_len": 16,
     "val_samples": 64,
 }
+_JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
-    """Flat JSON config; unknown keys are rejected with their names."""
+    """Flat JSON config; unknown keys and ill-typed values are rejected by name."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -504,57 +482,39 @@ def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
     unknown = sorted(set(raw) - set(TRAIN_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
-    config = dict(TRAIN_CONFIG_KEYS)
-    config.update(raw)
+    for key, value in raw.items():
+        kind = type(TRAIN_CONFIG_KEYS[key])
+        # JSON true/false load as bool, a subclass of int, so they fill no int key
+        ok = type(value) is kind or (kind is float and type(value) is int)
+        try:
+            ok = ok and (kind is not float or math.isfinite(value))
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        if not ok:
+            expected = _JSON_TYPES[kind]
+            raise ConfigError(f"{path}: {key} must be {expected}, got {json.dumps(value)}")
+    config = {**TRAIN_CONFIG_KEYS, **raw}
     if loss_by_task is not None:
         config["auxiliary"] = {"mwp": "ll", "qa": "fl"}[loss_by_task]
     return config
 
 
 def run_train(config: dict, out_dir: str | Path, argv: list[str], config_path: str) -> int:
+    # an integer in a float key reaches the trainer, and its trace, as a float
+    typed = {k: float(v) if type(TRAIN_CONFIG_KEYS[k]) is float else v for k, v in config.items()}
     try:
-        loss_cfg = LossConfig(
-            mix=float(config["mix"]),
-            gamma=float(config["gamma"]),
-            auxiliary_kind=AuxiliaryKind(config["auxiliary"]),
+        loss_cfg = LossConfig(typed["mix"], typed["gamma"], AuxiliaryKind(typed["auxiliary"]))
+        train_cfg = TrainConfig(**{name: typed[name] for name in _TRAIN_DEFAULTS}, loss=loss_cfg)
+        shared = {
+            k: typed[k] for k in ("vocab_size", "zipf_exponent", "instruction_len", "seq_len")
+        }
+        shared["template"] = CorpusTemplate(typed["template"])
+        corpus = make_synthetic_corpus(seed=typed["seed"], n_samples=typed["samples"], **shared)
+        val_corpus = make_synthetic_corpus(
+            seed=typed["seed"] + 1, n_samples=typed["val_samples"], **shared
         )
-        train_cfg = TrainConfig(
-            seed=int(config["seed"]),
-            steps=int(config["steps"]),
-            batch_size=int(config["batch_size"]),
-            max_lr=float(config["max_lr"]),
-            warmup_steps=int(config["warmup_steps"]),
-            embed_dim=int(config["embed_dim"]),
-            window=int(config["window"]),
-            adapter_rank=int(config["adapter_rank"]),
-            adapter_scale=float(config["adapter_scale"]),
-            weight_decay=float(config["weight_decay"]),
-            accum_steps=int(config["accum_steps"]),
-            eval_interval=int(config["eval_interval"]),
-            loss=loss_cfg,
-        )
-        template = CorpusTemplate(config["template"])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid training config: {exc}") from exc
-
-    corpus = make_synthetic_corpus(
-        seed=int(config["seed"]),
-        vocab_size=int(config["vocab_size"]),
-        zipf_exponent=float(config["zipf_exponent"]),
-        n_samples=int(config["samples"]),
-        template=template,
-        instruction_len=int(config["instruction_len"]),
-        seq_len=int(config["seq_len"]),
-    )
-    val_corpus = make_synthetic_corpus(
-        seed=int(config["seed"]) + 1,
-        vocab_size=int(config["vocab_size"]),
-        zipf_exponent=float(config["zipf_exponent"]),
-        n_samples=int(config["val_samples"]),
-        template=template,
-        instruction_len=int(config["instruction_len"]),
-        seq_len=int(config["seq_len"]),
-    )
     trace = train(train_cfg, corpus, val_corpus)
 
     out = Path(out_dir)
@@ -639,14 +599,18 @@ def _cmd_tokens(args, argv: list[str]) -> int:
         if not isinstance(tokens, list):
             raise MalformedLine(f"{args.input}: record {lineno}: 'tokens' must be a list")
         for t in tokens:
-            if type(t) is not int:  # JSON true/false load as bool, a subclass of int
+            # JSON true/false load as bool, a subclass of int
+            if type(t) is not int or not -(2**63) <= t < 2**63:
                 raise MalformedLine(
-                    f"{args.input}: record {lineno}: token {json.dumps(t)} is not an integer"
+                    f"{args.input}: record {lineno}: token {json.dumps(t)} is not a 64-bit integer"
                 )
             if t not in exclude:
                 stream.append(t)
     if not stream:
         raise DataError("token stream is empty after exclusions")
+    lo, hi = min(stream), max(stream)
+    if hi - lo >= MAX_TOKEN_SPAN:
+        raise DataError(f"token ids {lo}..{hi} span more than {MAX_TOKEN_SPAN} ids")
     bandwidth = args.bandwidth
     if bandwidth != "scott":
         try:
@@ -697,7 +661,10 @@ def _cmd_parse(args, argv: list[str]) -> int:
     if missing_final:
         payload["diagnostics"].append(missing_final)
     if args.numbers is not None:
-        numbers = [float(x) for x in args.numbers.split(",") if x.strip()]
+        try:
+            numbers = [float(x) for x in args.numbers.split(",") if x.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"--numbers must be comma-separated numbers: {exc}") from exc
         values = evaluate_program(rationale.steps, numbers)
         payload["values"] = [
             {"poisoned_by_step": v.origin} if isinstance(v, PoisonedValue) else v

@@ -91,9 +91,11 @@ def make_synthetic_corpus(
     deterministic, learnable function of the instruction segment.
     """
     if vocab_size < 4:
-        raise ValueError("vocabulary size must be at least 4")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+        raise ValueError(f"vocab_size must be >= 4, got {vocab_size}")
+    lengths = {"n_samples": n_samples, "instruction_len": instruction_len, "seq_len": seq_len}
+    for name, value in lengths.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     ids = np.arange(1, vocab_size)
     pmf = zipf_pmf(vocab_size, zipf_exponent)
@@ -282,17 +284,18 @@ class TrainConfig:
     """Hyperparameters for a toy run.
 
     Defaults follow the documented recipe (AdamW with decoupled weight decay,
-    betas 0.9/0.999, eps 1e-8, weight decay 0.01, warmup 500 steps, peak
-    learning rate 1e-4, batch size 2); toy regressions override the budget
-    knobs. ``adapter_rank`` > 0 freezes the base weights and trains only the
+    betas 0.9/0.999, eps 1e-8, weight decay 0.01, peak learning rate 1e-4,
+    batch size 2) on the toy budget of 200 steps with 50 warmup steps, the
+    ``losslab train`` defaults; toy regressions override the budget knobs.
+    ``adapter_rank`` > 0 freezes the base weights and trains only the
     low-rank adapter.
     """
 
     seed: int = 0
-    steps: int = 2000
+    steps: int = 200
     batch_size: int = 2
     max_lr: float = 1e-4
-    warmup_steps: int = 500
+    warmup_steps: int = 50
     embed_dim: int = 32
     window: int = 4
     adapter_rank: int = 0
@@ -306,8 +309,11 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self) -> None:
-        if self.steps < 1 or self.batch_size < 1 or self.accum_steps < 1:
-            raise ValueError("steps, batch_size and accum_steps must be >= 1")
+        for name in ("seed", "adapter_rank", "steps", "batch_size", "accum_steps",
+                     "embed_dim", "window", "eval_interval"):
+            least = 0 if name in ("seed", "adapter_rank") else 1
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.warmup_steps < 0 or self.warmup_steps > self.steps:
             raise ValueError("warmup_steps must lie in [0, steps]")
         if self.max_lr <= 0:

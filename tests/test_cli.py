@@ -1,51 +1,36 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from losslab import cli
 from losslab.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    TRAIN_CONFIG_KEYS,
     DuplicateId,
-    EmptyQuestion,
     IdMismatch,
     MalformedLine,
     MissingField,
     build_manifest,
     ingest_jsonl,
     main,
-    render_prompt,
     run_eval,
     run_stats,
 )
+from losslab.losses import LossConfig
+from losslab.training import TrainConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MICRO5_GOLD = str(FIXTURES / "micro5_gold.jsonl")
 MICRO5_PRED = str(FIXTURES / "micro5_pred.jsonl")
 MICRO3_GOLD = str(FIXTURES / "micro3_gold.jsonl")
 MICRO3_PRED = str(FIXTURES / "micro3_pred.jsonl")
-
-
-class TestPromptTemplate:
-    def test_question_only(self):
-        assert render_prompt("What is 2+2?") == "Question: What is 2+2? Answer:"
-
-    def test_with_context(self):
-        out = render_prompt("How many?", context="There are 3 cats.")
-        assert out == "Question: How many? Context: There are 3 cats. Answer:"
-
-    def test_with_answer(self):
-        out = render_prompt("How many?", answer="3")
-        assert out == "Question: How many? Answer: 3"
-
-    def test_blank_context_omitted(self):
-        assert render_prompt("Q?", context="  ") == "Question: Q? Answer:"
-
-    def test_empty_question_rejected(self):
-        with pytest.raises(EmptyQuestion):
-            render_prompt("   ")
 
 
 class TestIngest:
@@ -84,6 +69,15 @@ class TestIngest:
         path.write_text('{"id": 1, "gold": "x"}\n{"id": 1, "gold": "y"}\n')
         with pytest.raises(DuplicateId):
             ingest_jsonl(path, required=("id", "gold"))
+
+    @pytest.mark.parametrize("rid", ["[1]", '{"a": 1}'])
+    def test_array_or_object_id_exits_2(self, tmp_path, capsys, rid):
+        gold = tmp_path / "gold.jsonl"
+        row = '{"id": %s, "gold": "#### 1", "prediction": "#### 1"}\n'
+        gold.write_text(row % 0 + row % rid)
+        code = run_main(["eval", "--pred", str(gold), "--gold", str(gold)])
+        assert code == EXIT_DATA
+        assert f"{gold}:2: id {rid} " in capsys.readouterr().err
 
 
 class TestManifest:
@@ -400,6 +394,20 @@ class TestStatsCommand:
         assert run_main(["stats", "--test", "mcnemar", a, str(clipped)]) == EXIT_DATA
         capsys.readouterr()
 
+    def test_ids_equal_as_text_exit_2(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        pred.write_text('{"id": 1, "prediction": "#### 1"}\n{"id": "1", "prediction": "#### 2"}\n')
+        gold.write_text('{"id": 1, "gold": "#### 1"}\n{"id": "1", "gold": "#### 1"}\n')
+        report = tmp_path / "report.json"
+        argv = ["eval", "--pred", str(pred), "--gold", str(gold), "--out", str(report)]
+        assert run_main(argv) == EXIT_OK
+        code = run_main(["stats", "--test", "mcnemar", str(report), str(report)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(report) in err
+        assert "'1'" in err
+
     def test_missing_metric_column_exits_2(self, two_reports, capsys):
         a, _ = two_reports
         code = run_main(["stats", "--test", "ttest", "--metric", "zeta", a, a])
@@ -478,6 +486,77 @@ class TestTrainCommand:
         code = run_main(["train", "--config", config, "--out-dir", str(tmp_path / "x")])
         assert code == EXIT_DATA
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("eval_interval", 0),
+            ("window", 0),
+            ("embed_dim", 0),
+            ("vocab_size", 2),
+            ("vocab_size", "x"),
+            ("samples", 0),
+            ("adapter_rank", -1),
+            ("seed", -1),
+            ("instruction_len", 0),
+            ("seq_len", 0),
+            ("zipf_exponent", None),
+            ("steps", 2.7),
+            ("steps", True),
+            ("steps", 200.0),
+            ("mix", "0.5"),
+            ("max_lr", float("nan")),
+            ("gamma", 10**400),
+            ("adapter_scale", True),
+        ],
+    )
+    def test_ill_typed_or_out_of_range_value_exits_2(self, tmp_path, capsys, key, value):
+        config = self.write_config(tmp_path, extra={key: value})
+        out_dir = tmp_path / "run"
+        code = run_main(["train", "--config", config, "--out-dir", str(out_dir)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert key in err
+        assert f"got {json.dumps(value)}" in err
+        assert not out_dir.exists()
+
+    def test_integer_fills_float_key(self, tmp_path):
+        config = self.write_config(tmp_path, extra={"max_lr": 1, "gamma": 1})
+        out_dir = tmp_path / "run"
+        assert run_main(["train", "--config", config, "--out-dir", str(out_dir)]) == EXIT_OK
+        header = json.loads((out_dir / "trace.jsonl").read_text().splitlines()[0])
+        assert type(header["max_lr"]) is float and type(header["gamma"]) is float
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"]["max_lr"] == 1 and type(manifest["config"]["max_lr"]) is int
+
+    def test_defaults_come_from_the_dataclasses(self):
+        config = TrainConfig()
+        assert (config.steps, config.warmup_steps) == (200, 50)
+        for key in ("seed", "steps", "max_lr", "warmup_steps", "eval_interval"):
+            assert TRAIN_CONFIG_KEYS[key] == getattr(config, key)
+        assert TRAIN_CONFIG_KEYS["mix"] == LossConfig().mix
+        assert len(TRAIN_CONFIG_KEYS) == 22
+
+    # every drawn number is small, so an accepted value trains at toy size
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(TRAIN_CONFIG_KEYS)),
+        value=st.one_of(
+            st.integers(-3, 64),
+            st.floats(-3, 64),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+            st.text(max_size=20),
+            st.sampled_from(["none", "ll", "fl", "plain", "instruction_answer"]),
+            st.none(),
+            st.booleans(),
+            st.lists(st.integers(0, 3), max_size=3),
+        ),
+    )
+    def test_any_single_value_exits_0_or_2(self, tmp_path_factory, key, value):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        config = self.write_config(tmp_path, extra={key: value})
+        code = run_main(["train", "--config", config, "--out-dir", str(tmp_path / "run")])
+        assert code in (EXIT_OK, EXIT_DATA)
 
     def test_deterministic_artifacts(self, tmp_path):
         config = self.write_config(tmp_path)
@@ -600,7 +679,9 @@ class TestTokensCommand:
         assert "--bandwidth" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("token", ['"a"', "null", "2.7", "true"])
+    @pytest.mark.parametrize(
+        "token", ['"a"', "null", "2.7", "true", str(2**63), str(-(2**63) - 1)]
+    )
     def test_non_integer_token_exits_2(self, tmp_path, capsys, token):
         path = tmp_path / "tokens.jsonl"
         path.write_text('{"tokens": [0, 1]}\n' + '{"tokens": [2, %s, 3]}\n' % token)
@@ -609,6 +690,23 @@ class TestTokensCommand:
         err = capsys.readouterr().err
         assert str(path) in err
         assert f"record 2: token {token} " in err
+
+    def test_id_span_too_wide_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tokens.jsonl"
+        path.write_text('{"tokens": [0, %d]}\n' % 2**62)
+        out = tmp_path / "d.csv"
+        code = run_main(["tokens", "--input", str(path), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "0..4611686018427387904" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_span_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TOKEN_SPAN", 6)  # the fixture's ids span 0..5
+        src = self.write_tokens(tmp_path)
+        assert run_main(["tokens", "--input", src, "--out", str(tmp_path / "d.csv")]) == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_TOKEN_SPAN", 5)
+        assert run_main(["tokens", "--input", src, "--out", str(tmp_path / "e.csv")]) == EXIT_DATA
+        assert "0..5 span more than 5 ids" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         src = self.write_tokens(tmp_path)
@@ -649,6 +747,13 @@ class TestParseCommand:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["values"] == [100.0, 110.0]
+
+    def test_non_number_exits_2(self, capsys):
+        code = run_main(["parse", "--text", "<<1+1=2>> #### 2", "--numbers", "a,b"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "--numbers" in err
+        assert "'a'" in err
 
     def test_poisoned_value_marker(self, capsys):
         code = run_main(

@@ -97,6 +97,10 @@ class TestCorpus:
             make_synthetic_corpus(0, 3, 1.0, 5)
         with pytest.raises(ValueError):
             make_synthetic_corpus(0, 16, 1.0, 0)
+        with pytest.raises(ValueError, match="instruction_len"):
+            make_synthetic_corpus(0, 16, 1.0, 5, instruction_len=0)
+        with pytest.raises(ValueError, match="seq_len"):
+            make_synthetic_corpus(0, 16, 1.0, 5, CorpusTemplate.PLAIN, seq_len=0)
 
 
 class TestTinyModel:
