@@ -15,8 +15,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .losses import (
 )
 from .metrics import (
     CSV_COLUMNS,
+    LOWER_IS_BETTER,
     SampleMetrics,
     StepSet,
     aggregate_report,
@@ -63,6 +65,7 @@ from .training import (
     CorpusTemplate,
     SnapshotFormatError,
     TrainConfig,
+    TrainingDiverged,
     UnknownTokenId,
     make_synthetic_corpus,
     save_model,
@@ -78,18 +81,7 @@ MAX_TOKEN_SPAN = 2**20  # token_density takes O(G) memory and O(G^2) time over G
 
 EVAL_FORMATS = ("gsm8k", "mathqa", "qa_letter")
 
-HIGHER_IS_BETTER = {
-    "em": True,
-    "iou": True,
-    "ciou": True,
-    "precision": True,
-    "recall": True,
-    "dice": True,
-    "es": False,
-    "ms": False,
-    "wo": False,
-    "io": False,
-}
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
 class DataError(ValueError):
@@ -214,17 +206,10 @@ def score_record(record_id, gold_text: str, pred_text: str, fmt: str, commutativ
     overlap = comm if commutative else plain
     typology = error_typology(*matched)
 
-    sample = SampleMetrics(
-        em=em,
-        iou=plain.iou,
-        ciou=comm.iou,
-        precision=overlap.precision,
-        recall=overlap.recall,
-        dice=overlap.dice,
-        es=typology.extra_rate,
-        ms=typology.missing_rate,
-        wo=typology.wrong_operator,
-        io=typology.inverted_operands,
+    sample = SampleMetrics(  # in the column order SampleMetrics declares
+        em, plain.iou, comm.iou, overlap.precision, overlap.recall, overlap.dice,
+        typology.extra_rate, typology.missing_rate, typology.wrong_operator,
+        typology.inverted_operands,
     )
     return {
         "id": record_id,
@@ -247,10 +232,11 @@ def run_eval(
     pred_by_id = {r["id"]: r for r in preds}
     gold_by_id = {r["id"]: r for r in golds}
     if set(pred_by_id) != set(gold_by_id):
-        only_pred = sorted(set(pred_by_id) - set(gold_by_id))[:5]
-        only_gold = sorted(set(gold_by_id) - set(pred_by_id))[:5]
+        only_pred = sorted(set(pred_by_id) - set(gold_by_id), key=str)[:5]
+        only_gold = sorted(set(gold_by_id) - set(pred_by_id), key=str)[:5]
         raise IdMismatch(
-            f"prediction and gold ids differ (pred-only {only_pred}, gold-only {only_gold})"
+            f"ids of {pred_path} and {gold_path} differ "
+            f"(pred-only {only_pred}, gold-only {only_gold})"
         )
 
     scored: list[dict] = []
@@ -349,15 +335,45 @@ def _cmd_eval(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
+def _has_json_type(value, kind: type) -> bool:
+    """Whether a JSON value has the type ``kind``; a float must be finite."""
+    if kind is float and type(value) is int:  # an integer fills a float key it fits in
+        return abs(value) <= sys.float_info.max
+    # JSON true/false load as bool, a subclass of int, and so fill no int key
+    return type(value) is kind and (kind is not float or math.isfinite(value))
+
+
+def _check_columns(row, kinds: dict, where: str) -> None:
+    if not isinstance(row, dict):
+        raise IncompatibleReports(f"{where} must be an object")
+    for name, kind in kinds.items():
+        if name not in row:
+            raise IncompatibleReports(f"{where} lacks column {name!r}")
+        if not _has_json_type(row[name], kind):
+            raise IncompatibleReports(
+                f"{where}: {name} must be {_JSON_TYPES[kind]}, got {json.dumps(row[name])}"
+            )
+
+
 def _load_report(path: str) -> dict:
+    """An eval JSON report whose columns have the types SampleMetrics declares."""
     try:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc.msg})") from exc
-    if "per_sample" not in report or "aggregate" not in report:
+    if not isinstance(report, dict) or "per_sample" not in report or "aggregate" not in report:
         raise IncompatibleReports(f"{path}: not an evaluation report")
+    # the aggregate em is a percentage, so every aggregate column is a number
+    _check_columns(report["aggregate"], dict.fromkeys(CSV_COLUMNS, float), f"{path}: aggregate")
+    if not isinstance(report["per_sample"], list):
+        raise IncompatibleReports(f"{path}: per_sample must be an array")
+    kinds = get_type_hints(SampleMetrics)
+    for index, row in enumerate(report["per_sample"]):
+        if not isinstance(row, dict) or "id" not in row:
+            raise IncompatibleReports(f"{path}: per_sample[{index}] must be an object with an id")
+        _check_columns(row, kinds, f"{path}: per_sample[{index}] (id {json.dumps(row['id'])})")
     return report
 
 
@@ -373,10 +389,7 @@ def _aligned_columns(reports: list[dict], paths: list[str], column: str) -> list
     ids = sorted(tables[0])
     if any(sorted(table) != ids for table in tables[1:]):
         raise IncompatibleReports("reports cover different sample ids")
-    try:
-        return [[table[i][column] for i in ids] for table in tables]
-    except KeyError as exc:
-        raise IncompatibleReports(f"per-sample records lack column {column!r}") from exc
+    return [[table[i][column] for i in ids] for table in tables]
 
 
 def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
@@ -386,27 +399,11 @@ def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
     if test == "mcnemar":
         a, b = _aligned_columns(reports, paths, "em")
         result = mcnemar_test(PairedOutcomes(np.array(a, bool), np.array(b, bool)))
-        return {
-            "test": "mcnemar",
-            "b": result.b,
-            "c": result.c,
-            "statistic": result.statistic,
-            "p_value": result.p_value,
-            "method": result.method,
-            "significant": result.p_value < 0.05,
-        }
+        return {"test": "mcnemar", **asdict(result), "significant": result.p_value < 0.05}
     if test == "ttest":
-        x, y = _aligned_columns(reports, paths, metric)
-        result = paired_t_test(x, y)
-        return {
-            "test": "ttest",
-            "metric": metric,
-            "statistic": result.statistic,
-            "p_value": result.p_value,
-            "df": result.df,
-            "degenerate": result.degenerate,
-            "significant": result.p_value < 0.05,
-        }
+        result = paired_t_test(*_aligned_columns(reports, paths, metric))
+        significant = result.p_value < 0.05
+        return {"test": "ttest", "metric": metric, **asdict(result), "significant": significant}
     if test == "pearson":
         x, y = _aligned_columns(reports, paths, metric)
         return {"test": "pearson", "metric": metric, "r": pearson_r(x, y), "n": len(x)}
@@ -416,15 +413,9 @@ def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
         names = tuple(Path(p).stem for p in paths)
         if len(set(names)) != len(names):
             names = tuple(str(p) for p in paths)
-        scores = np.array(
-            [[float(rep["aggregate"][c]) for c in CSV_COLUMNS] for rep in reports]
-        )
-        table = ScoreTable(
-            names,
-            CSV_COLUMNS,
-            scores,
-            tuple(HIGHER_IS_BETTER[c] for c in CSV_COLUMNS),
-        )
+        scores = np.array([[float(rep["aggregate"][c]) for c in CSV_COLUMNS] for rep in reports])
+        higher_is_better = tuple(c not in LOWER_IS_BETTER for c in CSV_COLUMNS)
+        table = ScoreTable(names, CSV_COLUMNS, scores, higher_is_better)
         return {"test": "meanrank", "mean_rank": mean_rank(table)}
     raise ConfigError(f"unknown test {test!r}")
 
@@ -466,7 +457,6 @@ TRAIN_CONFIG_KEYS = {
     "seq_len": 16,
     "val_samples": 64,
 }
-_JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
@@ -484,15 +474,8 @@ def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
     for key, value in raw.items():
         kind = type(TRAIN_CONFIG_KEYS[key])
-        # JSON true/false load as bool, a subclass of int, so they fill no int key
-        ok = type(value) is kind or (kind is float and type(value) is int)
-        try:
-            ok = ok and (kind is not float or math.isfinite(value))
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-        if not ok:
-            expected = _JSON_TYPES[kind]
-            raise ConfigError(f"{path}: {key} must be {expected}, got {json.dumps(value)}")
+        if not _has_json_type(value, kind):
+            raise ConfigError(f"{path}: {key} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     config = {**TRAIN_CONFIG_KEYS, **raw}
     if loss_by_task is not None:
         config["auxiliary"] = {"mwp": "ll", "qa": "fl"}[loss_by_task]
@@ -509,6 +492,9 @@ def run_train(config: dict, out_dir: str | Path, argv: list[str], config_path: s
             k: typed[k] for k in ("vocab_size", "zipf_exponent", "instruction_len", "seq_len")
         }
         shared["template"] = CorpusTemplate(typed["template"])
+        for key in ("samples", "val_samples"):  # make_synthetic_corpus names both n_samples
+            if typed[key] < 1:
+                raise ValueError(f"{key} must be >= 1, got {typed[key]}")
         corpus = make_synthetic_corpus(seed=typed["seed"], n_samples=typed["samples"], **shared)
         val_corpus = make_synthetic_corpus(
             seed=typed["seed"] + 1, n_samples=typed["val_samples"], **shared
@@ -691,7 +677,7 @@ def build_parser() -> _Parser:
 
     p_stats = sub.add_parser("stats", help="statistical comparison of eval reports")
     p_stats.add_argument("--test", choices=("mcnemar", "ttest", "pearson", "meanrank"), required=True)
-    p_stats.add_argument("--metric", default="iou")
+    p_stats.add_argument("--metric", choices=CSV_COLUMNS, default="iou")
     p_stats.add_argument("--out", default=None)
     p_stats.add_argument("reports", nargs="+")
     p_stats.set_defaults(func=_cmd_stats)
@@ -736,6 +722,7 @@ DATA_ERRORS = (
     LossInputError,
     UnknownTokenId,
     SnapshotFormatError,
+    TrainingDiverged,
     OSError,
 )
 

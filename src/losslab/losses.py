@@ -91,6 +91,10 @@ class EmptyInput(LossInputError):
     """An operation that needs at least one element received none."""
 
 
+class NonFiniteLogits(LossInputError):
+    """A logit row holds NaN or +inf, or only -inf."""
+
+
 @dataclass
 class LogitBatch:
     """One flat batch of per-position logits with targets and roles.
@@ -118,7 +122,7 @@ class LogitBatch:
         # NaN and +inf propagate into the row maximum; an all -inf row has maximum -inf
         finite_max = np.isfinite(self.logits.max(axis=1))
         if not finite_max.all():
-            raise LossInputError(f"logits row {finite_max.argmin()} has NaN, +inf or only -inf")
+            raise NonFiniteLogits(f"logits row {finite_max.argmin()} has NaN, +inf or only -inf")
         if self.targets.min(initial=0) < 0 or self.targets.max(initial=0) >= vocab:
             raise LossInputError("every target index must be in [0, vocabulary)")
         valid_roles = {int(Role.INSTRUCTION), int(Role.ANSWER), int(Role.PAD)}

@@ -10,7 +10,7 @@ and reports extra/missing-step rates.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .parsing import ReasoningStep, canonicalize_step, normalize_final_answer
@@ -42,17 +42,19 @@ def exact_match(prediction: str | None, gold: str | None) -> bool:
 
 @dataclass
 class StepSet:
-    """Multiset of canonical step keys, remembering the flag that built it."""
+    """Canonical step keys, as a multiset and (``step_keys``) in step order,
+    remembering the flag that built them."""
 
     keys: Counter
+    step_keys: tuple[str, ...]
     steps: tuple[ReasoningStep, ...]
     commutative: bool
 
     @classmethod
     def from_steps(cls, steps: Sequence[ReasoningStep], commutative: bool) -> "StepSet":
         steps = tuple(steps)
-        keys = Counter(canonicalize_step(s, commutative) for s in steps)
-        return cls(keys, steps, commutative)
+        step_keys = tuple(canonicalize_step(s, commutative) for s in steps)
+        return cls(Counter(step_keys), step_keys, steps, commutative)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -109,8 +111,7 @@ def _residual_steps(own: StepSet, other: StepSet) -> list[ReasoningStep]:
     """
     seen: Counter = Counter()
     residual: list[ReasoningStep] = []
-    for step in own.steps:
-        key = canonicalize_step(step, own.commutative)
+    for step, key in zip(own.steps, own.step_keys):
         seen[key] += 1
         if seen[key] > other.keys.get(key, 0):
             residual.append(step)
@@ -188,12 +189,10 @@ def error_typology(ps: StepSet, gts: StepSet) -> ErrorReport:
     return ErrorReport(extra_rate, missing_rate, wo_rate, io_rate, n_errors)
 
 
-CSV_COLUMNS = ("em", "iou", "ciou", "precision", "recall", "dice", "es", "ms", "wo", "io")
-
-
 @dataclass
 class SampleMetrics:
-    """Per-sample metric row. wo/io are this sample's error-set fractions."""
+    """Per-sample metric row, the one declaration of the eval columns' names,
+    order and types. wo/io are this sample's error-set fractions."""
 
     em: bool
     iou: float
@@ -208,6 +207,11 @@ class SampleMetrics:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SampleMetrics))
+# the error-typology rates; every other column ranks higher-is-better
+LOWER_IS_BETTER = frozenset({"es", "ms", "wo", "io"})
 
 
 @dataclass
@@ -227,29 +231,12 @@ class MetricReport:
     n_samples: int
 
     def as_dict(self) -> dict:
-        row = {name: getattr(self, name) for name in CSV_COLUMNS}
-        row["n_samples"] = self.n_samples
-        return row
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def aggregate_report(records: Sequence[SampleMetrics]) -> MetricReport:
     if not records:
         raise EmptyRecordSet("no per-sample records to aggregate")
     n = len(records)
-
-    def mean(name: str) -> float:
-        return sum(float(getattr(r, name)) for r in records) / n
-
-    return MetricReport(
-        em=100.0 * sum(1 for r in records if r.em) / n,
-        iou=mean("iou"),
-        ciou=mean("ciou"),
-        precision=mean("precision"),
-        recall=mean("recall"),
-        dice=mean("dice"),
-        es=mean("es"),
-        ms=mean("ms"),
-        wo=mean("wo"),
-        io=mean("io"),
-        n_samples=n,
-    )
+    means = {c: sum(float(getattr(r, c)) for r in records) / n for c in CSV_COLUMNS if c != "em"}
+    return MetricReport(em=100.0 * sum(1 for r in records if r.em) / n, **means, n_samples=n)

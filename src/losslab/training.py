@@ -24,6 +24,7 @@ from .losses import (
     LogitBatch,
     LossConfig,
     LossResult,
+    NonFiniteLogits,
     Role,
     combined_loss,
 )
@@ -40,6 +41,10 @@ class UnknownTokenId(ValueError):
 
 class SnapshotFormatError(ValueError):
     """A model snapshot file is not in the expected layout."""
+
+
+class TrainingDiverged(ArithmeticError):
+    """A step's logits, loss or updated parameters stopped being finite."""
 
 
 class CorpusTemplate(Enum):
@@ -428,6 +433,13 @@ def trainable_fraction(model: TinyModel, config: TrainConfig) -> float:
 OnStep = Callable[[int, LogitBatch, LossResult], None]
 
 
+def _diverged(step: int, what: str, records: list[TraceRecord]) -> TrainingDiverged:
+    last = records[-1].loss if records else None
+    return TrainingDiverged(
+        f"training diverged at step {step}: {what} stopped being finite (last finite loss {last})"
+    )
+
+
 def train(
     config: TrainConfig,
     corpus: Corpus,
@@ -439,7 +451,7 @@ def train(
     Per-step records hold the step index, the scheduled learning rate, and
     the (accumulation-averaged) loss value. When a validation corpus is
     given, it is scored every ``eval_interval`` steps and the best-scoring
-    model snapshot is kept.
+    model snapshot is kept. Divergence raises :class:`TrainingDiverged`.
     """
     rng = np.random.default_rng(config.seed)
     model = TinyModel.create(
@@ -459,6 +471,13 @@ def train(
     best_step: int | None = None
     best_val: float | None = None
     adam_t = 0
+
+    def forward(samples: Sequence[Sample]) -> tuple[LogitBatch, np.ndarray]:
+        try:
+            return batch_for_samples(model, samples)
+        except NonFiniteLogits as exc:
+            raise _diverged(step, "the logits", records) from exc
+
     for step in range(config.steps):
         lr = learning_rate(step, config)
         grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
@@ -466,7 +485,7 @@ def train(
         for _ in range(config.accum_steps):
             picks = rng.integers(0, len(corpus.samples), size=config.batch_size)
             batch_samples = [corpus.samples[int(i)] for i in picks]
-            batch, windows = batch_for_samples(model, batch_samples)
+            batch, windows = forward(batch_samples)
             result = combined_loss(batch, config.loss)
             if on_step is not None:
                 on_step(step, batch, result)
@@ -486,10 +505,13 @@ def train(
             m_hat = m / (1.0 - config.beta1**adam_t)
             v_hat = v / (1.0 - config.beta2**adam_t)
             p -= lr * (m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * p)
-        records.append(TraceRecord(step, lr, loss_sum / config.accum_steps))
+        loss = loss_sum / config.accum_steps
+        if not (np.isfinite(loss) and all(np.isfinite(w).all() for w in params.values())):
+            raise _diverged(step, "the loss or the updated parameters", records)
+        records.append(TraceRecord(step, lr, loss))
 
         if val_corpus is not None and (step + 1) % config.eval_interval == 0:
-            val_batch, _ = batch_for_samples(model, val_corpus.samples)
+            val_batch, _ = forward(val_corpus.samples)
             val_loss = combined_loss(val_batch, config.loss).value
             if best_val is None or val_loss < best_val:
                 best_val = val_loss

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from losslab.cli import (
     run_stats,
 )
 from losslab.losses import LossConfig
+from losslab.metrics import CSV_COLUMNS
 from losslab.training import TrainConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -257,6 +259,16 @@ class TestEvalCommand:
         bad.write_text('{"id": "other", "prediction": "x"}\n')
         assert run_main(["eval", "--pred", str(bad), "--gold", MICRO3_GOLD]) == EXIT_DATA
 
+    def test_id_mismatch_of_mixed_id_types_exits_2(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        pred.write_text('{"id": 1, "prediction": "#### 1"}\n{"id": "a", "prediction": "#### 1"}\n')
+        gold.write_text('{"id": 2, "gold": "#### 1"}\n')
+        assert run_main(["eval", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(pred) in err and str(gold) in err
+        assert "pred-only [1, 'a'], gold-only [2]" in err
+
     def test_unknown_record_format_exits_2(self, tmp_path):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"
@@ -314,6 +326,20 @@ def two_reports(tmp_path):
     return str(a), str(b)
 
 
+def _parent(report, path):
+    for key in path[:-1]:
+        report = report[key]
+    return report
+
+
+def set_at(path, value):
+    return lambda report: _parent(report, path).__setitem__(path[-1], value)
+
+
+def delete_at(path):
+    return lambda report: _parent(report, path).__delitem__(path[-1])
+
+
 class TestStatsCommand:
     def test_mcnemar_identical_reports(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -369,6 +395,15 @@ class TestStatsCommand:
         # the perfect run wins every column it can win
         assert ranks["perfect"] < ranks["frozen"]
 
+    def test_meanrank_ranks_error_rates_lower_is_better(self, two_reports, monkeypatch, capsys):
+        tables = []
+        monkeypatch.setattr(cli, "mean_rank", lambda table: tables.append(table) or {})
+        assert run_main(["stats", "--test", "meanrank", *two_reports]) == EXIT_OK
+        capsys.readouterr()
+        (table,) = tables
+        assert table.col_names == CSV_COLUMNS
+        assert table.higher_is_better == (True,) * 6 + (False,) * 4
+
     def test_meanrank_identical_reports_tie(self, two_reports, tmp_path, capsys):
         a, _ = two_reports
         copy = tmp_path / "copy.json"
@@ -408,11 +443,55 @@ class TestStatsCommand:
         assert str(report) in err
         assert "'1'" in err
 
-    def test_missing_metric_column_exits_2(self, two_reports, capsys):
+    def test_missing_metric_column_exits_2(self, two_reports, tmp_path, capsys):
         a, _ = two_reports
-        code = run_main(["stats", "--test", "ttest", "--metric", "zeta", a, a])
+        report = json.loads(Path(a).read_text())
+        for row in report["per_sample"]:
+            del row["dice"]
+        clipped = tmp_path / "clipped.json"
+        clipped.write_text(json.dumps(report))
+        code = run_main(["stats", "--test", "ttest", "--metric", "dice", a, str(clipped)])
         assert code == EXIT_DATA
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert str(clipped) in err and "'dice'" in err
+
+    @pytest.mark.parametrize("metric", ["id", "nope", "diagnostics", "n_samples"])
+    def test_metric_outside_the_columns_is_a_usage_error(self, two_reports, capsys, metric):
+        code = run_main(["stats", "--test", "ttest", "--metric", metric, *two_reports])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--metric" in err
+        assert all(repr(c) in err for c in CSV_COLUMNS)
+
+    @pytest.mark.parametrize(
+        "test, edit, named",
+        [
+            ("meanrank", delete_at(["aggregate", "dice"]), ["aggregate", "'dice'"]),
+            ("meanrank", set_at(["aggregate", "es"], "x"), ["aggregate", "es", '"x"']),
+            ("meanrank", set_at(["aggregate", "iou"], True), ["aggregate", "iou", "true"]),
+            ("meanrank", set_at(["aggregate"], [1, 2]), ["aggregate"]),
+            ("ttest", set_at(["per_sample", 1, "iou"], "x"), ["per_sample[1]", "iou", '"x"']),
+            ("ttest", set_at(["per_sample", 1, "iou"], float("nan")), ["per_sample[1]", "NaN"]),
+            ("ttest", set_at(["per_sample", 2, "ms"], 10**400), ["per_sample[2]", "ms"]),
+            ("ttest", set_at(["per_sample"], {"a": 1}), ["per_sample"]),
+            ("ttest", set_at(["per_sample", 2], 3), ["per_sample[2]"]),
+            ("ttest", delete_at(["per_sample", 0, "id"]), ["per_sample[0]", "id"]),
+            ("pearson", set_at(["per_sample", 1, "iou"], None), ["per_sample[1]", "iou", "null"]),
+            ("mcnemar", set_at(["per_sample", 0, "em"], "yes"), ["per_sample[0]", "em", '"yes"']),
+            ("mcnemar", set_at(["per_sample", 3, "em"], 1), ["per_sample[3]", "em", "got 1"]),
+        ],
+    )
+    def test_malformed_report_exits_2(self, two_reports, tmp_path, capsys, test, edit, named):
+        a, _ = two_reports
+        report = json.loads(Path(a).read_text())
+        edit(report)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(report))
+        assert run_main(["stats", "--test", test, a, str(bad)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "NaN" not in captured.out
+        assert str(bad) in captured.err
+        assert all(part in captured.err for part in named)
 
 
 TRAIN_CONFIG = {
@@ -496,6 +575,7 @@ class TestTrainCommand:
             ("vocab_size", 2),
             ("vocab_size", "x"),
             ("samples", 0),
+            ("val_samples", 0),
             ("adapter_rank", -1),
             ("seed", -1),
             ("instruction_len", 0),
@@ -518,6 +598,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert key in err
         assert f"got {json.dumps(value)}" in err
+        assert not out_dir.exists()
+
+    def test_diverging_run_exits_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, extra={"max_lr": 1e6, "steps": 50, "warmup_steps": 5})
+        out_dir = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_main(["train", "--config", config, "--out-dir", str(out_dir)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "training diverged at step" in err
+        assert "last finite loss" in err
         assert not out_dir.exists()
 
     def test_integer_fills_float_key(self, tmp_path):

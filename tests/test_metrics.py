@@ -1,9 +1,17 @@
+import math
+from collections import Counter
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losslab.metrics import (
     CSV_COLUMNS,
+    LOWER_IS_BETTER,
     EmptyRecordSet,
+    MetricReport,
     OverlapCounts,
     SampleMetrics,
     StepSet,
@@ -12,7 +20,13 @@ from losslab.metrics import (
     exact_match,
     step_overlap_metrics,
 )
-from losslab.parsing import Operand, RationaleFormat, ReasoningStep, parse_rationale
+from losslab.parsing import (
+    Operand,
+    RationaleFormat,
+    ReasoningStep,
+    canonicalize_step,
+    parse_rationale,
+)
 
 GSM8K = RationaleFormat.GSM8K
 
@@ -159,6 +173,34 @@ class TestOverlapProperties:
                 assert 0.0 <= v <= 1.0 + 1e-12
 
 
+# operands from a small range, so that random sets often share steps
+step_lists = st.lists(
+    st.builds(
+        lambda op, a, b: ReasoningStep(op, (Operand.literal(a), Operand.literal(b))),
+        st.sampled_from(["+", "-", "*", "/"]),
+        st.integers(1, 3).map(float),
+        st.integers(1, 3).map(float),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_a=step_lists, raw_b=step_lists)
+def test_ciou_bounds_iou_and_dice_follows_iou(raw_a, raw_b):
+    overlaps = []
+    for commutative in (False, True):
+        a = StepSet.from_steps(raw_a, commutative=commutative)
+        b = StepSet.from_steps(raw_b, commutative=commutative)
+        assert a.step_keys == tuple(canonicalize_step(s, commutative) for s in raw_a)
+        assert a.keys == Counter(a.step_keys)
+        overlaps.append(step_overlap_metrics(a, b, commutative=commutative))
+    plain, comm = overlaps
+    assert comm.iou >= plain.iou
+    for m in overlaps:
+        assert abs(m.dice - 2 * m.iou / (1 + m.iou)) <= 1e-12
+
+
 class TestTypology:
     def test_wrong_operator(self):
         ps, gts = sets_for("<<10-3>>", "<<10+3>>", True)
@@ -298,3 +340,34 @@ class TestAggregate:
         )
         report = aggregate_report([score_pair(g, p) for g, p in MICRO5])
         assert list(report.as_dict())[:10] == list(CSV_COLUMNS)
+
+
+class TestColumnDeclaration:
+    def test_schema(self):
+        assert tuple(f.name for f in fields(MetricReport)) == CSV_COLUMNS + ("n_samples",)
+        assert LOWER_IS_BETTER <= set(CSV_COLUMNS)
+        directions = tuple(c not in LOWER_IS_BETTER for c in CSV_COLUMNS)
+        assert directions == (True,) * 6 + (False,) * 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.lists(
+            st.builds(
+                SampleMetrics,
+                em=st.booleans(),
+                **{c: st.floats(0.0, 1.0) for c in CSV_COLUMNS if c != "em"},
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_aggregate_is_the_mean_of_the_rows(self, rows):
+        report = aggregate_report(rows)
+        n = len(rows)
+        assert report.n_samples == n
+        assert report.em == pytest.approx(100.0 * sum(r.em for r in rows) / n, rel=1e-12)
+        for c in CSV_COLUMNS[1:]:
+            mean = math.fsum(getattr(r, c) for r in rows) / n
+            assert getattr(report, c) == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        assert list(report.as_dict()) == [*CSV_COLUMNS, "n_samples"]
+        assert list(rows[0].as_dict()) == list(CSV_COLUMNS)

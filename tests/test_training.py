@@ -12,6 +12,7 @@ from losslab.training import (
     SnapshotFormatError,
     TinyModel,
     TrainConfig,
+    TrainingDiverged,
     UnknownTokenId,
     batch_for_samples,
     evaluate_toy,
@@ -369,6 +370,19 @@ class TestTrainLoop:
         train(config, quick_corpus(), on_step=lambda s, b, r: calls.append((s, r.value)))
         assert len(calls) == 30
         assert all(np.isfinite(v) for _, v in calls)
+
+    def test_non_finite_gradient_raises_diverged_at_its_step(self):
+        losses = []
+
+        def poison(step, batch, result):
+            losses.append(result.value)
+            if step == 3:
+                result.gradient[0, 0] = np.nan
+
+        with pytest.raises(TrainingDiverged) as info:
+            train(quick_config(steps=10), quick_corpus(), on_step=poison)
+        assert "at step 3: the loss or the updated parameters" in str(info.value)
+        assert f"last finite loss {losses[2]!r}" in str(info.value)
 
     def test_header_contents(self):
         config = quick_config(adapter_rank=2)
