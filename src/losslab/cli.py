@@ -370,10 +370,19 @@ def _load_report(path: str) -> dict:
     if not isinstance(report["per_sample"], list):
         raise IncompatibleReports(f"{path}: per_sample must be an array")
     kinds = get_type_hints(SampleMetrics)
+    # every column but the em flag is a rate; pearson_r squares them, so a
+    # huge finite value would overflow it
+    rates = [name for name, kind in kinds.items() if kind is float]
     for index, row in enumerate(report["per_sample"]):
         if not isinstance(row, dict) or "id" not in row:
             raise IncompatibleReports(f"{path}: per_sample[{index}] must be an object with an id")
-        _check_columns(row, kinds, f"{path}: per_sample[{index}] (id {json.dumps(row['id'])})")
+        where = f"{path}: per_sample[{index}] (id {json.dumps(row['id'])})"
+        _check_columns(row, kinds, where)
+        for name in rates:
+            if not 0.0 <= row[name] <= 1.0:
+                raise IncompatibleReports(
+                    f"{where}: {name} must lie in [0, 1], got {json.dumps(row[name])}"
+                )
     return report
 
 
@@ -457,6 +466,26 @@ TRAIN_CONFIG_KEYS = {
     "seq_len": 16,
     "val_samples": 64,
 }
+# The largest value of each integer key, far above the trainer's toy scale.
+# One key at its ceiling, the others at their defaults, peaks below 300 MiB
+# in a two-step run; several keys near their ceilings at once can still ask
+# for more memory than the host has.
+TRAIN_INT_CEILINGS = {
+    "seed": 2**63 - 1,
+    "steps": 1_000_000,
+    "warmup_steps": 1_000_000,
+    "eval_interval": 1_000_000,
+    "accum_steps": 1024,
+    "batch_size": 4096,
+    "embed_dim": 4096,
+    "window": 1024,
+    "adapter_rank": 1024,
+    "vocab_size": 16384,
+    "samples": 100_000,
+    "val_samples": 10_000,
+    "instruction_len": 512,
+    "seq_len": 1024,
+}
 
 
 def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
@@ -476,6 +505,10 @@ def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
         kind = type(TRAIN_CONFIG_KEYS[key])
         if not _has_json_type(value, kind):
             raise ConfigError(f"{path}: {key} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+        if kind is int and value > TRAIN_INT_CEILINGS[key]:
+            raise ConfigError(
+                f"{path}: {key} must be at most {TRAIN_INT_CEILINGS[key]}, got {json.dumps(value)}"
+            )
     config = {**TRAIN_CONFIG_KEYS, **raw}
     if loss_by_task is not None:
         config["auxiliary"] = {"mwp": "ll", "qa": "fl"}[loss_by_task]

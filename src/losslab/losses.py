@@ -125,8 +125,7 @@ class LogitBatch:
             raise NonFiniteLogits(f"logits row {finite_max.argmin()} has NaN, +inf or only -inf")
         if self.targets.min(initial=0) < 0 or self.targets.max(initial=0) >= vocab:
             raise LossInputError("every target index must be in [0, vocabulary)")
-        valid_roles = {int(Role.INSTRUCTION), int(Role.ANSWER), int(Role.PAD)}
-        if not set(np.unique(self.role_mask).tolist()) <= valid_roles:
+        if self.role_mask.min(initial=0) < 0 or self.role_mask.max(initial=0) > Role.PAD:
             raise LossInputError("role_mask entries must be Role values")
         if not (self.role_mask != Role.PAD).any():
             raise LossInputError("batch must contain at least one non-PAD position")
@@ -189,18 +188,20 @@ def _selected(batch: LogitBatch, roles: Iterable[Role]) -> np.ndarray:
         raise LossInputError("PAD positions are never selectable")
     if not roles:
         raise LossInputError("role filter must name at least one role")
-    mask = np.isin(batch.role_mask, [int(r) for r in roles])
-    idx = np.flatnonzero(mask)
+    chosen = np.zeros(len(Role), dtype=bool)
+    chosen[[int(r) for r in roles]] = True
+    idx = np.flatnonzero(chosen[batch.role_mask])
     if idx.size == 0:
         raise NoSelectedPositions(f"no positions with roles {tuple(r.name for r in roles)}")
     return idx
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax in float64, stable under large logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax in float64, stable under large logits, in one fresh buffer."""
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -209,6 +210,13 @@ def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 
 def _scatter(batch: LogitBatch, idx: np.ndarray, grad_sel: np.ndarray) -> np.ndarray:
+    """The full-batch gradient of ``grad_sel``, the gradient of rows ``idx``.
+
+    ``idx`` is sorted and unique, so when it covers every row ``grad_sel``
+    already is that gradient and is returned as it is.
+    """
+    if idx.size == len(batch.logits):
+        return grad_sel
     grad = np.zeros_like(batch.logits)
     grad[idx] = grad_sel
     return grad
@@ -227,7 +235,7 @@ def ce_loss(
     p_t = probs[rows, targets]
     values = -np.log(np.clip(p_t, PROB_FLOOR, 1.0))
     scale = 1.0 / idx.size if reduction is Reduction.MEAN else 1.0
-    grad_sel = probs.copy()
+    grad_sel = probs  # p_t above is a copy, so the softmax becomes the gradient
     grad_sel[rows, targets] -= 1.0
     grad_sel *= scale
     return LossResult(float(values.sum() * scale), _scatter(batch, idx, grad_sel))
@@ -480,16 +488,28 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
     if kind is not AuxiliaryKind.NONE and not (batch.role_mask == Role.ANSWER).any():
         raise EmptyAnswerMask("auxiliary loss requested but batch has no answer positions")
 
+    # Each branch's gradient is a fresh array, so it is scaled in place and
+    # the auxiliary one is added into the cross-entropy one.
     value = 0.0
-    gradient = np.zeros_like(batch.logits)
+    gradient = None
     if config.mix > 0.0:
         ce = ce_loss(batch, FULL_CONTEXT, config.reduction)
         value += config.mix * ce.value
-        gradient += config.mix * ce.gradient
+        gradient = ce.gradient
+        gradient *= config.mix
     if config.mix < 1.0 and kind is not AuxiliaryKind.NONE:
         aux = _AUXILIARY[kind](batch, config)
         value += (1.0 - config.mix) * aux.value
-        gradient += (1.0 - config.mix) * aux.gradient
+        aux.gradient *= 1.0 - config.mix
+        if gradient is None:
+            gradient = aux.gradient
+            # x + 0.0 turns -0.0 into +0.0, so that no branch mix leaves a -0.0
+            # (the cross-entropy gradient holds none, nor can a sum into it)
+            gradient += 0.0
+        else:
+            gradient += aux.gradient
+    if gradient is None:
+        gradient = np.zeros_like(batch.logits)
     return LossResult(value, gradient)
 
 

@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .losses import (
     AuxiliaryKind,
@@ -366,21 +367,25 @@ class TrainingTrace:
                 )
 
 
-def _windows_for_sample(tokens: np.ndarray, window: int) -> np.ndarray:
-    padded = np.concatenate([np.full(window, PAD_TOKEN_ID, dtype=np.intp), tokens])
-    return np.stack([padded[p : p + window] for p in range(tokens.size)])
-
-
 def batch_for_samples(
     model: TinyModel, samples: Sequence[Sample]
 ) -> tuple[LogitBatch, np.ndarray]:
     """Forward all positions of the given samples into one flat batch.
 
-    Returns the batch and the stacked window matrix used to produce it.
+    Returns the batch and the stacked window matrix used to produce it: the
+    window of a position holds the ``model.window`` tokens before it in its
+    sample, PAD where the sample has none.
     """
-    windows = np.concatenate([_windows_for_sample(s.tokens, model.window) for s in samples])
     targets = np.concatenate([s.tokens for s in samples])
     roles = np.concatenate([s.roles for s in samples])
+    width = model.window
+    # Every sample gets its own PAD prefix in one padded stream; the window of
+    # flat position i then starts i plus the prefixes up to its sample.
+    prefixes = width * np.repeat(np.arange(len(samples)), [s.tokens.size for s in samples])
+    starts = np.arange(targets.size) + prefixes
+    padded = np.full(targets.size + width * len(samples), PAD_TOKEN_ID, dtype=np.intp)
+    padded[starts + width] = targets
+    windows = sliding_window_view(padded, width)[starts]
     logits = model.forward_windows(windows)
     return LogitBatch(logits, targets, roles), windows
 
@@ -397,9 +402,12 @@ def _backward(
     d_weff = hidden.T @ dlogits
     grads["position_weights"] = np.einsum("nd,nwd->w", d_hidden, embedded)
     d_embedded = model.position_weights[None, :, None] * d_hidden[:, None, :]
-    d_emb = np.zeros_like(model.embeddings)
-    np.add.at(d_emb, windows, d_embedded)
-    grads["embeddings"] = d_emb
+    # Entry (id, j) of the table is flat bin id * dim + j; bincount adds the
+    # rows in the order np.add.at would, so the sums match it bit for bit.
+    vocab, dim = model.embeddings.shape
+    bins = (windows[:, :, None] * dim + np.arange(dim)).ravel()
+    d_emb = np.bincount(bins, weights=d_embedded.ravel(), minlength=vocab * dim)
+    grads["embeddings"] = d_emb.reshape(vocab, dim)
     if model.rank > 0:
         factor = model.adapter_scale / model.rank
         grads["adapter_b"] = factor * (d_weff @ model.adapter_a.T)
@@ -428,6 +436,43 @@ def trainable_fraction(model: TinyModel, config: TrainConfig) -> float:
     if config.adapter_rank > 0:
         return model.adapter_parameter_count() / model.matrix_parameter_count()
     return 1.0
+
+
+def _adamw_update(
+    param: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    scratch: np.ndarray,
+    lr: float,
+    t: int,
+    config: TrainConfig,
+) -> None:
+    """AdamW step ``t`` on ``param``, ``m`` and ``v`` in place.
+
+    The operations and their order are those of
+
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad * grad
+        param -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * param)
+
+    with the bias-corrected moments m_hat = m / (1 - beta1**t) and
+    v_hat = v / (1 - beta2**t). ``grad`` and ``scratch`` are overwritten.
+    """
+    m *= config.beta1
+    m += np.multiply(1.0 - config.beta1, grad, out=scratch)
+    v *= config.beta2
+    np.multiply(1.0 - config.beta2, grad, out=scratch)
+    scratch *= grad
+    v += scratch
+    update = np.divide(m, 1.0 - config.beta1**t, out=grad)
+    denom = np.divide(v, 1.0 - config.beta2**t, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += config.eps
+    update /= denom
+    update += np.multiply(config.weight_decay, param, out=scratch)
+    update *= lr
+    param -= update
 
 
 OnStep = Callable[[int, LogitBatch, LossResult], None]
@@ -465,6 +510,9 @@ def train(
     names = trainable_parameter_names(config)
     params = {name: getattr(model, name) for name in names}
     moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+    # per tensor, the step's gradient sum and the update's scratch buffer
+    grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
+    scratch = {name: np.empty_like(p) for name, p in params.items()}
 
     records: list[TraceRecord] = []
     best_model: TinyModel | None = None
@@ -478,45 +526,42 @@ def train(
         except NonFiniteLogits as exc:
             raise _diverged(step, "the logits", records) from exc
 
-    for step in range(config.steps):
-        lr = learning_rate(step, config)
-        grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
-        loss_sum = 0.0
-        for _ in range(config.accum_steps):
-            picks = rng.integers(0, len(corpus.samples), size=config.batch_size)
-            batch_samples = [corpus.samples[int(i)] for i in picks]
-            batch, windows = forward(batch_samples)
-            result = combined_loss(batch, config.loss)
-            if on_step is not None:
-                on_step(step, batch, result)
-            grads = _backward(model, windows, result.gradient)
+    # A diverging run overflows before its check below names the step; the
+    # NumPy warnings on the way there would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(config.steps):
+            lr = learning_rate(step, config)
+            for total in grad_sum.values():
+                total.fill(0.0)
+            loss_sum = 0.0
+            for _ in range(config.accum_steps):
+                picks = rng.integers(0, len(corpus.samples), size=config.batch_size)
+                batch_samples = [corpus.samples[int(i)] for i in picks]
+                batch, windows = forward(batch_samples)
+                result = combined_loss(batch, config.loss)
+                if on_step is not None:
+                    on_step(step, batch, result)
+                grads = _backward(model, windows, result.gradient)
+                for name in names:
+                    grad_sum[name] += grads[name]
+                loss_sum += result.value
+            adam_t += 1
             for name in names:
-                grad_sum[name] += grads[name]
-            loss_sum += result.value
-        adam_t += 1
-        for name in names:
-            g = grad_sum[name] / config.accum_steps
-            p = params[name]
-            m, v = moments[name]
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            v *= config.beta2
-            v += (1.0 - config.beta2) * g * g
-            m_hat = m / (1.0 - config.beta1**adam_t)
-            v_hat = v / (1.0 - config.beta2**adam_t)
-            p -= lr * (m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * p)
-        loss = loss_sum / config.accum_steps
-        if not (np.isfinite(loss) and all(np.isfinite(w).all() for w in params.values())):
-            raise _diverged(step, "the loss or the updated parameters", records)
-        records.append(TraceRecord(step, lr, loss))
+                grad_sum[name] /= config.accum_steps
+                m, v = moments[name]
+                _adamw_update(params[name], grad_sum[name], m, v, scratch[name], lr, adam_t, config)
+            loss = loss_sum / config.accum_steps
+            if not (np.isfinite(loss) and all(np.isfinite(w).all() for w in params.values())):
+                raise _diverged(step, "the loss or the updated parameters", records)
+            records.append(TraceRecord(step, lr, loss))
 
-        if val_corpus is not None and (step + 1) % config.eval_interval == 0:
-            val_batch, _ = forward(val_corpus.samples)
-            val_loss = combined_loss(val_batch, config.loss).value
-            if best_val is None or val_loss < best_val:
-                best_val = val_loss
-                best_step = step
-                best_model = model.copy()
+            if val_corpus is not None and (step + 1) % config.eval_interval == 0:
+                val_batch, _ = forward(val_corpus.samples)
+                val_loss = combined_loss(val_batch, config.loss).value
+                if best_val is None or val_loss < best_val:
+                    best_val = val_loss
+                    best_step = step
+                    best_model = model.copy()
 
     fraction = trainable_fraction(model, config)
     header = {

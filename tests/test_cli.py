@@ -1,8 +1,8 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +14,7 @@ from losslab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     TRAIN_CONFIG_KEYS,
+    TRAIN_INT_CEILINGS,
     DuplicateId,
     IdMismatch,
     MalformedLine,
@@ -479,6 +480,10 @@ class TestStatsCommand:
             ("pearson", set_at(["per_sample", 1, "iou"], None), ["per_sample[1]", "iou", "null"]),
             ("mcnemar", set_at(["per_sample", 0, "em"], "yes"), ["per_sample[0]", "em", '"yes"']),
             ("mcnemar", set_at(["per_sample", 3, "em"], 1), ["per_sample[3]", "em", "got 1"]),
+            # a rate beyond [0, 1]; 1e200 would overflow pearson_r's squares
+            ("pearson", set_at(["per_sample", 1, "iou"], 1e200), ["per_sample[1]", "iou", "1e+200"]),
+            ("ttest", set_at(["per_sample", 0, "ms"], -0.5), ["per_sample[0]", "ms", "-0.5"]),
+            ("meanrank", set_at(["per_sample", 4, "io"], 1.5), ["per_sample[4]", "io", "1.5"]),
         ],
     )
     def test_malformed_report_exits_2(self, two_reports, tmp_path, capsys, test, edit, named):
@@ -588,6 +593,8 @@ class TestTrainCommand:
             ("max_lr", float("nan")),
             ("gamma", 10**400),
             ("adapter_scale", True),
+            ("embed_dim", 4_000_000_000),
+            *((key, ceiling + 1) for key, ceiling in TRAIN_INT_CEILINGS.items()),
         ],
     )
     def test_ill_typed_or_out_of_range_value_exits_2(self, tmp_path, capsys, key, value):
@@ -603,10 +610,13 @@ class TestTrainCommand:
     def test_diverging_run_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, extra={"max_lr": 1e6, "steps": 50, "warmup_steps": 5})
         out_dir = tmp_path / "run"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_main(["train", "--config", config, "--out-dir", str(out_dir)])
         assert code == EXIT_DATA
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
         err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
         assert "training diverged at step" in err
         assert "last finite loss" in err
         assert not out_dir.exists()
@@ -619,6 +629,11 @@ class TestTrainCommand:
         assert type(header["max_lr"]) is float and type(header["gamma"]) is float
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["max_lr"] == 1 and type(manifest["config"]["max_lr"]) is int
+
+    def test_every_integer_key_has_a_ceiling_above_its_default(self):
+        integer_keys = {k for k, v in TRAIN_CONFIG_KEYS.items() if type(v) is int}
+        assert set(TRAIN_INT_CEILINGS) == integer_keys
+        assert all(TRAIN_CONFIG_KEYS[k] <= c for k, c in TRAIN_INT_CEILINGS.items())
 
     def test_defaults_come_from_the_dataclasses(self):
         config = TrainConfig()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from losslab.losses import (
     ANSWER_ONLY,
     FULL_CONTEXT,
+    PROB_FLOOR,
     AuxiliaryKind,
     EmptyAnswerMask,
     EmptyClassPolicy,
@@ -27,6 +30,7 @@ from losslab.losses import (
     lovasz_loss,
     self_adjusting_dice_loss,
     softmax,
+    _selected,
 )
 
 LN2 = 0.6931471805599453
@@ -165,8 +169,9 @@ class TestLogitBatch:
             LogitBatch(np.zeros((1, 3)), np.array([3]), np.array([1]))
 
     def test_rejects_bad_role(self):
-        with pytest.raises(LossInputError):
-            LogitBatch(np.zeros((1, 3)), np.array([0]), np.array([7]))
+        for role in (-1, 3, 7):
+            with pytest.raises(LossInputError, match="Role values"):
+                LogitBatch(np.zeros((2, 3)), np.array([0, 1]), np.array([1, role]))
 
     def test_rejects_all_pad(self):
         with pytest.raises(LossInputError):
@@ -600,3 +605,111 @@ class TestLovaszWeightColumns:
     def test_rejects_three_dimensional_input(self):
         with pytest.raises(EmptyInput):
             lovasz_grad_weights(np.ones((2, 2, 2)))
+
+
+# Out-of-place oracles of the in-place loss code: a fresh array per
+# operation, the row selection by np.isin, and scatters into zero buffers.
+
+
+def assert_same_bits(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert (new.dtype, new.shape) == (old.dtype, old.shape)
+    assert new.tobytes() == old.tobytes()
+
+
+def selected_oracle(batch, roles):
+    return np.flatnonzero(np.isin(batch.role_mask, [int(r) for r in roles]))
+
+
+def softmax_oracle(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ce_oracle(batch, roles, reduction):
+    idx = selected_oracle(batch, roles)
+    probs = softmax_oracle(batch.logits[idx])
+    rows = np.arange(idx.size)
+    targets = batch.targets[idx]
+    values = -np.log(np.clip(probs[rows, targets], PROB_FLOOR, 1.0))
+    scale = 1.0 / idx.size if reduction is Reduction.MEAN else 1.0
+    grad_sel = probs.copy()
+    grad_sel[rows, targets] -= 1.0
+    grad_sel *= scale
+    grad = np.zeros_like(batch.logits)
+    grad[idx] = grad_sel
+    return float(values.sum() * scale), grad
+
+
+AUXILIARY_ORACLE = {
+    AuxiliaryKind.FOCAL: lambda b, c: focal_loss(b, c.gamma, ANSWER_ONLY, c.reduction),
+    AuxiliaryKind.DICE: lambda b, c: dice_loss(b, ANSWER_ONLY),
+    AuxiliaryKind.GENERALIZED_DICE: lambda b, c: generalized_dice_loss(
+        b, ANSWER_ONLY, c.empty_class_policy
+    ),
+    AuxiliaryKind.SELF_ADJUSTING_DICE: lambda b, c: self_adjusting_dice_loss(b, ANSWER_ONLY),
+    AuxiliaryKind.LOVASZ: lambda b, c: lovasz_loss(b, ANSWER_ONLY),
+}
+
+
+def combined_oracle(batch, config):
+    value = 0.0
+    gradient = np.zeros_like(batch.logits)
+    if config.mix > 0.0:
+        ce = ce_loss(batch, FULL_CONTEXT, config.reduction)
+        value += config.mix * ce.value
+        gradient += config.mix * ce.gradient
+    if config.mix < 1.0 and config.auxiliary_kind is not AuxiliaryKind.NONE:
+        aux = AUXILIARY_ORACLE[config.auxiliary_kind](batch, config)
+        value += (1.0 - config.mix) * aux.value
+        gradient += (1.0 - config.mix) * aux.gradient
+    return value, gradient
+
+
+# logits scaled by 1e3 underflow the softmax to exact zeros and ones, which
+# is where a signed zero can appear in a gradient
+@settings(max_examples=200, deadline=None)
+@given(
+    batch=tied_batches(),
+    scale=st.sampled_from([1.0, 1e3]),
+    kind=st.sampled_from(list(AuxiliaryKind)),
+    mix=st.sampled_from([0.0, 0.6, 1.0]),
+    reduction=st.sampled_from(list(Reduction)),
+)
+def test_in_place_losses_match_out_of_place_oracles(batch, scale, kind, mix, reduction):
+    batch = LogitBatch(batch.logits * scale, batch.targets, batch.role_mask)
+    assert_same_bits(softmax(batch.logits), softmax_oracle(batch.logits))
+    for roles in (FULL_CONTEXT, ANSWER_ONLY, (Role.INSTRUCTION,)):
+        idx = selected_oracle(batch, roles)
+        if idx.size == 0:
+            with pytest.raises(NoSelectedPositions):
+                _selected(batch, roles)
+            continue
+        assert_same_bits(_selected(batch, roles), idx)
+        result = ce_loss(batch, roles, reduction)
+        value, gradient = ce_oracle(batch, roles, reduction)
+        assert_same_bits(result.value, value)
+        assert_same_bits(result.gradient, gradient)
+    config = LossConfig(mix=mix, auxiliary_kind=kind, reduction=reduction)
+    result = combined_loss(batch, config)
+    value, gradient = combined_oracle(batch, config)
+    assert_same_bits(result.value, value)
+    assert_same_bits(result.gradient, gradient)
+
+
+@pytest.mark.parametrize("kind", list(AuxiliaryKind))
+def test_combined_loss_peak_allocation_is_at_most_four_logit_arrays(kind):
+    rng = np.random.default_rng(0)
+    n, vocab = 128, 1024
+    roles = np.repeat([int(Role.INSTRUCTION), int(Role.ANSWER)], n // 2)
+    batch = LogitBatch(rng.standard_normal((n, vocab)), rng.integers(0, vocab, n), roles)
+    config = LossConfig(mix=0.6, auxiliary_kind=kind)
+    combined_loss(batch, config)
+    tracemalloc.start()
+    try:
+        combined_loss(batch, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * batch.logits.nbytes

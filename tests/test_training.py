@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from losslab.losses import AuxiliaryKind, LossConfig, Role
+from losslab.losses import AuxiliaryKind, LogitBatch, LossConfig, Role, combined_loss
 from losslab.training import (
     PAD_TOKEN_ID,
     Corpus,
@@ -23,6 +25,8 @@ from losslab.training import (
     train,
     trainable_fraction,
     zipf_pmf,
+    _adamw_update,
+    _backward,
 )
 
 
@@ -447,6 +451,179 @@ class TestBatchAssembly:
         model = TinyModel.zeros(corpus.vocab_size, 4, 3)
         _, windows = batch_for_samples(model, corpus.samples)
         assert windows[0].tolist() == [PAD_TOKEN_ID] * 3
+
+
+# Out-of-place oracles of the in-place step: windows cut one sample and one
+# position at a time, the embedding gradient scattered by np.add.at, and
+# AdamW with a fresh array per operation.
+
+
+def assert_same_bits(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert (new.dtype, new.shape) == (old.dtype, old.shape)
+    assert new.tobytes() == old.tobytes()
+
+
+def windows_oracle(tokens, window):
+    padded = np.concatenate([np.full(window, PAD_TOKEN_ID, dtype=np.intp), tokens])
+    return np.stack([padded[p : p + window] for p in range(tokens.size)])
+
+
+def backward_oracle(model, windows, dlogits):
+    embedded = model.embeddings[windows]
+    hidden = np.einsum("w,nwd->nd", model.position_weights, embedded)
+    d_hidden = dlogits @ model.effective_projection().T
+    d_weff = hidden.T @ dlogits
+    d_embedded = model.position_weights[None, :, None] * d_hidden[:, None, :]
+    d_emb = np.zeros_like(model.embeddings)
+    np.add.at(d_emb, windows, d_embedded)
+    grads = {
+        "position_weights": np.einsum("nd,nwd->w", d_hidden, embedded),
+        "embeddings": d_emb,
+        "projection": d_weff,
+    }
+    if model.rank > 0:
+        factor = model.adapter_scale / model.rank
+        grads["adapter_b"] = factor * (d_weff @ model.adapter_a.T)
+        grads["adapter_a"] = factor * (model.adapter_b.T @ d_weff)
+    return grads
+
+
+def adamw_oracle(p, g, m, v, lr, t, config):
+    m = config.beta1 * m + (1.0 - config.beta1) * g
+    v = config.beta2 * v + (1.0 - config.beta2) * g * g
+    m_hat = m / (1.0 - config.beta1**t)
+    v_hat = v / (1.0 - config.beta2**t)
+    p = p - lr * (m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * p)
+    return p, m, v
+
+
+def train_oracle(config, corpus):
+    """Final model and step losses of ``train`` without validation, built
+    from the oracles with fresh buffers every step."""
+    rng = np.random.default_rng(config.seed)
+    model = TinyModel.create(
+        corpus.vocab_size, config.embed_dim, config.window,
+        config.adapter_rank, config.adapter_scale, rng,
+    )
+    names = ("adapter_b", "adapter_a") if config.adapter_rank else (
+        "embeddings", "position_weights", "projection"
+    )
+    moments = {
+        name: (np.zeros_like(getattr(model, name)), np.zeros_like(getattr(model, name)))
+        for name in names
+    }
+    losses = []
+    for step in range(config.steps):
+        lr = learning_rate(step, config)
+        grad_sum = {name: np.zeros_like(getattr(model, name)) for name in names}
+        loss_sum = 0.0
+        for _ in range(config.accum_steps):
+            picks = rng.integers(0, len(corpus.samples), size=config.batch_size)
+            samples = [corpus.samples[int(i)] for i in picks]
+            windows = np.concatenate([windows_oracle(s.tokens, model.window) for s in samples])
+            batch = LogitBatch(
+                model.forward_windows(windows),
+                np.concatenate([s.tokens for s in samples]),
+                np.concatenate([s.roles for s in samples]),
+            )
+            result = combined_loss(batch, config.loss)
+            grads = backward_oracle(model, windows, result.gradient)
+            for name in names:
+                grad_sum[name] += grads[name]
+            loss_sum += result.value
+        for name in names:
+            p, m, v = adamw_oracle(
+                getattr(model, name), grad_sum[name] / config.accum_steps,
+                *moments[name], lr, step + 1, config,
+            )
+            setattr(model, name, p)
+            moments[name] = (m, v)
+        losses.append(loss_sum / config.accum_steps)
+    return model, losses
+
+
+@st.composite
+def mixed_samples(draw, vocab):
+    """Samples of lengths 1 to 9 over few ids, so windows repeat ids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    return [
+        Sample(rng.integers(1, vocab, n).astype(np.intp), rng.integers(0, 2, n).astype(np.intp))
+        for n in lengths
+    ]
+
+
+class TestInPlaceStepOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(samples=mixed_samples(vocab=5), window=st.integers(1, 6))
+    def test_windows_match_per_sample_oracle(self, samples, window):
+        model = TinyModel.create(5, 3, window, rng=np.random.default_rng(0))
+        batch, windows = batch_for_samples(model, samples)
+        expected = np.concatenate([windows_oracle(s.tokens, window) for s in samples])
+        assert_same_bits(windows, expected)
+        assert_same_bits(batch.logits, model.forward_windows(expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        samples=mixed_samples(vocab=5),
+        window=st.integers(1, 6),
+        rank=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_backward_matches_add_at_oracle(self, samples, window, rank, seed):
+        rng = np.random.default_rng(seed)
+        model = TinyModel.create(5, 3, window, rank, rng=rng)
+        if rank:
+            model.adapter_b = rng.normal(size=model.adapter_b.shape)
+        _, windows = batch_for_samples(model, samples)
+        dlogits = rng.standard_normal((len(windows), 5))
+        grads = _backward(model, windows, dlogits)
+        expected = backward_oracle(model, windows, dlogits)
+        assert grads.keys() == expected.keys()
+        for name, grad in grads.items():
+            assert_same_bits(grad, expected[name])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.sampled_from([(4,), (3, 5), (16, 8)]),
+        t=st.integers(1, 500),
+        lr=st.floats(0.0, 1.0),
+        weight_decay=st.sampled_from([0.0, 0.01, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adamw_update_matches_out_of_place_formula(self, shape, t, lr, weight_decay, seed):
+        rng = np.random.default_rng(seed)
+        p, g, m = rng.standard_normal((3, *shape))
+        v = rng.random(shape)
+        config = TrainConfig(weight_decay=weight_decay)
+        expected = adamw_oracle(p, g, m, v, lr, t, config)
+        p, m, v = p.copy(), m.copy(), v.copy()
+        _adamw_update(p, g.copy(), m, v, np.empty_like(p), lr, t, config)
+        for got, want in zip((p, m, v), expected):
+            assert_same_bits(got, want)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        kind=st.sampled_from(list(AuxiliaryKind)),
+        mix=st.sampled_from([0.0, 0.6, 1.0]),
+        rank=st.sampled_from([0, 2]),
+        accum=st.integers(1, 2),
+        template=st.sampled_from(list(CorpusTemplate)),
+    )
+    def test_train_matches_oracle_loop(self, kind, mix, rank, accum, template):
+        config = quick_config(
+            steps=6, warmup_steps=2, adapter_rank=rank, accum_steps=accum,
+            loss=LossConfig(mix=mix, auxiliary_kind=kind),
+        )
+        corpus = make_synthetic_corpus(3, 16, 1.0, 12, template, instruction_len=3, seq_len=5)
+        trace = train(config, corpus)
+        model, losses = train_oracle(config, corpus)
+        assert [r.loss for r in trace.records] == losses
+        names = ["embeddings", "position_weights", "projection"]
+        names += ["adapter_b", "adapter_a"] if rank else []
+        for name in names:
+            assert_same_bits(getattr(trace.final_model, name), getattr(model, name))
 
 
 def lookup_model(corpus, mapping):
