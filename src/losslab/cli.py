@@ -119,6 +119,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# json.loads raises more than JSONDecodeError on text it cannot hold: ValueError
+# for an integer past int()'s digit limit, RecursionError for deep nesting
+JSON_ERRORS = (ValueError, RecursionError)
+
+
+def _json_error(exc: Exception) -> str:
+    return exc.msg if isinstance(exc, json.JSONDecodeError) else f"{type(exc).__name__}: {exc}"
+
+
 def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
     """Load JSON-lines records, validating required fields and unique ids.
 
@@ -127,7 +136,7 @@ def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     records: list[dict] = []
     seen_ids: set = set()
@@ -136,8 +145,8 @@ def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        except JSON_ERRORS as exc:
+            raise MalformedLine(f"{path}:{lineno}: invalid JSON ({_json_error(exc)})") from exc
         if not isinstance(record, dict):
             raise MalformedLine(f"{path}:{lineno}: record must be a JSON object")
         for field in required:
@@ -225,8 +234,15 @@ def run_eval(
     gold_path: str | Path,
     fmt: str,
     commutative: bool = True,
-) -> tuple[dict, list[dict]]:
-    """Score a prediction file against a gold file; ids must align 1:1."""
+    keep_parses: bool = False,
+) -> tuple[dict, list[dict] | None]:
+    """Score a prediction file against a gold file; ids must align 1:1.
+
+    Each record is scored straight into its per-sample report row, so eval
+    holds one row per record and frees each record's parsed rationales once
+    it is scored. Only ``keep_parses`` (``--dump-parse``) keeps the parses,
+    as the dump entries returned second; without it that value is None.
+    """
     preds = ingest_jsonl(pred_path, required=("id", "prediction"))
     golds = ingest_jsonl(gold_path, required=("id", "gold"))
     pred_by_id = {r["id"]: r for r in preds}
@@ -238,32 +254,38 @@ def run_eval(
             f"ids of {pred_path} and {gold_path} differ "
             f"(pred-only {only_pred}, gold-only {only_gold})"
         )
+    if not gold_by_id:
+        raise DataError(f"{pred_path} and {gold_path} hold no records")
 
-    scored: list[dict] = []
+    samples: list[SampleMetrics] = []
+    per_sample: list[dict] = []
+    dump: list[dict] | None = [] if keep_parses else None
     for rid in sorted(gold_by_id, key=str):
         gold_rec = gold_by_id[rid]
         record_fmt = gold_rec.get("format", fmt)
         if record_fmt not in EVAL_FORMATS:
             raise DataError(f"record {rid!r} has unknown format {record_fmt!r}")
-        scored.append(
-            score_record(
-                rid,
-                str(gold_rec["gold"]),
-                str(pred_by_id[rid]["prediction"]),
-                record_fmt,
-                commutative,
-            )
+        scored = score_record(
+            rid,
+            str(gold_rec["gold"]),
+            str(pred_by_id[rid]["prediction"]),
+            record_fmt,
+            commutative,
         )
+        sample = scored["metrics"]
+        samples.append(sample)
+        per_sample.append({"id": rid, **sample.as_dict(), "diagnostics": scored["diagnostics"]})
+        if dump is not None:
+            dump.append(
+                {
+                    "id": rid,
+                    "gold": scored["gold"].to_dict(),
+                    "prediction": scored["prediction"].to_dict(),
+                }
+            )
 
-    aggregate = aggregate_report([s["metrics"] for s in scored])
-    per_sample = []
-    for s in scored:
-        row = {"id": s["id"]}
-        row.update(s["metrics"].as_dict())
-        row["diagnostics"] = s["diagnostics"]
-        per_sample.append(row)
     report = {
-        "aggregate": aggregate.as_dict(),
+        "aggregate": aggregate_report(samples).as_dict(),
         "per_sample": per_sample,
         "conventions": {
             "commutative_matching": commutative,
@@ -273,7 +295,7 @@ def run_eval(
             "em_numeric_tolerance": 1e-6,
         },
     }
-    return report, scored
+    return report, dump
 
 
 def _aggregate_row_csv(aggregate: dict) -> str:
@@ -310,26 +332,21 @@ def emit_report(report: dict, out_format: str, out_path: str | None) -> None:
 
 
 def _cmd_eval(args, argv: list[str]) -> int:
-    report, scored = run_eval(args.pred, args.gold, args.format, not args.no_commutative)
+    commutative = not args.no_commutative
+    report, dump = run_eval(
+        args.pred, args.gold, args.format, commutative, keep_parses=bool(args.dump_parse)
+    )
     manifest = build_manifest(
         argv,
         {
             "format": args.format,
-            "commutative": not args.no_commutative,
+            "commutative": commutative,
             "out_format": args.out_format,
         },
         [args.pred, args.gold],
     )
     report = {"manifest": manifest, **report}
     if args.dump_parse:
-        dump = [
-            {
-                "id": s["id"],
-                "gold": s["gold"].to_dict(),
-                "prediction": s["prediction"].to_dict(),
-            }
-            for s in scored
-        ]
         Path(args.dump_parse).write_text(json.dumps(dump, indent=2) + "\n", encoding="utf-8")
     emit_report(report, args.out_format, args.out)
     return EXIT_OK
@@ -361,8 +378,8 @@ def _load_report(path: str) -> dict:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc.msg})") from exc
+    except JSON_ERRORS as exc:
+        raise DataError(f"{path}: not valid JSON ({_json_error(exc)})") from exc
     if not isinstance(report, dict) or "per_sample" not in report or "aggregate" not in report:
         raise IncompatibleReports(f"{path}: not an evaluation report")
     # the aggregate em is a percentage, so every aggregate column is a number
@@ -468,8 +485,7 @@ TRAIN_CONFIG_KEYS = {
 }
 # The largest value of each integer key, far above the trainer's toy scale.
 # One key at its ceiling, the others at their defaults, peaks below 300 MiB
-# in a two-step run; several keys near their ceilings at once can still ask
-# for more memory than the host has.
+# in a two-step run; MAX_ARRAY_VALUES bounds the keys that combine.
 TRAIN_INT_CEILINGS = {
     "seed": 2**63 - 1,
     "steps": 1_000_000,
@@ -488,14 +504,42 @@ TRAIN_INT_CEILINGS = {
 }
 
 
+# The most values one array of a train run may hold (128 MiB of float64),
+# however the keys combine: the logits of a training or validation forward
+# (rows * vocab_size), its gathered context windows (rows * window *
+# embed_dim) and the embedding table (vocab_size * embed_dim). A forward's
+# rows are batch_size or val_samples samples of seq_len ("plain") or
+# 2 * instruction_len positions.
+MAX_ARRAY_VALUES = 2**24
+
+
+def _check_array_sizes(config: dict, path: str) -> None:
+    if config["template"] == CorpusTemplate.PLAIN.value:
+        length, length_keys = config["seq_len"], "seq_len"
+    else:
+        length, length_keys = 2 * config["instruction_len"], "2 * instruction_len"
+    vocab, width = config["vocab_size"], config["window"] * config["embed_dim"]
+    arrays = [("vocab_size * embed_dim", vocab * config["embed_dim"])]
+    for rows in ("batch_size", "val_samples"):
+        positions, keys = config[rows] * length, f"{rows} * {length_keys}"
+        arrays.append((f"{keys} * vocab_size", positions * vocab))
+        arrays.append((f"{keys} * window * embed_dim", positions * width))
+    for keys, size in arrays:
+        if size > MAX_ARRAY_VALUES:
+            raise ConfigError(
+                f"{path}: {keys} is {size} values in one array, above the ceiling of "
+                f"{MAX_ARRAY_VALUES}"
+            )
+
+
 def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
     """Flat JSON config; unknown keys and ill-typed values are rejected by name."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc.msg})") from exc
+    except JSON_ERRORS as exc:
+        raise ConfigError(f"{path}: not valid JSON ({_json_error(exc)})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(TRAIN_CONFIG_KEYS))
@@ -510,6 +554,7 @@ def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
                 f"{path}: {key} must be at most {TRAIN_INT_CEILINGS[key]}, got {json.dumps(value)}"
             )
     config = {**TRAIN_CONFIG_KEYS, **raw}
+    _check_array_sizes(config, path)
     if loss_by_task is not None:
         config["auxiliary"] = {"mwp": "ll", "qa": "fl"}[loss_by_task]
     return config
@@ -557,6 +602,31 @@ def _cmd_train(args, argv: list[str]) -> int:
     return run_train(config, args.out_dir, argv, args.config)
 
 
+# positions * vocab of the grad-check batch. Its arrays stay below 1 MiB, but
+# the check makes two loss calls per logit, each over the whole batch: at the
+# ceiling that is 131,072 calls per loss, minutes of work.
+MAX_GRADCHECK_LOGITS = 2**16
+
+
+def _check_grad_check_args(args) -> None:
+    """Reject each bad grad-check flag by name, before any array is built."""
+    for flag, value, least in (
+        ("--seed", args.seed, 0),
+        ("--positions", args.positions, 1),
+        ("--vocab", args.vocab, 2),
+    ):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
+    if args.positions * args.vocab > MAX_GRADCHECK_LOGITS:
+        raise ConfigError(
+            f"--positions * --vocab must be at most {MAX_GRADCHECK_LOGITS}, "
+            f"got {args.positions} * {args.vocab}"
+        )
+    for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ConfigError(f"{flag} must be a positive finite number, got {value!r}")
+
+
 def _gradcheck_batch(seed: int, positions: int, vocab: int) -> LogitBatch:
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((positions, vocab))
@@ -569,6 +639,7 @@ def _gradcheck_batch(seed: int, positions: int, vocab: int) -> LogitBatch:
 
 
 def _cmd_grad_check(args, argv: list[str]) -> int:
+    _check_grad_check_args(args)
     names = list(LOSS_NAMES) if args.loss == "all" else [args.loss]
     batch = _gradcheck_batch(args.seed, args.positions, args.vocab)
     results = {}

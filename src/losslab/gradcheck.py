@@ -9,6 +9,7 @@ flip within the step are reported as skipped rather than failed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -46,7 +47,7 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error <= self.tolerance
+        return math.isfinite(self.max_rel_error) and self.max_rel_error <= self.tolerance
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -69,10 +70,11 @@ def finite_difference_check(
     ``skip_rows`` marks logit rows whose coordinates are recorded in the
     report's skipped list instead of the max-error statistic (used for rows
     near a Lovász sort tie, where the fixed-permutation subgradient and the
-    numeric slope legitimately disagree).
+    numeric slope legitimately disagree). A NaN relative error is the worst
+    there is: it becomes the report's maximum, and the check fails.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be a positive finite number, got {step!r}")
     base = loss_fn(batch)
     analytic = base.gradient
     if analytic.shape != batch.logits.shape:
@@ -100,7 +102,7 @@ def finite_difference_check(
             a = analytic[i, k]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), DENOM_FLOOR)
             checked += 1
-            if rel > max_rel:
+            if rel > max_rel or (math.isnan(rel) and not math.isnan(max_rel)):
                 max_rel = rel
                 worst = (i, k)
     return GradCheckReport(max_rel, worst, skipped, checked, tolerance)

@@ -167,6 +167,8 @@ def format_number(value: float) -> str:
     value = float(value)
     if value == 0.0:
         return "0"
+    if not math.isfinite(value):  # an overflowed literal: inf, -inf or nan
+        return repr(value)
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
@@ -175,88 +177,115 @@ def format_number(value: float) -> str:
 _NUMBER_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d*)?|\d+\.\d*|\.\d+|\d+")
 
 
+# Parentheses and unary minus signs open one nesting level each; the descent
+# recurses once per level, so deeper nesting is a MalformedStep.
+MAX_NESTING = 100
+
+
 class _InfixParser:
-    """Recursive-descent parser for the infix step grammar."""
+    """Recursive-descent parser for the infix step grammar.
+
+    ``ch`` is the character at ``pos``; whitespace is skipped once, right
+    after each token is consumed. Recursion depth grows only with nesting,
+    which :data:`MAX_NESTING` bounds; chains are built in loops.
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+        self._advance(0)
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def _advance(self, width: int) -> None:
+        """Step over ``width`` characters and the whitespace after them."""
+        text, pos = self.text, self.pos + width
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        self.ch = text[pos] if pos < len(text) else ""
 
     def parse(self) -> tuple:
         node = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise MalformedStep(f"unexpected character {self.text[self.pos]!r}", self.pos)
+        if self.ch:
+            raise MalformedStep(f"unexpected character {self.ch!r}", self.pos)
         return node
 
     def _expr(self) -> tuple:
         node = self._term()
-        while self._peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
+        while self.ch in ("+", "-"):
+            op = self.ch
+            self._advance(1)
             node = (op, node, self._term())
         return node
 
     def _term(self) -> tuple:
         node = self._factor()
-        while self._peek() in ("*", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
+        while self.ch in ("*", "/"):
+            op = self.ch
+            self._advance(1)
             node = (op, node, self._factor())
         return node
 
     def _factor(self) -> tuple:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            node = self._expr()
-            if self._peek() != ")":
-                raise MalformedStep("unbalanced parenthesis", self.pos)
-            self.pos += 1
-            return ("group", node)
-        if ch == "-":
-            self.pos += 1
-            inner = self._factor()
-            if inner[0] == "num":
-                return ("num", -inner[1])
-            return ("neg", inner)
-        if ch == "":
+        ch = self.ch
+        if ch == "(" or ch == "-":
+            if self.depth == MAX_NESTING:
+                raise MalformedStep(f"nesting deeper than {MAX_NESTING} levels", self.pos)
+            self.depth += 1
+            self._advance(1)
+            if ch == "(":
+                node = ("group", self._expr())
+                if self.ch != ")":
+                    raise MalformedStep("unbalanced parenthesis", self.pos)
+                self._advance(1)
+            else:
+                inner = self._factor()
+                node = ("num", -inner[1]) if inner[0] == "num" else ("neg", inner)
+            self.depth -= 1
+            return node
+        if not ch:
             raise MalformedStep("expression ended unexpectedly", self.pos)
         m = _NUMBER_RE.match(self.text, self.pos)
         if not m:
             raise MalformedStep(f"expected a number, found {ch!r}", self.pos)
-        self.pos = m.end()
+        self._advance(m.end() - self.pos)
         return ("num", float(m.group().replace(",", "")))
 
 
 def _eval_node(node: tuple, offset: int) -> float:
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "group":
-        return _eval_node(node[1], offset)
-    if kind == "neg":
-        return -_eval_node(node[1], offset)
-    op, left, right = node
-    a = _eval_node(left, offset)
-    b = _eval_node(right, offset)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if b == 0.0:
-        raise MalformedStep("division by zero inside a nested expression", offset)
-    return a / b
+    """Value of a parse tree, walked with an explicit stack: a chain of any
+    length is a tree of that depth."""
+    values: list[float] = []
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:  # an operator whose operands are on ``values``
+            if item == "neg":
+                values[-1] = -values[-1]
+                continue
+            b = values.pop()
+            a = values[-1]
+            if item == "+":
+                values[-1] = a + b
+            elif item == "-":
+                values[-1] = a - b
+            elif item == "*":
+                values[-1] = a * b
+            elif b == 0.0:
+                raise MalformedStep("division by zero inside a nested expression", offset)
+            else:
+                values[-1] = a / b
+            continue
+        kind = item[0]
+        if kind == "num":
+            values.append(item[1])
+        elif kind == "group":
+            stack.append(item[1])
+        elif kind == "neg":
+            stack += ("neg", item[1])
+        else:
+            stack += (kind, item[2], item[1])
+    return values[0]
 
 
 def _flatten(node: tuple, offset: int) -> ReasoningStep:
@@ -264,28 +293,26 @@ def _flatten(node: tuple, offset: int) -> ReasoningStep:
 
     Same-operator chains keep all operands: + and * flatten on both sides
     (associativity), - and / flatten only their left spine so the list reads
-    back left-associatively. Any other subtree becomes a literal holding its
-    evaluated value.
+    back left-associatively. A subtree under the chain's operator, or such a
+    subtree in one pair of parentheses, continues the chain where it may;
+    any other subtree becomes a literal holding its evaluated value.
     """
     op = node[0]
     commutative = op in ("+", "*")
-
-    def leaf(n: tuple) -> list[Operand]:
-        if n[0] == "num":
-            return [Operand.literal(n[1])]
-        return [Operand.literal(_eval_node(n, offset))]
-
-    def collect(n: tuple, spine: bool) -> list[Operand]:
-        if n[0] == op and (spine or commutative):
-            return collect(n[1], spine or commutative) + collect(n[2], commutative)
-        if n[0] == "group":
-            inner = n[1]
-            if inner[0] == op and (spine or commutative):
-                return collect(inner, spine)
-            return leaf(n)
-        return leaf(n)
-
-    return ReasoningStep(op, tuple(collect(node, True)))
+    operands: list[Operand] = []
+    # (subtree, whether it may continue the chain), popped left to right
+    stack = [(node, True)]
+    while stack:
+        n, chained = stack.pop()
+        kind = n[0]
+        if chained:
+            if kind == "group" and n[1][0] == op:
+                n, kind = n[1], op
+            if kind == op:
+                stack += ((n[2], commutative), (n[1], True))
+                continue
+        operands.append(Operand.literal(n[1] if kind == "num" else _eval_node(n, offset)))
+    return ReasoningStep(op, tuple(operands))
 
 
 def _parse_infix_step(span: str) -> ReasoningStep:
@@ -325,12 +352,14 @@ def _parse_program_arg(arg: str, offset: int) -> Operand:
     arg = arg.strip()
     if not arg:
         raise MalformedStep("empty argument", offset)
-    m = _PROBLEM_REF_RE.match(arg)
-    if m:
-        return Operand.problem_ref(int(m.group(1)))
-    m = _STEP_REF_RE.match(arg)
-    if m:
-        return Operand.step_ref(int(m.group(1)))
+    for pattern, make in ((_PROBLEM_REF_RE, Operand.problem_ref), (_STEP_REF_RE, Operand.step_ref)):
+        m = pattern.match(arg)
+        if m:
+            try:
+                return make(int(m.group(1)))
+            except ValueError:  # more digits than int() converts
+                digits = len(arg) - 1
+                raise MalformedStep(f"reference index too long ({digits} digits)", offset) from None
     m = _CONST_RE.match(arg)
     if m:
         return Operand.const(m.group(1).lower())
@@ -365,7 +394,21 @@ def parse_step(span: str, fmt: RationaleFormat) -> ReasoningStep:
     return _parse_program_step(span)
 
 
-_SPAN_RE = re.compile(r"<<(.*?)>>", re.DOTALL)
+def _spans(text: str):
+    """(start, body) of each << >> span, left to right.
+
+    A span ends at the first >> after its <<, as the lazy pattern
+    ``<<(.*?)>>`` would match it; ``str.find`` stops at the first << with no
+    >> after it, where that pattern would rescan the rest of the text once
+    per later <<.
+    """
+    start = text.find("<<")
+    while start >= 0:
+        end = text.find(">>", start + 2)
+        if end < 0:
+            return
+        yield start, text[start + 2 : end]
+        start = text.find("<<", end + 2)
 
 
 def parse_rationale(text: str, fmt: RationaleFormat) -> Rationale:
@@ -375,14 +418,15 @@ def parse_rationale(text: str, fmt: RationaleFormat) -> Rationale:
     Malformed spans degrade to diagnostics; a missing #### marker raises
     :class:`MissingFinalAnswer` carrying the partial rationale.
     """
-    fmt = RationaleFormat(fmt)
+    gsm8k = RationaleFormat(fmt) is RationaleFormat.GSM8K
+    parse = _parse_infix_step if gsm8k else _parse_program_step
     steps: list[ReasoningStep] = []
     diagnostics: list[str] = []
-    for i, m in enumerate(_SPAN_RE.finditer(text)):
+    for i, (start, span) in enumerate(_spans(text)):
         try:
-            steps.append(parse_step(m.group(1), fmt))
+            steps.append(parse(span))
         except MalformedStep as exc:
-            diagnostics.append(f"step {i} at char {m.start()}: {exc}")
+            diagnostics.append(f"step {i} at char {start}: {exc}")
     marker = text.find(FINAL_MARKER)
     if marker < 0:
         partial = Rationale(tuple(steps), None, None, tuple(diagnostics))
@@ -450,7 +494,7 @@ def _apply_operator(op: str, args: list[float], index: int) -> float | PoisonedV
             return result
         if op == "power":
             _need(op, args, 2)
-            return float(args[0] ** args[1])
+            return math.pow(args[0], args[1])  # a domain error, not a complex number
         if op == "sqrt":
             _need(op, args, 1)
             return math.sqrt(args[0])

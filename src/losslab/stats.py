@@ -360,7 +360,9 @@ def token_density(
     # mirrored[p] sits at offset p - g; output a takes kernel(a + g - p)
     mirrored = np.concatenate([offset_counts[::-1], offset_counts, offset_counts[::-1]])
     z = np.arange(-(2 * g - 1), 2 * g, dtype=np.float64) / h
-    total = np.convolve(np.exp(-0.5 * z * z), mirrored, mode="valid")
+    with np.errstate(over="ignore"):  # a tiny bandwidth squares to inf: a kernel of exactly 0
+        kernel = np.exp(-0.5 * z * z)
+    total = np.convolve(kernel, mirrored, mode="valid")
     density = total / (n * h * math.sqrt(2.0 * math.pi))
     if g > 1:
         mass = float(0.5 * np.sum(density[1:] + density[:-1]))

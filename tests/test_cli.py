@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,14 +15,17 @@ from losslab.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_ARRAY_VALUES,
     TRAIN_CONFIG_KEYS,
     TRAIN_INT_CEILINGS,
+    ConfigError,
     DuplicateId,
     IdMismatch,
     MalformedLine,
     MissingField,
     build_manifest,
     ingest_jsonl,
+    load_train_config,
     main,
     run_eval,
     run_stats,
@@ -54,6 +59,25 @@ class TestIngest:
         path.write_text('{"id": 1\n')
         with pytest.raises(MalformedLine):
             ingest_jsonl(path, required=("id",))
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("[" * 100_000, "RecursionError"),
+            ('{"id": ' + "1" * 5000 + "}", "ValueError: Exceeds the limit"),
+        ],
+    )
+    def test_json_the_decoder_cannot_hold_is_malformed(self, tmp_path, line, named):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": 1}\n' + line + "\n")
+        with pytest.raises(MalformedLine, match=f"data.jsonl:2: invalid JSON \\({named}"):
+            ingest_jsonl(path, required=("id",))
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b'{"id": 1, "prediction": "\xff"}\n')
+        assert run_main(["eval", "--pred", str(path), "--gold", MICRO3_GOLD]) == EXIT_DATA
+        assert f"cannot read {path}" in capsys.readouterr().err
 
     def test_non_object_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -107,7 +131,9 @@ class TestManifest:
 
 class TestRunEval:
     def test_micro_aggregates(self):
-        report, scored = run_eval(MICRO5_PRED, MICRO5_GOLD, "gsm8k", commutative=True)
+        report, parses = run_eval(
+            MICRO5_PRED, MICRO5_GOLD, "gsm8k", commutative=True, keep_parses=True
+        )
         agg = report["aggregate"]
         assert agg["em"] == pytest.approx(60.0)
         assert agg["iou"] == pytest.approx(11 / 30)
@@ -120,7 +146,32 @@ class TestRunEval:
         assert agg["wo"] == pytest.approx(0.2)
         assert agg["io"] == pytest.approx(0.2)
         assert agg["n_samples"] == 5
-        assert len(scored) == 5
+        assert [p["id"] for p in parses] == ["s1", "s2", "s3", "s4", "s5"]
+        assert set(parses[0]) == {"id", "gold", "prediction"}
+
+    @pytest.mark.parametrize("pred, gold", [(MICRO5_PRED, MICRO5_GOLD), (MICRO3_PRED, MICRO3_GOLD)])
+    def test_no_parse_outlives_the_call_without_a_dump(self, monkeypatch, pred, gold):
+        # Refcounting alone must free every parse: with the cyclic collector
+        # off, a parse kept anywhere (or caught in a cycle) stays alive.
+        refs = []
+        parse = cli._parse_completion
+
+        def watched(text, fmt):
+            rationale, extra = parse(text, fmt)
+            refs.append(weakref.ref(rationale))
+            refs.extend(weakref.ref(step) for step in rationale.steps)
+            return rationale, extra
+
+        monkeypatch.setattr(cli, "_parse_completion", watched)
+        gc.disable()
+        try:
+            report, parses = run_eval(pred, gold, "gsm8k")
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert parses is None
+        assert len(refs) > 2 * len(report["per_sample"])  # two rationales a record, and steps
+        assert alive == []
 
     def test_per_sample_rows_sorted_by_id(self):
         report, _ = run_eval(MICRO5_PRED, MICRO5_GOLD, "gsm8k")
@@ -276,6 +327,13 @@ class TestEvalCommand:
         gold.write_text('{"id": 1, "gold": "#### 1", "format": "sumerian"}\n')
         pred.write_text('{"id": 1, "prediction": "#### 1"}\n')
         assert run_main(["eval", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+
+    def test_empty_files_exit_2(self, tmp_path, capsys):
+        pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+        pred.write_text("\n")
+        gold.write_text("")
+        assert run_main(["eval", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+        assert "hold no records" in capsys.readouterr().err
 
     def test_unreadable_input_exits_2(self, tmp_path):
         missing = str(tmp_path / "nope.jsonl")
@@ -607,6 +665,38 @@ class TestTrainCommand:
         assert f"got {json.dumps(value)}" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "extra, keys",
+        [
+            ({"vocab_size": 16384, "val_samples": 10_000},
+             "val_samples * 2 * instruction_len * vocab_size"),
+            ({"vocab_size": 16384, "batch_size": 4096},
+             "batch_size * 2 * instruction_len * vocab_size"),
+            ({"template": "plain", "seq_len": 1024, "batch_size": 4096},
+             "batch_size * seq_len * vocab_size"),
+            ({"vocab_size": 16384, "embed_dim": 4096}, "vocab_size * embed_dim"),
+            ({"window": 1024, "embed_dim": 4096, "val_samples": 1},
+             "batch_size * 2 * instruction_len * window * embed_dim"),
+        ],
+    )
+    def test_array_above_the_ceiling_exits_2(self, tmp_path, capsys, extra, keys):
+        config = self.write_config(tmp_path, extra=extra)
+        out_dir = tmp_path / "run"
+        assert run_main(["train", "--config", config, "--out-dir", str(out_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{keys} is " in err
+        assert f"ceiling of {MAX_ARRAY_VALUES}" in err
+        assert not out_dir.exists()
+
+    def test_array_ceiling_is_inclusive(self, tmp_path):
+        # TRAIN_CONFIG samples hold 2 * instruction_len = 4 positions
+        at = MAX_ARRAY_VALUES // (4 * 16384)
+        config = self.write_config(tmp_path, extra={"vocab_size": 16384, "val_samples": at})
+        assert load_train_config(config)["val_samples"] == at
+        config = self.write_config(tmp_path, extra={"vocab_size": 16384, "val_samples": at + 1})
+        with pytest.raises(ConfigError, match="val_samples"):
+            load_train_config(config)
+
     def test_diverging_run_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, extra={"max_lr": 1e6, "steps": 50, "warmup_steps": 5})
         out_dir = tmp_path / "run"
@@ -691,6 +781,40 @@ class TestGradCheckCommand:
         code = run_main(["grad-check", "--loss", "dl", "--tolerance", "1e-12"])
         assert code == EXIT_INTERNAL
         assert "dl: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--step", "nan"], "--step"),
+            (["--step", "inf"], "--step"),
+            (["--step", "0"], "--step"),
+            (["--step", "-1"], "--step"),
+            (["--tolerance", "nan"], "--tolerance"),
+            (["--tolerance", "-1"], "--tolerance"),
+            (["--positions", "-3"], "--positions"),
+            (["--positions", "0"], "--positions"),
+            (["--vocab", "1"], "--vocab"),
+            (["--vocab", "0"], "--vocab"),
+            (["--seed", "-1"], "--seed"),
+            (["--positions", "100000", "--vocab", "100000"], "--positions * --vocab"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_any_array(self, monkeypatch, capsys, flags, named):
+        def no_batch(*args):
+            raise AssertionError("a batch was built before the flags were checked")
+
+        monkeypatch.setattr(cli, "_gradcheck_batch", no_batch)
+        assert run_main(["grad-check", *flags]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "PASS" not in captured.out
+
+    def test_logit_ceiling_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_GRADCHECK_LOGITS", 3 * 5)
+        ce = ["grad-check", "--loss", "ce"]
+        assert run_main([*ce, "--positions", "3", "--vocab", "5"]) == EXIT_OK
+        assert run_main([*ce, "--positions", "4", "--vocab", "4"]) == EXIT_DATA
+        assert "at most 15, got 4 * 4" in capsys.readouterr().err
 
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "grad.json"

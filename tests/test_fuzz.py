@@ -1,0 +1,215 @@
+"""Property tests: malformed input never makes ``eval``, ``tokens`` or ``parse``
+exit 3.
+
+Every command maps a bad file, line, field, flag or span to exit 1 (usage) or
+2 (data); exit 3 is kept for internal errors, so any example that reaches it
+is a bug in the program, not in its input.
+"""
+
+import json
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from losslab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from losslab.parsing import MAX_NESTING
+
+ALLOWED = (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+# capsys is read, and so emptied, after every example
+FUZZ = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+# The spans that once overflowed the recursive parser: a long chain (flattened
+# and evaluated recursively), deep parentheses and many unary minus signs.
+LONG_CHAIN = "+".join(["1"] * 1200)
+DEEP_PARENS = "(" * 1200 + "1+2" + ")" * 1200
+MANY_MINUS = "-" * 1200 + "1+2"
+RECURSION_SPANS = (LONG_CHAIN, DEEP_PARENS, MANY_MINUS, f"2*({LONG_CHAIN})")
+
+SPAN_ALPHABET = "0123456789.,+-*/()= \t#_nceostadiumlpyrv<> ٣"
+
+spans = st.one_of(
+    st.text(SPAN_ALPHABET, max_size=40),
+    st.text(max_size=20),
+    st.builds(
+        lambda digits, op, tail: digits + op + tail,
+        st.text("0123456789", min_size=300, max_size=400),  # overflows to inf
+        st.sampled_from(["+", "-", "*", "/", "=", "-("]),
+        st.text("0123456789.,()-", max_size=12),
+    ),
+    st.builds(
+        lambda name, args: f"{name}({','.join(args)})",
+        st.sampled_from(["add", "subtract", "divide", "power", "sqrt", "log", "bogus"]),
+        st.lists(
+            st.one_of(
+                st.sampled_from(["n0", "n1", "#0", "#1", "const_pi", "const_0_5", "nan", "inf",
+                                 "-1e999", "1e308", "", " ", "n" + "9" * 5000]),
+                st.text("0123456789.-e", max_size=8),
+            ),
+            max_size=3,
+        ),
+    ),
+)
+finals = st.one_of(
+    st.none(), st.text(max_size=12), st.sampled_from(["nan", "inf", "1e999", "9" * 500])
+)
+
+
+def completion(pieces: list[str], final: str | None) -> str:
+    text = " words ".join(f"<<{p}>>" for p in pieces)
+    return text if final is None else f"{text} #### {final}"
+
+
+completions = st.builds(completion, st.lists(spans, max_size=4), finals)
+
+
+def run(argv: list[str], capsys) -> int:
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in ALLOWED, err
+    return code
+
+
+def run_out(argv: list[str], capsys) -> str:
+    assert main(argv) == EXIT_OK
+    return capsys.readouterr().out
+
+
+class TestParseNeverExits3:
+    @settings(FUZZ, max_examples=150)
+    @given(
+        text=completions,
+        fmt=st.sampled_from(["gsm8k", "mathqa"]),
+        numbers=st.one_of(
+            st.none(),
+            st.sampled_from(["", "1,2", "-8,0.5", "0,-1", "1e308,1e308", "nan,inf", "a"]),
+        ),
+    )
+    @example(text=completion([LONG_CHAIN], "1200"), fmt="gsm8k", numbers=None)
+    @example(text=completion([DEEP_PARENS], "3"), fmt="gsm8k", numbers=None)
+    @example(text=completion([MANY_MINUS], "3"), fmt="gsm8k", numbers=None)
+    @example(text=completion(["power(n0,const_0_5)"], "1"), fmt="mathqa", numbers="-8")
+    @example(text=completion(["power(n0,n1)"], "1"), fmt="mathqa", numbers="0,-1")
+    def test_parse(self, capsys, text, fmt, numbers):
+        argv = ["parse", "--text", text, "--format", fmt]
+        if numbers is not None:
+            argv += ["--numbers", numbers]
+        run(argv, capsys)
+
+    def test_recursion_spans_parse_or_name_the_step(self, capsys):
+        for span in RECURSION_SPANS:
+            assert run(["parse", "--text", completion(["1+1", span], "1")], capsys) == EXIT_OK
+        payload = json.loads(run_out(["parse", "--text", completion([DEEP_PARENS], "3")], capsys))
+        assert payload["diagnostics"] == [
+            f"step 0 at char 0: nesting deeper than {MAX_NESTING} levels (offset {MAX_NESTING})"
+        ]
+        chain = json.loads(run_out(["parse", "--text", completion([LONG_CHAIN], "1200")], capsys))
+        assert len(chain["steps"][0]["operands"]) == 1200
+
+
+# A JSONL line: a well-formed record, a record with odd field values, or a
+# line that is not a record at all.
+ids = st.one_of(
+    st.integers(-3, 3), st.text(max_size=4), st.none(), st.booleans(),
+    st.floats(allow_nan=True), st.lists(st.integers(), max_size=2),
+)
+field_values = st.one_of(completions, st.integers(), st.none(), st.lists(st.integers(), max_size=2))
+bad_lines = st.one_of(
+    st.text(max_size=30),
+    st.sampled_from([
+        "[" * 100_000,  # nested past the JSON decoder's recursion limit
+        '{"id": ' + "1" * 5000 + "}",  # past the int-string conversion limit
+        "[1, 2]", "null", '"text"', "{", "{}", " ", "NaN", '{"id": NaN}',
+    ]),
+)
+
+
+def record_lines(field: str) -> st.SearchStrategy[list[str]]:
+    record = st.fixed_dictionaries(
+        {"id": ids, field: field_values},
+        optional={"format": st.sampled_from(["gsm8k", "mathqa", "qa_letter", "latex", 3])},
+    )
+    line = st.one_of(record.map(lambda r: json.dumps(r)), bad_lines)
+    return st.lists(line, max_size=5)
+
+
+def aligned(draw_texts: list[tuple[str, str]]) -> tuple[str, str]:
+    gold = "".join(json.dumps({"id": i, "gold": g}) + "\n" for i, (g, _) in enumerate(draw_texts))
+    pred = "".join(
+        json.dumps({"id": i, "prediction": p}) + "\n" for i, (_, p) in enumerate(draw_texts)
+    )
+    return gold, pred
+
+
+class TestEvalNeverExits3:
+    @settings(FUZZ, max_examples=100)
+    @given(
+        files=st.one_of(
+            st.tuples(
+                record_lines("gold").map("\n".join),
+                record_lines("prediction").map("\n".join),
+            ),
+            st.lists(st.tuples(completions, completions), min_size=1, max_size=4).map(aligned),
+        ),
+        fmt=st.sampled_from(["gsm8k", "mathqa", "qa_letter"]),
+        commutative=st.booleans(),
+    )
+    @example(files=aligned([(completion([LONG_CHAIN], "1"), completion([DEEP_PARENS], "1"))]),
+             fmt="gsm8k", commutative=True)
+    @example(files=aligned([(completion([MANY_MINUS], "1"), completion(["9" * 400 + "+1"], "1"))]),
+             fmt="gsm8k", commutative=False)
+    @example(files=("{}", "[" * 100_000), fmt="gsm8k", commutative=True)
+    def test_eval(self, capsys, tmp_path_factory, files, fmt, commutative):
+        tmp_path = tmp_path_factory.mktemp("eval")
+        gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        gold.write_text(files[0], encoding="utf-8")
+        pred.write_text(files[1], encoding="utf-8")
+        argv = ["eval", "--gold", str(gold), "--pred", str(pred), "--format", fmt,
+                "--out", str(tmp_path / "report.json"),
+                "--dump-parse", str(tmp_path / "parses.json")]
+        if not commutative:
+            argv.append("--no-commutative")
+        run(argv, capsys)
+
+
+class TestTokensNeverExits3:
+    @settings(FUZZ, max_examples=80)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.fixed_dictionaries({
+                    "tokens": st.one_of(
+                        st.lists(st.integers(-5, 40), max_size=12),
+                        # ids too wide for the density grid, or for int64
+                        st.lists(st.sampled_from([0, 2**20, 2**63 - 1, -(2**63), 2**63]),
+                                 max_size=3),
+                        st.lists(st.one_of(st.floats(), st.text(max_size=2), st.booleans()),
+                                 max_size=3),
+                        st.integers(), st.none(),
+                    ),
+                }).map(json.dumps),
+                bad_lines,
+            ),
+            max_size=5,
+        ),
+        bandwidth=st.one_of(
+            st.just("scott"),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.text(max_size=6),
+        ),
+        exclude=st.one_of(st.none(), st.text("0123456789,-x ", max_size=8)),
+    )
+    @example(lines=['{"tokens": [5]}'], bandwidth="1e-300", exclude=None)
+    @example(lines=['{"tokens": [0, 40]}'], bandwidth="1e300", exclude=None)
+    @example(lines=['{"tokens": [1, 1, 1]}'], bandwidth="scott", exclude="9" * 5000)
+    def test_tokens(self, capsys, tmp_path_factory, lines, bandwidth, exclude):
+        tmp_path = tmp_path_factory.mktemp("tokens")
+        src = tmp_path / "tokens.jsonl"
+        src.write_text("\n".join(lines), encoding="utf-8")
+        argv = ["tokens", "--input", str(src), "--out", str(tmp_path / "density.csv"),
+                "--json-out", str(tmp_path / "density.json"), "--bandwidth", bandwidth]
+        if exclude is not None:
+            argv += ["--exclude-ids", exclude]
+        run(argv, capsys)

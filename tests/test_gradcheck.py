@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,27 @@ class TestFiniteDifference:
         fn, _ = build_loss_fn("ce")
         with pytest.raises(ValueError):
             finite_difference_check(fn, random_batch(0), step=0.0)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_rejects_nonfinite_step(self, step):
+        fn, _ = build_loss_fn("ce")
+        with pytest.raises(ValueError, match="positive finite"):
+            finite_difference_check(fn, random_batch(0), step=step)
+
+    def test_nan_relative_error_fails(self):
+        fn, _ = build_loss_fn("ce")
+
+        def nan_valued(batch):
+            return replace(fn(batch), value=math.nan)
+
+        report = finite_difference_check(nan_valued, random_batch(0))
+        assert math.isnan(report.max_rel_error)
+        assert report.worst_coordinate == (0, 0)
+        assert not report.passed
+        assert report.summary().startswith("FAIL")
+
+    def test_infinite_error_fails_under_an_infinite_tolerance(self):
+        assert not GradCheckReport(math.inf, (0, 0), tolerance=math.inf).passed
 
     def test_unknown_loss_name(self):
         with pytest.raises(ValueError):

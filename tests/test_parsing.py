@@ -1,9 +1,14 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losslab.parsing import (
+    MAX_NESTING,
     MalformedStep,
     MissingFinalAnswer,
     Operand,
@@ -24,6 +29,7 @@ from losslab.parsing import (
     render_step,
     resolve_constant,
 )
+from losslab.parsing import _spans
 
 GSM8K = RationaleFormat.GSM8K
 MATHQA = RationaleFormat.MATHQA
@@ -58,6 +64,20 @@ class TestInfixSteps:
     def test_parenthesized_same_op_group_flattens(self):
         step = parse_step("(1+2)+3", GSM8K)
         assert [o.value for o in step.operands] == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "span, operands",
+        [
+            ("1+(2+3)", [1.0, 2.0, 3.0]),  # + and * flatten on both sides
+            ("2*((3*4))", [2.0, 12.0]),  # only one pair of parentheses is looked through
+            ("(10-4)-1", [10.0, 4.0, 1.0]),  # - and / flatten their left spine only
+            ("10-(4-1)", [10.0, 3.0]),
+            ("8/(4/2)", [8.0, 2.0]),
+            ("(8/4)/2", [8.0, 4.0, 2.0]),
+        ],
+    )
+    def test_groups_continue_a_chain_only_where_it_associates(self, span, operands):
+        assert [o.value for o in parse_step(span, GSM8K).operands] == operands
 
     def test_unary_minus(self):
         step = parse_step("-5+3", GSM8K)
@@ -95,6 +115,77 @@ class TestInfixSteps:
     def test_nested_division_by_zero(self):
         with pytest.raises(MalformedStep):
             parse_step("5*(1/0)", GSM8K)
+
+
+class TestBoundedRecursion:
+    """Chains of any length parse in loops; only nesting recurses, and
+    nesting deeper than MAX_NESTING is a MalformedStep naming its offset."""
+
+    def test_long_chains_flatten(self):
+        step = parse_step("+".join(["1"] * 5000), GSM8K)
+        assert (step.operator, len(step.operands)) == ("+", 5000)
+        step = parse_step("-".join(["9"] * 5000), GSM8K)
+        assert (step.operator, len(step.operands)) == ("-", 5000)
+
+    def test_long_chain_inside_a_group_evaluates(self):
+        step = parse_step("2*(" + "+".join(["1"] * 5000) + ")", GSM8K)
+        assert [o.value for o in step.operands] == [2.0, 5000.0]
+        step = parse_step("1+(" + "-".join(["2"] * 5000) + ")*3", GSM8K)
+        assert [o.value for o in step.operands] == [1.0, (2.0 - 2.0 * 4999) * 3]
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
+    def test_nesting_up_to_the_limit_parses(self, opener, closer):
+        depth = MAX_NESTING - 1  # the group's own level plus the one below
+        step = parse_step("1+" + opener * depth + "(2*3)" + closer * depth, GSM8K)
+        assert step.operator == "+"
+        assert [o.value for o in step.operands] == [1.0, 6.0 * (-1) ** (depth * (opener == "-"))]
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
+    def test_nesting_past_the_limit_is_malformed(self, opener, closer):
+        with pytest.raises(MalformedStep, match=f"nesting deeper than {MAX_NESTING}") as info:
+            parse_step("1+" + opener * 1200 + "2" + closer * 1200, GSM8K)
+        assert info.value.offset == 2 + MAX_NESTING
+
+    def test_deep_span_degrades_to_a_diagnostic(self):
+        text = "<<1+1=2>> <<" + "(" * 1200 + "1+2" + ")" * 1200 + ">> #### 2"
+        rationale = parse_rationale(text, GSM8K)
+        assert len(rationale.steps) == 1
+        assert rationale.diagnostics == (
+            f"step 1 at char 10: nesting deeper than {MAX_NESTING} levels (offset {MAX_NESTING})",
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("<>a\n", max_size=16))
+def test_spans_match_the_lazy_pattern(text):
+    pattern = re.compile(r"<<(.*?)>>", re.DOTALL)
+    assert list(_spans(text)) == [(m.start(), m.group(1)) for m in pattern.finditer(text)]
+
+
+def test_unclosed_spans_are_scanned_once():
+    # the lazy pattern rescanned the rest of the text at every later <<:
+    # 16.9 s for this 40 kB text on a 2-vCPU VM, O(n^2) in its length
+    start = time.perf_counter()
+    rationale = parse_rationale("<<" * 20_000 + " #### 1", GSM8K)
+    assert time.perf_counter() - start < 1.0
+    assert (rationale.steps, rationale.diagnostics) == ((), ())
+
+
+class TestUnrepresentableNumbers:
+    def test_overflowing_literal_renders_and_canonicalizes(self):
+        step = parse_step("9" * 400 + "-" + "9" * 400, GSM8K)
+        assert canonicalize_step(step) == "inf-inf"
+        assert format_number(math.nan) == "nan"
+        assert format_number(-math.inf) == "-inf"
+
+    def test_overlong_reference_is_malformed(self):
+        with pytest.raises(MalformedStep, match="reference index"):
+            parse_step("add(n" + "9" * 5000 + ",1)", MATHQA)
+
+    @pytest.mark.parametrize("base, exponent", [(-8.0, 0.5), (0.0, -1.0)])
+    def test_power_domain_error_poisons(self, base, exponent):
+        steps = [ReasoningStep("power", (Operand.literal(base), Operand.literal(exponent)))]
+        assert isinstance(evaluate_program(steps, [])[0], PoisonedValue)
 
 
 class TestProgramSteps:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,12 @@ class TestTokenDensity:
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 token_density([1, 2, 3], bandwidth=bad)
+
+    def test_tiny_bandwidth_is_a_histogram_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # (d / h)^2 overflows to inf: a kernel of 0
+            profile = token_density([0, 1, 1, 5], bandwidth=1e-300)
+        assert profile.density.tolist() == [1 / 3, 2 / 3, 0.0, 0.0, 0.0, 1 / 3]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyStream):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,14 +191,13 @@ class TestSnapshot:
         p1, p2 = str(tmp_path / "a.sltm"), str(tmp_path / "b.sltm")
         save_model(model, p1)
         save_model(model, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_truncated_rejected(self, tmp_path):
         model = TinyModel.zeros(6, 3, 2)
         path = str(tmp_path / "model.sltm")
         save_model(model, path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-8])
+        Path(path).write_bytes(Path(path).read_bytes()[:-8])
         with pytest.raises(SnapshotFormatError):
             load_model(path)
 
@@ -214,15 +214,15 @@ class TestSnapshot:
         path = str(tmp_path / "model.sltm")
         model = TinyModel.zeros(6, 3, 2)
         save_model(model, path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[:4] = b"XXXX"
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError):
             load_model(path)
 
     def test_header_only_rejected(self, tmp_path):
         path = str(tmp_path / "model.sltm")
-        open(path, "wb").write(b"SL")
+        Path(path).write_bytes(b"SL")
         with pytest.raises(SnapshotFormatError):
             load_model(path)
 
@@ -407,7 +407,7 @@ class TestTrainLoop:
         trace = train(quick_config(steps=5, warmup_steps=2), quick_corpus(n=8))
         path = str(tmp_path / "trace.jsonl")
         trace.to_jsonl(path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 6
         header = json.loads(lines[0])
         assert header["type"] == "header"
@@ -423,7 +423,7 @@ class TestTrainLoop:
         p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         train(config, corpus).to_jsonl(p1)
         train(config, corpus).to_jsonl(p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestBatchAssembly:
