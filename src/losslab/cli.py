@@ -131,8 +131,8 @@ def _json_error(exc: Exception) -> str:
 def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
     """Load JSON-lines records, validating required fields and unique ids.
 
-    Accepts LF or CRLF line endings; blank lines are skipped. Unknown fields
-    are preserved.
+    Lines end at LF or CRLF only, so a U+2028 inside a string stays in its
+    record; blank lines are skipped. Unknown fields are preserved.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -140,7 +140,8 @@ def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     records: list[dict] = []
     seen_ids: set = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # a CRLF line keeps its \r, which JSON reads as whitespace
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

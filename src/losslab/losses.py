@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -182,15 +183,22 @@ class LossResult:
 LossFn = Callable[[LogitBatch], LossResult]
 
 
+@lru_cache(maxsize=16)
+def _role_table(roles: tuple[Role, ...]) -> np.ndarray:
+    """Read-only lookup table, indexed by role, of the roles named in ``roles``."""
+    chosen = np.zeros(len(Role), dtype=bool)
+    chosen[[int(r) for r in roles]] = True
+    chosen.flags.writeable = False
+    return chosen
+
+
 def _selected(batch: LogitBatch, roles: Iterable[Role]) -> np.ndarray:
     roles = tuple(roles)
     if Role.PAD in roles:
         raise LossInputError("PAD positions are never selectable")
     if not roles:
         raise LossInputError("role filter must name at least one role")
-    chosen = np.zeros(len(Role), dtype=bool)
-    chosen[[int(r) for r in roles]] = True
-    idx = np.flatnonzero(chosen[batch.role_mask])
+    idx = _role_table(roles)[batch.role_mask].nonzero()[0]
     if idx.size == 0:
         raise NoSelectedPositions(f"no positions with roles {tuple(r.name for r in roles)}")
     return idx
@@ -202,11 +210,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
-
-
-def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    inner = np.sum(dprobs * probs, axis=1, keepdims=True)
-    return probs * (dprobs - inner)
 
 
 def _scatter(batch: LogitBatch, idx: np.ndarray, grad_sel: np.ndarray) -> np.ndarray:
@@ -250,7 +253,9 @@ def focal_loss(
     """Focal loss -(1 - p_t)^gamma log p_t over the selected positions.
 
     gamma = 0 falls through to :func:`ce_loss` so the reduction is exact to
-    floating rounding, not merely close.
+    floating rounding, not merely close. Only the target column carries
+    d(value)/dp, so the softmax backward p * (dp - sum(dp * p)) sums that one
+    term, and the softmax buffer becomes the gradient in place.
     """
     if gamma < 0:
         raise LossInputError(f"gamma must be >= 0, got {gamma}")
@@ -273,10 +278,11 @@ def focal_loss(
     hit = miss > 0.0
     dv_dp[hit] = gamma * miss[hit] ** (gamma - 1.0) * log_pt[hit] - (miss[hit] ** gamma) / p_c[hit]
 
-    dprobs = np.zeros_like(probs)
-    dprobs[rows, targets] = dv_dp * scale
-    grad_sel = _softmax_backward(probs, dprobs)
-    return LossResult(float(values.sum() * scale), _scatter(batch, idx, grad_sel))
+    dv_dp *= scale
+    inner = dv_dp * p_t
+    probs *= (0.0 - inner)[:, None]
+    probs[rows, targets] = p_t * (dv_dp - inner)
+    return LossResult(float(values.sum() * scale), _scatter(batch, idx, probs))
 
 
 RegionTerm = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
@@ -290,51 +296,55 @@ def _region_loss(
     ``term(p, y)`` receives the positions x classes softmax columns ``p`` and
     their one-hot targets ``y`` and returns the loss value and d(value)/dp.
     The columns are the classes present in the selected targets, or the whole
-    vocabulary when ``every_class`` is set.
+    vocabulary when ``every_class`` is set. Only these columns carry
+    d(value)/dp, so the softmax backward p * (dp - inner) sums ``inner`` over
+    them alone and scales the softmax buffer's other columns by -inner in
+    place.
     """
     idx = _selected(batch, roles)
     probs = softmax(batch.logits[idx])
     targets = batch.targets[idx]
-    classes = np.arange(batch.vocab_size) if every_class else np.unique(targets)
-    y = (targets[:, None] == classes[None, :]).astype(np.float64)
-    value, dp = term(probs[:, classes], y)
-    dprobs = np.zeros_like(probs)
-    dprobs[:, classes] = dp
-    grad_sel = _softmax_backward(probs, dprobs)
-    return LossResult(float(value), _scatter(batch, idx, grad_sel))
+    # the classes present in the targets; every_class keeps the absent ones too
+    classes = (np.bincount(targets, minlength=batch.vocab_size) | every_class).nonzero()[0]
+    p = probs[:, classes]
+    value, dp = term(p, (targets[:, None] == classes).astype(np.float64))
+    inner = (dp * p).sum(axis=1, keepdims=True)
+    probs *= 0.0 - inner
+    probs[:, classes] = p * (dp - inner)
+    return LossResult(float(value), _scatter(batch, idx, probs))
 
 
 def _dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    num = 2.0 * np.sum(p * y, axis=0)
-    den = np.sum(p * p, axis=0) + np.sum(y, axis=0)
+    num = 2.0 * (p * y).sum(axis=0)
+    den = (p * p).sum(axis=0) + y.sum(axis=0)
     terms = 1.0 - num / den
     dp = -(2.0 * y * den - 2.0 * p * num) / den**2
-    return terms.mean(), dp / terms.size
+    return terms.sum() / terms.size, dp / terms.size
 
 
 def _self_adjusting_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     w = (1.0 - p) * p
-    num = 2.0 * np.sum(w * y, axis=0)
-    den = np.sum(w + y, axis=0)
+    num = 2.0 * (w * y).sum(axis=0)
+    den = (w + y).sum(axis=0)
     terms = 1.0 - num / den
     dnum = 2.0 * (1.0 - 2.0 * p) * y
     dden = 1.0 - 2.0 * p
     dp = -(dnum * den - num * dden) / den**2
-    return terms.mean(), dp / terms.size
+    return terms.sum() / terms.size, dp / terms.size
 
 
 def _generalized_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    volume = np.sum(y, axis=0)
+    volume = y.sum(axis=0)
     weights = 1.0 / np.where(volume > 0, volume, EMPTY_CLASS_EPSILON) ** 2
-    num = 2.0 * float(np.sum(weights * np.sum(p * y, axis=0)))
-    den = float(np.sum(weights * np.sum(p + y, axis=0)))
+    num = 2.0 * float((weights * (p * y).sum(axis=0)).sum())
+    den = float((weights * (p + y).sum(axis=0)).sum())
     dp = -(2.0 * weights * y * den - num * weights) / den**2
     return 1.0 - num / den, dp
 
 
 def _lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     terms, derr = _lovasz_extension(np.where(y > 0, 1.0 - p, p), y)
-    return terms.mean(), derr * (1.0 - 2.0 * y) / terms.size
+    return terms.sum() / terms.size, derr * (1.0 - 2.0 * y) / terms.size
 
 
 def dice_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
@@ -385,9 +395,14 @@ def lovasz_grad_weights(sorted_gt: np.ndarray) -> np.ndarray:
         raise EmptyInput("sorted ground truth must be a nonempty 1-d or 2-d array")
     if not np.isin(gt, (0.0, 1.0)).all():
         raise LossInputError("ground truth entries must be 0 or 1")
+    return _jaccard_weights(gt)
+
+
+def _jaccard_weights(gt: np.ndarray) -> np.ndarray:
+    """:func:`lovasz_grad_weights` of a float64 0/1 array, unchecked."""
     gts = gt.sum(axis=0)
-    intersection = gts - np.cumsum(gt, axis=0)
-    union = gts + np.cumsum(1.0 - gt, axis=0)
+    intersection = gts - gt.cumsum(axis=0)
+    union = gts + (1.0 - gt).cumsum(axis=0)
     jaccard = 1.0 - intersection / union
     weights = jaccard.copy()
     weights[1:] -= jaccard[:-1]
@@ -397,16 +412,17 @@ def lovasz_grad_weights(sorted_gt: np.ndarray) -> np.ndarray:
 def _lovasz_extension(errors: np.ndarray, fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lovász extension of the Jaccard loss for each column of ``errors``.
 
+    ``errors`` and the float64 0/1 foreground indicator ``fg`` are (n, k).
     Each column is sorted descending, ties broken by position, and dotted with
-    the Jaccard-extension weights of the permuted foreground indicator ``fg``.
-    Returns the per-column values and their gradient wrt ``errors`` with the
-    sort permutation held fixed.
+    the Jaccard-extension weights of the permuted ``fg``. Returns the k
+    column values and their gradient wrt ``errors`` with the sort
+    permutation held fixed.
     """
-    perm = np.argsort(-errors, axis=0, kind="stable")
-    weights = lovasz_grad_weights(np.take_along_axis(fg, perm, axis=0))
+    sort = (-errors).argsort(axis=0, kind="stable"), np.arange(errors.shape[1])
+    weights = _jaccard_weights(fg[sort])
     derr = np.empty_like(errors)
-    np.put_along_axis(derr, perm, weights, axis=0)
-    return np.sum(np.take_along_axis(errors, perm, axis=0) * weights, axis=0), derr
+    derr[sort] = weights
+    return (errors[sort] * weights).sum(axis=0), derr
 
 
 def lovasz_hinge(scores: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
@@ -425,8 +441,9 @@ def lovasz_hinge(scores: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarr
     if not np.isin(signs, (-1.0, 1.0)).all():
         raise LossInputError("signs must be -1 or +1")
     margins = 1.0 - scores * signs
-    value, derr = _lovasz_extension(np.maximum(margins, 0.0), (signs > 0).astype(np.float64))
-    return float(value), np.where(margins > 0.0, -signs * derr, 0.0)
+    errors = np.maximum(margins, 0.0)[:, None]
+    value, derr = _lovasz_extension(errors, (signs > 0).astype(np.float64)[:, None])
+    return float(value[0]), np.where(margins > 0.0, -signs * derr[:, 0], 0.0)
 
 
 def lovasz_loss(
@@ -535,19 +552,19 @@ def lovasz_tie_rows(
         errors = np.maximum(margins, 0.0)[:, None]
         flagged = np.abs(margins) <= window
     else:
-        classes = np.unique(targets)
+        classes = np.bincount(targets, minlength=batch.vocab_size).nonzero()[0]
         p = softmax(logits)[:, classes]
         errors = np.where(targets[:, None] == classes[None, :], 1.0 - p, p)
         flagged = np.zeros(idx.size, dtype=bool)
     # In sorted order the nearest other error of a column is a sorted
     # neighbour, and rounded subtraction is monotone, so checking neighbour
     # gaps finds every gap <= window that comparing all pairs would.
-    order = np.argsort(errors, axis=0)
-    close_gap = np.diff(np.take_along_axis(errors, order, axis=0), axis=0) <= window
+    order = errors.argsort(axis=0), np.arange(errors.shape[1])
+    close_gap = np.diff(errors[order], axis=0) <= window
     close_sorted = np.zeros(errors.shape, dtype=bool)
     close_sorted[1:] |= close_gap
     close_sorted[:-1] |= close_gap
     close = np.empty_like(close_sorted)
-    np.put_along_axis(close, order, close_sorted, axis=0)
+    close[order] = close_sorted
     flagged |= close.any(axis=1)
     return set(idx[flagged].tolist())

@@ -60,6 +60,28 @@ class TestIngest:
         with pytest.raises(MalformedLine):
             ingest_jsonl(path, required=("id",))
 
+    def test_unicode_line_separators_inside_strings_exit_0(self, tmp_path, capsys):
+        # a raw U+2028, U+2029 or U+0085 is legal inside a JSON string
+        gold = tmp_path / "gold.jsonl"
+        rows = [
+            {"id": i, "gold": f"a{sep}b = 3 <<1+2=3>>\n#### 3", "prediction": "#### 3"}
+            for i, sep in enumerate(["\u2028", "\u2029", "\u0085"])
+        ]
+        text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows)
+        gold.write_text(text, encoding="utf-8")
+        assert "\u2028" in gold.read_text(encoding="utf-8")
+        assert ingest_jsonl(gold, required=("id", "gold")) == rows
+        assert run_main(["eval", "--pred", str(gold), "--gold", str(gold)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_malformed_line_number_counts_lf_and_crlf_lines(self, tmp_path, newline):
+        path = tmp_path / "data.jsonl"
+        lines = ['{"id": 1, "gold": "x"}', "", '{"id": 2, "gold": "z"}', '{"id": 3']
+        path.write_bytes(newline.join(line.encode() for line in lines) + newline)
+        with pytest.raises(MalformedLine, match="data.jsonl:4: invalid JSON"):
+            ingest_jsonl(path, required=("id", "gold"))
+
     @pytest.mark.parametrize(
         "line, named",
         [

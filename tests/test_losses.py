@@ -30,7 +30,11 @@ from losslab.losses import (
     lovasz_loss,
     self_adjusting_dice_loss,
     softmax,
+    _dice_term,
+    _generalized_dice_term,
+    _role_table,
     _selected,
+    _self_adjusting_dice_term,
 )
 
 LN2 = 0.6931471805599453
@@ -224,6 +228,24 @@ class TestCrossEntropy:
         batch = LogitBatch(np.zeros((1, 2)), np.array([0]), np.array([0]))
         with pytest.raises(NoSelectedPositions):
             ce_loss(batch, ANSWER_ONLY)
+
+    @pytest.mark.parametrize(
+        "roles, message",
+        [
+            ((Role.PAD,), "never selectable"),
+            ((Role.ANSWER, Role.PAD), "never selectable"),
+            ((), "at least one role"),
+        ],
+    )
+    def test_bad_role_filter_raises_on_every_call(self, roles, message):
+        batch = random_batch(0)
+        for _ in range(2):
+            with pytest.raises(LossInputError, match=message):
+                ce_loss(batch, roles)
+
+    def test_role_table_is_shared_read_only(self):
+        assert _role_table(FULL_CONTEXT) is _role_table(FULL_CONTEXT)
+        assert not _role_table(FULL_CONTEXT).flags.writeable
 
     def test_nonnegative(self):
         for seed in range(10):
@@ -627,6 +649,12 @@ def softmax_oracle(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def scatter_oracle(batch, idx, grad_sel):
+    grad = np.zeros_like(batch.logits)
+    grad[idx] = grad_sel
+    return grad
+
+
 def ce_oracle(batch, roles, reduction):
     idx = selected_oracle(batch, roles)
     probs = softmax_oracle(batch.logits[idx])
@@ -637,9 +665,7 @@ def ce_oracle(batch, roles, reduction):
     grad_sel = probs.copy()
     grad_sel[rows, targets] -= 1.0
     grad_sel *= scale
-    grad = np.zeros_like(batch.logits)
-    grad[idx] = grad_sel
-    return float(values.sum() * scale), grad
+    return float(values.sum() * scale), scatter_oracle(batch, idx, grad_sel)
 
 
 AUXILIARY_ORACLE = {
@@ -698,8 +724,105 @@ def test_in_place_losses_match_out_of_place_oracles(batch, scale, kind, mix, red
     assert_same_bits(result.gradient, gradient)
 
 
+# Dense oracles of the focal and region kernels: a zero d(value)/dp buffer over
+# the whole vocabulary, the classes from np.unique, a full-row softmax
+# backward, and the Lovász sort applied with the along-axis calls.
+
+
+def softmax_backward_oracle(probs, dprobs):
+    inner = np.sum(dprobs * probs, axis=1, keepdims=True)
+    return probs * (dprobs - inner)
+
+
+def focal_oracle(batch, gamma, roles, reduction):
+    idx = selected_oracle(batch, roles)
+    probs = softmax_oracle(batch.logits[idx])
+    rows = np.arange(idx.size)
+    targets = batch.targets[idx]
+    p_t = probs[rows, targets]
+    p_c = np.clip(p_t, PROB_FLOOR, 1.0)
+    log_pt = np.log(p_c)
+    miss = 1.0 - p_t
+    values = -(miss**gamma) * log_pt
+    scale = 1.0 / idx.size if reduction is Reduction.MEAN else 1.0
+    dv_dp = np.zeros_like(p_t)
+    hit = miss > 0.0
+    dv_dp[hit] = gamma * miss[hit] ** (gamma - 1.0) * log_pt[hit] - (miss[hit] ** gamma) / p_c[hit]
+    dprobs = np.zeros_like(probs)
+    dprobs[rows, targets] = dv_dp * scale
+    grad = scatter_oracle(batch, idx, softmax_backward_oracle(probs, dprobs))
+    return float(values.sum() * scale), grad
+
+
+def lovasz_term_oracle(p, y):
+    errors = np.where(y > 0, 1.0 - p, p)
+    perm = np.argsort(-errors, axis=0, kind="stable")
+    weights = lovasz_grad_weights(np.take_along_axis(y, perm, axis=0))
+    derr = np.empty_like(errors)
+    np.put_along_axis(derr, perm, weights, axis=0)
+    terms = np.sum(np.take_along_axis(errors, perm, axis=0) * weights, axis=0)
+    return terms.mean(), derr * (1.0 - 2.0 * y) / terms.size
+
+
+def region_oracle(batch, roles, term, every_class=False):
+    """The value, the gradient, and the largest row sum of |d(value)/dp * p|."""
+    idx = selected_oracle(batch, roles)
+    probs = softmax_oracle(batch.logits[idx])
+    targets = batch.targets[idx]
+    classes = np.arange(batch.vocab_size) if every_class else np.unique(targets)
+    y = (targets[:, None] == classes[None, :]).astype(np.float64)
+    value, dp = term(probs[:, classes], y)
+    dprobs = np.zeros_like(probs)
+    dprobs[:, classes] = dp
+    grad = scatter_oracle(batch, idx, softmax_backward_oracle(probs, dprobs))
+    return float(value), grad, float(np.abs(dprobs * probs).sum(axis=1).max())
+
+
+def region_cases(batch, roles):
+    """(loss result, dense oracle) for each region loss and Dice policy."""
+    yield dice_loss(batch, roles), region_oracle(batch, roles, _dice_term)
+    yield (
+        self_adjusting_dice_loss(batch, roles),
+        region_oracle(batch, roles, _self_adjusting_dice_term),
+    )
+    yield lovasz_loss(batch, roles), region_oracle(batch, roles, lovasz_term_oracle)
+    for policy in EmptyClassPolicy:
+        yield (
+            generalized_dice_loss(batch, roles, policy),
+            region_oracle(
+                batch, roles, _generalized_dice_term, policy is EmptyClassPolicy.EPSILON
+            ),
+        )
+
+
+# The kernels sum the softmax backward's inner product over the gradient-
+# carrying columns only. Focal has one such column per row, so its gradient
+# keeps every bit; the region kernels sum several in another order, so
+# their gradients may move by rounding, bounded against the magnitude of the
+# summed terms (a saturated softmax can leave a gradient that is all
+# rounding, where a bound against the gradient itself would mean nothing).
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=tied_batches(),
+    scale=st.sampled_from([1.0, 1e3]),
+    roles=st.sampled_from([FULL_CONTEXT, ANSWER_ONLY]),
+    gamma=st.sampled_from([0.5, 2.0]),
+    reduction=st.sampled_from(list(Reduction)),
+)
+def test_sparse_backward_matches_dense_oracles(batch, scale, roles, gamma, reduction):
+    batch = LogitBatch(batch.logits * scale, batch.targets, batch.role_mask)
+    result = focal_loss(batch, gamma, roles, reduction)
+    value, gradient = focal_oracle(batch, gamma, roles, reduction)
+    assert_same_bits(result.value, value)
+    assert_same_bits(result.gradient, gradient)
+    for result, (value, gradient, terms) in region_cases(batch, roles):
+        assert_same_bits(result.value, value)
+        bound = 1e-15 * max(np.abs(gradient).max(), terms)
+        assert np.abs(result.gradient - gradient).max() <= bound
+
+
 @pytest.mark.parametrize("kind", list(AuxiliaryKind))
-def test_combined_loss_peak_allocation_is_at_most_four_logit_arrays(kind):
+def test_combined_loss_peak_allocation_is_at_most_three_logit_arrays(kind):
     rng = np.random.default_rng(0)
     n, vocab = 128, 1024
     roles = np.repeat([int(Role.INSTRUCTION), int(Role.ANSWER)], n // 2)
@@ -712,4 +835,4 @@ def test_combined_loss_peak_allocation_is_at_most_four_logit_arrays(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * batch.logits.nbytes
+    assert peak <= 3 * batch.logits.nbytes
