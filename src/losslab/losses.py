@@ -17,11 +17,12 @@ Conventions shared by every loss here:
   by default (SUM selectable); region losses are global scalars by construction
   and take no reduction;
 * every public loss returns a ``LossResult`` whose gradient has the same shape
-  as the input logits.
+  as the input logits and is built the first time it is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -168,16 +169,51 @@ class LossConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mix <= 1.0:
             raise LossInputError(f"mix must lie in [0, 1], got {self.mix}")
-        if self.gamma < 0:
-            raise LossInputError(f"gamma must be >= 0, got {self.gamma}")
+        _check_gamma(self.gamma)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < math.inf:
+        raise LossInputError(f"gamma must be a finite number >= 0, got {gamma}")
 
 
 @dataclass
 class LossResult:
-    """Scalar loss value and its gradient with respect to the logits."""
+    """Scalar loss value and its gradient with respect to the logits.
+
+    The loss computes ``value`` when it is called; ``backward`` builds the
+    gradient the first time ``gradient`` is read, so a caller that reads only
+    the value never pays for the backward. A backward may turn the forward's
+    buffers into the gradient in place, so it runs at most once: every later
+    read, also of a copy made with ``dataclasses.replace``, returns the same
+    array, and the forward's other buffers are released. A backward depends
+    on no array of the batch, so the caller may change the batch before
+    reading the gradient.
+    """
 
     value: float
-    gradient: np.ndarray
+    backward: Callable[[], np.ndarray] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        self.backward = _once(self.backward)
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return self.backward()
+
+
+def _once(build: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
+    """``build`` as a function that calls it on first use only, then drops it
+    and returns that first result."""
+    built = None
+
+    def once() -> np.ndarray:
+        nonlocal build, built
+        if build is not None:
+            built, build = build(), None
+        return built
+
+    return once
 
 
 LossFn = Callable[[LogitBatch], LossResult]
@@ -212,15 +248,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _scatter(batch: LogitBatch, idx: np.ndarray, grad_sel: np.ndarray) -> np.ndarray:
-    """The full-batch gradient of ``grad_sel``, the gradient of rows ``idx``.
+def _scatter(shape: tuple[int, int], idx: np.ndarray, grad_sel: np.ndarray) -> np.ndarray:
+    """The gradient of a ``shape`` batch whose rows ``idx`` have gradient ``grad_sel``.
 
     ``idx`` is sorted and unique, so when it covers every row ``grad_sel``
     already is that gradient and is returned as it is.
     """
-    if idx.size == len(batch.logits):
+    if idx.size == shape[0]:
         return grad_sel
-    grad = np.zeros_like(batch.logits)
+    grad = np.zeros(shape)
     grad[idx] = grad_sel
     return grad
 
@@ -231,6 +267,7 @@ def ce_loss(
     reduction: Reduction = Reduction.MEAN,
 ) -> LossResult:
     """Cross-entropy -log p_target over the selected positions."""
+    shape = batch.logits.shape
     idx = _selected(batch, roles)
     probs = softmax(batch.logits[idx])
     rows = np.arange(idx.size)
@@ -238,10 +275,14 @@ def ce_loss(
     p_t = probs[rows, targets]
     values = -np.log(np.clip(p_t, PROB_FLOOR, 1.0))
     scale = 1.0 / idx.size if reduction is Reduction.MEAN else 1.0
-    grad_sel = probs  # p_t above is a copy, so the softmax becomes the gradient
-    grad_sel[rows, targets] -= 1.0
-    grad_sel *= scale
-    return LossResult(float(values.sum() * scale), _scatter(batch, idx, grad_sel))
+
+    def backward() -> np.ndarray:
+        grad_sel = probs  # p_t above is a copy, so the softmax becomes the gradient
+        grad_sel[rows, targets] -= 1.0
+        grad_sel *= scale
+        return _scatter(shape, idx, grad_sel)
+
+    return LossResult(float(values.sum() * scale), backward)
 
 
 def focal_loss(
@@ -257,10 +298,10 @@ def focal_loss(
     d(value)/dp, so the softmax backward p * (dp - sum(dp * p)) sums that one
     term, and the softmax buffer becomes the gradient in place.
     """
-    if gamma < 0:
-        raise LossInputError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     if gamma == 0.0:
         return ce_loss(batch, roles, reduction)
+    shape = batch.logits.shape
     idx = _selected(batch, roles)
     probs = softmax(batch.logits[idx])
     rows = np.arange(idx.size)
@@ -272,20 +313,25 @@ def focal_loss(
     values = -(miss**gamma) * log_pt
     scale = 1.0 / idx.size if reduction is Reduction.MEAN else 1.0
 
-    # d/dp of -(1-p)^g log p; the g*(1-p)^(g-1)*log p term tends to 0 as p -> 1
-    # for every g > 0, so the miss == 0 branch is the exact limit.
-    dv_dp = np.zeros_like(p_t)
-    hit = miss > 0.0
-    dv_dp[hit] = gamma * miss[hit] ** (gamma - 1.0) * log_pt[hit] - (miss[hit] ** gamma) / p_c[hit]
+    def backward() -> np.ndarray:
+        # d/dp of -(1-p)^g log p; the g*(1-p)^(g-1)*log p term tends to 0 as
+        # p -> 1 for every g > 0, so the miss == 0 branch is the exact limit.
+        dv_dp = np.zeros_like(p_t)
+        hit = miss > 0.0
+        dv_dp[hit] = (
+            gamma * miss[hit] ** (gamma - 1.0) * log_pt[hit] - (miss[hit] ** gamma) / p_c[hit]
+        )
+        dv_dp *= scale
+        inner = dv_dp * p_t
+        grad_sel = probs
+        grad_sel *= (0.0 - inner)[:, None]
+        grad_sel[rows, targets] = p_t * (dv_dp - inner)
+        return _scatter(shape, idx, grad_sel)
 
-    dv_dp *= scale
-    inner = dv_dp * p_t
-    probs *= (0.0 - inner)[:, None]
-    probs[rows, targets] = p_t * (dv_dp - inner)
-    return LossResult(float(values.sum() * scale), _scatter(batch, idx, probs))
+    return LossResult(float(values.sum() * scale), backward)
 
 
-RegionTerm = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
+RegionTerm = Callable[[np.ndarray, np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 
 
 def _region_loss(
@@ -294,57 +340,70 @@ def _region_loss(
     """Shared path of the region losses, which differ only in their per-class term.
 
     ``term(p, y)`` receives the positions x classes softmax columns ``p`` and
-    their one-hot targets ``y`` and returns the loss value and d(value)/dp.
+    their one-hot targets ``y`` and returns the loss value and a function
+    that computes d(value)/dp.
     The columns are the classes present in the selected targets, or the whole
     vocabulary when ``every_class`` is set. Only these columns carry
     d(value)/dp, so the softmax backward p * (dp - inner) sums ``inner`` over
     them alone and scales the softmax buffer's other columns by -inner in
     place.
     """
+    shape = batch.logits.shape
     idx = _selected(batch, roles)
     probs = softmax(batch.logits[idx])
     targets = batch.targets[idx]
     # the classes present in the targets; every_class keeps the absent ones too
     classes = (np.bincount(targets, minlength=batch.vocab_size) | every_class).nonzero()[0]
     p = probs[:, classes]
-    value, dp = term(p, (targets[:, None] == classes).astype(np.float64))
-    inner = (dp * p).sum(axis=1, keepdims=True)
-    probs *= 0.0 - inner
-    probs[:, classes] = p * (dp - inner)
-    return LossResult(float(value), _scatter(batch, idx, probs))
+    value, term_backward = term(p, (targets[:, None] == classes).astype(np.float64))
+
+    def backward() -> np.ndarray:
+        dp = term_backward()
+        inner = (dp * p).sum(axis=1, keepdims=True)
+        grad_sel = probs
+        grad_sel *= 0.0 - inner
+        grad_sel[:, classes] = p * (dp - inner)
+        return _scatter(shape, idx, grad_sel)
+
+    return LossResult(float(value), backward)
 
 
-def _dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def _dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
     num = 2.0 * (p * y).sum(axis=0)
     den = (p * p).sum(axis=0) + y.sum(axis=0)
     terms = 1.0 - num / den
-    dp = -(2.0 * y * den - 2.0 * p * num) / den**2
-    return terms.sum() / terms.size, dp / terms.size
+    return terms.sum() / terms.size, lambda: -(2.0 * y * den - 2.0 * p * num) / den**2 / terms.size
 
 
-def _self_adjusting_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def _self_adjusting_dice_term(
+    p: np.ndarray, y: np.ndarray
+) -> tuple[float, Callable[[], np.ndarray]]:
     w = (1.0 - p) * p
     num = 2.0 * (w * y).sum(axis=0)
     den = (w + y).sum(axis=0)
     terms = 1.0 - num / den
-    dnum = 2.0 * (1.0 - 2.0 * p) * y
-    dden = 1.0 - 2.0 * p
-    dp = -(dnum * den - num * dden) / den**2
-    return terms.sum() / terms.size, dp / terms.size
+
+    def backward() -> np.ndarray:
+        dnum = 2.0 * (1.0 - 2.0 * p) * y
+        dden = 1.0 - 2.0 * p
+        return -(dnum * den - num * dden) / den**2 / terms.size
+
+    return terms.sum() / terms.size, backward
 
 
-def _generalized_dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def _generalized_dice_term(
+    p: np.ndarray, y: np.ndarray
+) -> tuple[float, Callable[[], np.ndarray]]:
     volume = y.sum(axis=0)
     weights = 1.0 / np.where(volume > 0, volume, EMPTY_CLASS_EPSILON) ** 2
     num = 2.0 * float((weights * (p * y).sum(axis=0)).sum())
     den = float((weights * (p + y).sum(axis=0)).sum())
-    dp = -(2.0 * weights * y * den - num * weights) / den**2
-    return 1.0 - num / den, dp
+    return 1.0 - num / den, lambda: -(2.0 * weights * y * den - num * weights) / den**2
 
 
-def _lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def _lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
     terms, derr = _lovasz_extension(np.where(y > 0, 1.0 - p, p), y)
-    return terms.sum() / terms.size, derr * (1.0 - 2.0 * y) / terms.size
+    return terms.sum() / terms.size, lambda: derr() * (1.0 - 2.0 * y) / terms.size
 
 
 def dice_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
@@ -409,19 +468,25 @@ def _jaccard_weights(gt: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _lovasz_extension(errors: np.ndarray, fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lovasz_extension(
+    errors: np.ndarray, fg: np.ndarray
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Lovász extension of the Jaccard loss for each column of ``errors``.
 
     ``errors`` and the float64 0/1 foreground indicator ``fg`` are (n, k).
     Each column is sorted descending, ties broken by position, and dotted with
     the Jaccard-extension weights of the permuted ``fg``. Returns the k
-    column values and their gradient wrt ``errors`` with the sort
-    permutation held fixed.
+    column values and a function that computes their gradient wrt
+    ``errors`` with the sort permutation held fixed.
     """
     sort = (-errors).argsort(axis=0, kind="stable"), np.arange(errors.shape[1])
     weights = _jaccard_weights(fg[sort])
-    derr = np.empty_like(errors)
-    derr[sort] = weights
+
+    def derr() -> np.ndarray:
+        grad = np.empty_like(errors)
+        grad[sort] = weights
+        return grad
+
     return (errors[sort] * weights).sum(axis=0), derr
 
 
@@ -443,7 +508,7 @@ def lovasz_hinge(scores: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarr
     margins = 1.0 - scores * signs
     errors = np.maximum(margins, 0.0)[:, None]
     value, derr = _lovasz_extension(errors, (signs > 0).astype(np.float64)[:, None])
-    return float(value[0]), np.where(margins > 0.0, -signs * derr[:, 0], 0.0)
+    return float(value[0]), np.where(margins > 0.0, -signs * derr()[:, 0], 0.0)
 
 
 def lovasz_loss(
@@ -465,16 +530,16 @@ def lovasz_loss(
     if mode is LovaszMode.BINARY_HINGE:
         if batch.vocab_size != 2:
             raise LossInputError("binary hinge mode requires vocabulary size 2")
+        shape = batch.logits.shape
         idx = _selected(batch, roles)
         logits = batch.logits[idx]
         targets = batch.targets[idx]
         scores = logits[:, 1] - logits[:, 0]
         signs = np.where(targets == 1, 1.0, -1.0)
         value, dscores = lovasz_hinge(scores, signs)
-        grad_sel = np.zeros_like(logits)
-        grad_sel[:, 1] = dscores
-        grad_sel[:, 0] = -dscores
-        return LossResult(value, _scatter(batch, idx, grad_sel))
+        return LossResult(
+            value, lambda: _scatter(shape, idx, np.stack((-dscores, dscores), axis=1))
+        )
 
     return _region_loss(batch, roles, _lovasz_softmax_term)
 
@@ -505,29 +570,38 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
     if kind is not AuxiliaryKind.NONE and not (batch.role_mask == Role.ANSWER).any():
         raise EmptyAnswerMask("auxiliary loss requested but batch has no answer positions")
 
-    # Each branch's gradient is a fresh array, so it is scaled in place and
-    # the auxiliary one is added into the cross-entropy one.
+    shape = batch.logits.shape
+    mix = config.mix
     value = 0.0
-    gradient = None
-    if config.mix > 0.0:
+    ce = aux = None
+    if mix > 0.0:
         ce = ce_loss(batch, FULL_CONTEXT, config.reduction)
-        value += config.mix * ce.value
-        gradient = ce.gradient
-        gradient *= config.mix
-    if config.mix < 1.0 and kind is not AuxiliaryKind.NONE:
+        value += mix * ce.value
+    if mix < 1.0 and kind is not AuxiliaryKind.NONE:
         aux = _AUXILIARY[kind](batch, config)
-        value += (1.0 - config.mix) * aux.value
-        aux.gradient *= 1.0 - config.mix
-        if gradient is None:
-            gradient = aux.gradient
-            # x + 0.0 turns -0.0 into +0.0, so that no branch mix leaves a -0.0
-            # (the cross-entropy gradient holds none, nor can a sum into it)
-            gradient += 0.0
-        else:
-            gradient += aux.gradient
-    if gradient is None:
-        gradient = np.zeros_like(batch.logits)
-    return LossResult(value, gradient)
+        value += (1.0 - mix) * aux.value
+
+    def backward() -> np.ndarray:
+        # Each branch's gradient is a fresh array, so it is scaled in place
+        # and the auxiliary one is added into the cross-entropy one.
+        gradient = None
+        if ce is not None:
+            gradient = ce.gradient
+            gradient *= mix
+        if aux is not None:
+            aux_gradient = aux.gradient
+            aux_gradient *= 1.0 - mix
+            if gradient is None:
+                gradient = aux_gradient
+                # x + 0.0 turns -0.0 into +0.0, so that no branch mix leaves a
+                # -0.0 (the cross-entropy gradient holds none, nor can a sum
+                # into it)
+                gradient += 0.0
+            else:
+                gradient += aux_gradient
+        return np.zeros(shape) if gradient is None else gradient
+
+    return LossResult(value, backward)
 
 
 def lovasz_tie_rows(

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 FINAL_MARKER = "####"
 
 INFIX_OPERATORS = ("+", "-", "*", "/")
@@ -163,7 +165,11 @@ def step_to_dict(step: ReasoningStep) -> dict:
 
 
 def format_number(value: float) -> str:
-    """Render a numeral without leading dot, trailing zeros, or separators."""
+    """Render a numeral without leading dot, trailing zeros, or separators.
+
+    A finite value is written in positional digits that both step grammars
+    read back as the same float.
+    """
     value = float(value)
     if value == 0.0:
         return "0"
@@ -171,7 +177,10 @@ def format_number(value: float) -> str:
         return repr(value)
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
-    return repr(value)
+    text = repr(value)
+    # repr switches to an exponent below 1e-4 and from 1e16 up, which neither
+    # grammar reads; the same shortest digits, written out, read back as value
+    return np.format_float_positional(value, trim="-") if "e" in text else text
 
 
 _NUMBER_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d*)?|\d+\.\d*|\.\d+|\d+")

@@ -75,6 +75,25 @@ class TestFiniteDifference:
         assert not report.passed
         assert report.summary().startswith("FAIL")
 
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_runs_the_backward_once(self, name):
+        fn, _ = build_loss_fn(name)
+        calls = {"loss": 0, "backward": 0}
+
+        def counted(batch):
+            calls["loss"] += 1
+            result = fn(batch)
+
+            def backward():
+                calls["backward"] += 1
+                return result.backward()
+
+            return replace(result, backward=backward)
+
+        report = finite_difference_check(counted, random_batch(0))
+        assert calls == {"loss": 2 * 8 * 17 + 1, "backward": 1}
+        assert report.n_checked == 8 * 17
+
     def test_infinite_error_fails_under_an_infinite_tolerance(self):
         assert not GradCheckReport(math.inf, (0, 0), tolerance=math.inf).passed
 

@@ -1,10 +1,14 @@
+import math
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from losslab import losses
 from losslab.losses import (
     ANSWER_ONLY,
     FULL_CONTEXT,
@@ -16,6 +20,7 @@ from losslab.losses import (
     LogitBatch,
     LossConfig,
     LossInputError,
+    LossResult,
     LovaszMode,
     NoSelectedPositions,
     Reduction,
@@ -279,6 +284,17 @@ class TestFocal:
         with pytest.raises(LossInputError):
             focal_loss(random_batch(0), gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(LossInputError, match="gamma"):
+            focal_loss(random_batch(0), gamma=gamma)
+        with pytest.raises(LossInputError, match="gamma"):
+            LossConfig(gamma=gamma)
+        config = LossConfig(auxiliary_kind=AuxiliaryKind.FOCAL)
+        config.gamma = gamma
+        with pytest.raises(LossInputError, match="gamma"):
+            combined_loss(random_batch(0), config)
+
     def test_nonnegative(self):
         for seed in range(10):
             assert focal_loss(random_batch(seed), gamma=2.0).value >= 0.0
@@ -534,6 +550,96 @@ class TestCombined:
             LossConfig(mix=-0.1)
 
 
+# Every loss entry point, with the vocabulary size of the batch it takes.
+LAZY_CASES = [
+    pytest.param(lambda b: ce_loss(b), 17, id="ce"),
+    pytest.param(lambda b: ce_loss(b, ANSWER_ONLY, Reduction.SUM), 17, id="ce-answer-sum"),
+    pytest.param(lambda b: focal_loss(b, 2.0), 17, id="fl"),
+    pytest.param(lambda b: focal_loss(b, 0.0, ANSWER_ONLY), 17, id="fl-gamma0"),
+    pytest.param(lambda b: dice_loss(b, ANSWER_ONLY), 17, id="dl"),
+    pytest.param(lambda b: self_adjusting_dice_loss(b), 17, id="sadl"),
+    pytest.param(lambda b: generalized_dice_loss(b), 17, id="gdl"),
+    pytest.param(
+        lambda b: generalized_dice_loss(b, ANSWER_ONLY, EmptyClassPolicy.EPSILON),
+        17,
+        id="gdl-epsilon",
+    ),
+    pytest.param(lambda b: lovasz_loss(b), 17, id="ll"),
+    pytest.param(
+        lambda b: lovasz_loss(b, ANSWER_ONLY, LovaszMode.BINARY_HINGE), 2, id="ll-hinge"
+    ),
+    *(
+        pytest.param(
+            lambda b, kind=kind, mix=mix: combined_loss(b, LossConfig(mix, auxiliary_kind=kind)),
+            17,
+            id=f"combined-{kind.value}-{mix}",
+        )
+        for kind in AuxiliaryKind
+        for mix in (0.0, 0.6, 1.0)
+    ),
+]
+
+
+class TestLazyGradient:
+    @pytest.mark.parametrize("loss, vocab", LAZY_CASES)
+    def test_gradient_ignores_later_changes_to_the_batch(self, loss, vocab):
+        batch = random_batch(7, n=10, vocab=vocab)
+        copy = LogitBatch(batch.logits.copy(), batch.targets.copy(), batch.role_mask.copy())
+        result = loss(batch)
+        rng = np.random.default_rng(8)
+        batch.logits[:] = rng.standard_normal(batch.logits.shape)
+        batch.targets[:] = rng.integers(0, vocab, len(batch.targets))
+        batch.role_mask[:] = batch.role_mask[::-1].copy()
+        expected = loss(copy)
+        assert result.value == expected.value
+        assert np.array_equal(result.gradient, expected.gradient)
+
+    @pytest.mark.parametrize("loss, vocab", LAZY_CASES)
+    def test_every_read_returns_the_same_array(self, loss, vocab):
+        result = loss(random_batch(3, vocab=vocab))
+        gradient = result.gradient
+        first = gradient.copy()
+        assert result.gradient is gradient
+        assert replace(result, value=0.0).gradient is gradient
+        assert np.array_equal(gradient, first)
+
+    def test_first_read_releases_what_the_backward_holds(self):
+        class Buffer:
+            pass
+
+        buffer = Buffer()
+        held = weakref.ref(buffer)
+        result = LossResult(0.0, lambda buffer=buffer: np.zeros(1))
+        del buffer
+        assert held() is not None
+        result.gradient
+        assert held() is None
+
+    def test_value_only_combined_call_runs_no_branch_backward(self, monkeypatch):
+        built = []
+
+        def counted(loss):
+            def call(*args, **kwargs):
+                result = loss(*args, **kwargs)
+
+                def backward():
+                    built.append(loss.__name__)
+                    return result.backward()
+
+                return replace(result, backward=backward)
+
+            return call
+
+        monkeypatch.setattr(losses, "ce_loss", counted(losses.ce_loss))
+        monkeypatch.setattr(losses, "lovasz_loss", counted(losses.lovasz_loss))
+        result = combined_loss(random_batch(0), LossConfig(auxiliary_kind=AuxiliaryKind.LOVASZ))
+        assert built == []
+        gradient = result.gradient
+        assert built == ["ce_loss", "lovasz_loss"]
+        assert result.gradient is gradient
+        assert built == ["ce_loss", "lovasz_loss"]
+
+
 class TestMaskingInvariants:
     def test_permutation_invariance_within_role(self):
         batch = random_batch(5)
@@ -772,6 +878,8 @@ def region_oracle(batch, roles, term, every_class=False):
     classes = np.arange(batch.vocab_size) if every_class else np.unique(targets)
     y = (targets[:, None] == classes[None, :]).astype(np.float64)
     value, dp = term(probs[:, classes], y)
+    if callable(dp):  # the private terms return a function that builds d(value)/dp
+        dp = dp()
     dprobs = np.zeros_like(probs)
     dprobs[:, classes] = dp
     grad = scatter_oracle(batch, idx, softmax_backward_oracle(probs, dprobs))
@@ -828,10 +936,10 @@ def test_combined_loss_peak_allocation_is_at_most_three_logit_arrays(kind):
     roles = np.repeat([int(Role.INSTRUCTION), int(Role.ANSWER)], n // 2)
     batch = LogitBatch(rng.standard_normal((n, vocab)), rng.integers(0, vocab, n), roles)
     config = LossConfig(mix=0.6, auxiliary_kind=kind)
-    combined_loss(batch, config)
+    combined_loss(batch, config).gradient
     tracemalloc.start()
     try:
-        combined_loss(batch, config)
+        combined_loss(batch, config).gradient
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -405,6 +405,10 @@ class TestCanonicalization:
         assert format_number(0.0) == "0"
         assert format_number(-3.0) == "-3"
         assert format_number(1000.0) == "1000"
+        assert format_number(1e-05) == "0.00001"
+        assert format_number(-1.5e-07) == "-0.00000015"
+        assert format_number(1e16) == "10000000000000000"
+        assert format_number(1.2345e20) == "123450000000000000000"
 
 
 def generated_steps(seed, count):
@@ -445,7 +449,57 @@ def generated_steps(seed, count):
     return steps
 
 
+# Literals anywhere in the float range, with extra weight where repr writes
+# an exponent: below 1e-4 and from 1e16 up.
+literals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e-4, exclude_max=True),
+    st.floats(min_value=1e16, allow_infinity=False),
+).map(Operand.literal)
+
+infix_steps = st.builds(
+    ReasoningStep,
+    st.sampled_from(["+", "-", "*", "/"]),
+    st.lists(literals, min_size=2, max_size=4).map(tuple),
+    st.none() | literals.map(lambda o: o.value),
+)
+
+program_steps = st.builds(
+    ReasoningStep,
+    st.sampled_from(["add", "subtract", "multiply", "divide", "max", "power"]),
+    st.lists(
+        st.one_of(
+            literals,
+            st.integers(0, 10**6).map(Operand.problem_ref),
+            st.integers(0, 10**6).map(Operand.step_ref),
+            st.sampled_from(["pi", "e", "100", "0_5"]).map(Operand.const),
+        ),
+        min_size=1,
+        max_size=4,
+    ).map(tuple),
+)
+
+
 class TestRoundTrip:
+    @settings(max_examples=400, deadline=None)
+    @given(step=st.one_of(infix_steps, program_steps))
+    def test_render_parse_round_trip(self, step):
+        fmt = MATHQA if step.is_named else GSM8K
+        rendered = render_step(step)
+        assert parse_step(rendered, fmt) == step, rendered
+
+    @pytest.mark.parametrize(
+        "text, rendered",
+        [
+            ("0.00001+2=2.00001", "0.00001+2=2.00001"),
+            ("10000000000000000+1=10000000000000001", "10000000000000000+1=10000000000000000"),
+        ],
+    )
+    def test_exponent_sized_literals_render_in_positional_digits(self, text, rendered):
+        step = parse_step(text, GSM8K)
+        assert render_step(step) == rendered
+        assert parse_step(rendered, GSM8K) == step
+
     def test_200_case_render_parse_round_trip(self):
         steps = generated_steps(11, 200)
         for step in steps:
