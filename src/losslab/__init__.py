@@ -19,139 +19,3 @@ The package has six layers:
 """
 
 __version__ = "0.1.0"
-
-from .losses import (
-    ANSWER_ONLY,
-    FULL_CONTEXT,
-    AuxiliaryKind,
-    EmptyClassPolicy,
-    LogitBatch,
-    LossConfig,
-    LossResult,
-    Reduction,
-    Role,
-    ce_loss,
-    combined_loss,
-    dice_loss,
-    focal_loss,
-    generalized_dice_loss,
-    lovasz_grad_weights,
-    lovasz_hinge,
-    lovasz_loss,
-    self_adjusting_dice_loss,
-    softmax,
-)
-from .gradcheck import GradCheckReport, build_loss_fn, check_named_loss, finite_difference_check
-from .parsing import (
-    Operand,
-    PoisonedValue,
-    Rationale,
-    RationaleFormat,
-    ReasoningStep,
-    canonicalize_step,
-    evaluate_program,
-    normalize_final_answer,
-    parse_rationale,
-    parse_step,
-    render_step,
-)
-from .metrics import (
-    MetricReport,
-    SampleMetrics,
-    StepSet,
-    aggregate_report,
-    error_typology,
-    exact_match,
-    step_overlap_metrics,
-)
-from .stats import (
-    PairedOutcomes,
-    ScoreTable,
-    chi_square_sf,
-    mcnemar_test,
-    mean_rank,
-    paired_t_test,
-    pearson_r,
-    regularized_beta,
-    regularized_gamma_p,
-    student_t_two_sided_p,
-    token_density,
-)
-from .training import (
-    Corpus,
-    CorpusTemplate,
-    TinyModel,
-    TrainConfig,
-    TrainingTrace,
-    evaluate_toy,
-    load_model,
-    make_synthetic_corpus,
-    save_model,
-    train,
-)
-
-__all__ = [
-    "__version__",
-    "ANSWER_ONLY",
-    "FULL_CONTEXT",
-    "AuxiliaryKind",
-    "EmptyClassPolicy",
-    "LogitBatch",
-    "LossConfig",
-    "LossResult",
-    "Reduction",
-    "Role",
-    "ce_loss",
-    "combined_loss",
-    "dice_loss",
-    "focal_loss",
-    "generalized_dice_loss",
-    "lovasz_grad_weights",
-    "lovasz_hinge",
-    "lovasz_loss",
-    "self_adjusting_dice_loss",
-    "softmax",
-    "GradCheckReport",
-    "build_loss_fn",
-    "check_named_loss",
-    "finite_difference_check",
-    "Operand",
-    "PoisonedValue",
-    "Rationale",
-    "RationaleFormat",
-    "ReasoningStep",
-    "canonicalize_step",
-    "evaluate_program",
-    "normalize_final_answer",
-    "parse_rationale",
-    "parse_step",
-    "render_step",
-    "MetricReport",
-    "SampleMetrics",
-    "StepSet",
-    "aggregate_report",
-    "error_typology",
-    "exact_match",
-    "step_overlap_metrics",
-    "PairedOutcomes",
-    "ScoreTable",
-    "chi_square_sf",
-    "mcnemar_test",
-    "mean_rank",
-    "paired_t_test",
-    "pearson_r",
-    "regularized_beta",
-    "regularized_gamma_p",
-    "student_t_two_sided_p",
-    "token_density",
-    "Corpus",
-    "CorpusTemplate",
-    "TinyModel",
-    "TrainConfig",
-    "TrainingTrace",
-    "evaluate_toy",
-    "load_model",
-    "make_synthetic_corpus",
-    "save_model",
-    "train",
-]

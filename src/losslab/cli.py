@@ -756,6 +756,8 @@ def _cmd_parse(args, argv: list[str]) -> int:
             numbers = [float(x) for x in args.numbers.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"--numbers must be comma-separated numbers: {exc}") from exc
+        if not all(math.isfinite(x) for x in numbers):
+            raise ConfigError(f"--numbers must be finite numbers, got {args.numbers!r}")
         values = evaluate_program(rationale.steps, numbers)
         payload["values"] = [
             {"poisoned_by_step": v.origin} if isinstance(v, PoisonedValue) else v

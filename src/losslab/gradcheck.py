@@ -23,7 +23,6 @@ from .losses import (
     LossConfig,
     LossFn,
     LossResult,
-    LovaszMode,
     ce_loss,
     combined_loss,
     dice_loss,
@@ -114,13 +113,13 @@ TieFn = Callable[[LogitBatch, float], set[int]]
 # entry looks its loss up by module-level name when called, so a loss rebound
 # on this module (for tracing, say) is the one the check runs.
 _NAMED_LOSSES: dict[str, tuple[Callable[[LogitBatch, LossConfig], LossResult], TieFn | None]] = {
-    "ce": (lambda b, c: ce_loss(b, FULL_CONTEXT, c.reduction), None),
-    "fl": (lambda b, c: focal_loss(b, c.gamma, FULL_CONTEXT, c.reduction), None),
+    "ce": (lambda b, c: ce_loss(b, FULL_CONTEXT), None),
+    "fl": (lambda b, c: focal_loss(b, c.gamma, FULL_CONTEXT), None),
     "dl": (lambda b, c: dice_loss(b, FULL_CONTEXT), None),
-    "gdl": (lambda b, c: generalized_dice_loss(b, FULL_CONTEXT, c.empty_class_policy), None),
+    "gdl": (lambda b, c: generalized_dice_loss(b, FULL_CONTEXT), None),
     "sadl": (lambda b, c: self_adjusting_dice_loss(b, FULL_CONTEXT), None),
     "ll": (
-        lambda b, c: lovasz_loss(b, FULL_CONTEXT, LovaszMode.MULTICLASS_SOFTMAX),
+        lambda b, c: lovasz_loss(b, FULL_CONTEXT),
         lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h),
     ),
     "combined": (

@@ -13,9 +13,8 @@ Conventions shared by every loss here:
   [1e-12, 1] before any log;
 * PAD positions are never selected and contribute exactly zero to values and
   gradients;
-* token losses (cross-entropy, focal) reduce with MEAN over selected positions
-  by default (SUM selectable); region losses are global scalars by construction
-  and take no reduction;
+* token losses (cross-entropy, focal) take the mean over selected positions;
+  region losses are global scalars by construction and take no reduction;
 * every public loss returns a ``LossResult`` whose gradient has the same shape
   as the input logits and is built the first time it is read.
 """
@@ -26,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -45,11 +44,6 @@ FULL_CONTEXT = (Role.INSTRUCTION, Role.ANSWER)
 ANSWER_ONLY = (Role.ANSWER,)
 
 
-class Reduction(Enum):
-    MEAN = "mean"
-    SUM = "sum"
-
-
 class AuxiliaryKind(Enum):
     """Which auxiliary loss the combined objective applies to answer positions."""
 
@@ -59,22 +53,6 @@ class AuxiliaryKind(Enum):
     SELF_ADJUSTING_DICE = "sadl"
     LOVASZ = "ll"
     NONE = "none"
-
-
-class EmptyClassPolicy(Enum):
-    """Handling of classes with zero ground-truth volume in generalized Dice."""
-
-    ZERO_WEIGHT = "zero_weight"
-    EPSILON = "epsilon"
-
-
-#: EPSILON policy replaces the 1/(sum y)^2 weight of an empty class by 1/eps^2.
-EMPTY_CLASS_EPSILON = 1e-6
-
-
-class LovaszMode(Enum):
-    BINARY_HINGE = "binary_hinge"
-    MULTICLASS_SOFTMAX = "multiclass_softmax"
 
 
 class LossInputError(ValueError):
@@ -136,20 +114,6 @@ class LogitBatch:
     def vocab_size(self) -> int:
         return self.logits.shape[1]
 
-    @classmethod
-    def from_probs(
-        cls,
-        probs: np.ndarray,
-        targets: Sequence[int],
-        role_mask: Sequence[int] | None = None,
-    ) -> "LogitBatch":
-        """Build a batch whose softmax reproduces ``probs`` (rows sum to 1)."""
-        probs = np.asarray(probs, dtype=np.float64)
-        logits = np.log(np.clip(probs, 1e-300, None))
-        if role_mask is None:
-            role_mask = np.full(len(logits), int(Role.ANSWER))
-        return cls(logits, np.asarray(targets), np.asarray(role_mask))
-
 
 @dataclass
 class LossConfig:
@@ -163,8 +127,6 @@ class LossConfig:
     mix: float = 0.6
     gamma: float = 2.0
     auxiliary_kind: AuxiliaryKind = AuxiliaryKind.NONE
-    empty_class_policy: EmptyClassPolicy = EmptyClassPolicy.ZERO_WEIGHT
-    reduction: Reduction = Reduction.MEAN
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mix <= 1.0:
@@ -261,12 +223,8 @@ def _scatter(shape: tuple[int, int], idx: np.ndarray, grad_sel: np.ndarray) -> n
     return grad
 
 
-def ce_loss(
-    batch: LogitBatch,
-    roles: Iterable[Role] = FULL_CONTEXT,
-    reduction: Reduction = Reduction.MEAN,
-) -> LossResult:
-    """Cross-entropy -log p_target over the selected positions."""
+def ce_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
+    """Cross-entropy -log p_target, averaged over the selected positions."""
     shape = batch.logits.shape
     idx = _selected(batch, roles)
     probs = softmax(batch.logits[idx])
@@ -274,7 +232,7 @@ def ce_loss(
     targets = batch.targets[idx]
     p_t = probs[rows, targets]
     values = -np.log(np.clip(p_t, PROB_FLOOR, 1.0))
-    scale = 1.0 / idx.size if reduction is Reduction.MEAN else 1.0
+    scale = 1.0 / idx.size
 
     def backward() -> np.ndarray:
         grad_sel = probs  # p_t above is a copy, so the softmax becomes the gradient
@@ -286,12 +244,9 @@ def ce_loss(
 
 
 def focal_loss(
-    batch: LogitBatch,
-    gamma: float = 2.0,
-    roles: Iterable[Role] = FULL_CONTEXT,
-    reduction: Reduction = Reduction.MEAN,
+    batch: LogitBatch, gamma: float = 2.0, roles: Iterable[Role] = FULL_CONTEXT
 ) -> LossResult:
-    """Focal loss -(1 - p_t)^gamma log p_t over the selected positions.
+    """Focal loss -(1 - p_t)^gamma log p_t, averaged over the selected positions.
 
     gamma = 0 falls through to :func:`ce_loss` so the reduction is exact to
     floating rounding, not merely close. Only the target column carries
@@ -300,7 +255,7 @@ def focal_loss(
     """
     _check_gamma(gamma)
     if gamma == 0.0:
-        return ce_loss(batch, roles, reduction)
+        return ce_loss(batch, roles)
     shape = batch.logits.shape
     idx = _selected(batch, roles)
     probs = softmax(batch.logits[idx])
@@ -311,7 +266,7 @@ def focal_loss(
     log_pt = np.log(p_c)
     miss = 1.0 - p_t
     values = -(miss**gamma) * log_pt
-    scale = 1.0 / idx.size if reduction is Reduction.MEAN else 1.0
+    scale = 1.0 / idx.size
 
     def backward() -> np.ndarray:
         # d/dp of -(1-p)^g log p; the g*(1-p)^(g-1)*log p term tends to 0 as
@@ -334,26 +289,22 @@ def focal_loss(
 RegionTerm = Callable[[np.ndarray, np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 
 
-def _region_loss(
-    batch: LogitBatch, roles: Iterable[Role], term: RegionTerm, every_class: bool = False
-) -> LossResult:
+def _region_loss(batch: LogitBatch, roles: Iterable[Role], term: RegionTerm) -> LossResult:
     """Shared path of the region losses, which differ only in their per-class term.
 
     ``term(p, y)`` receives the positions x classes softmax columns ``p`` and
     their one-hot targets ``y`` and returns the loss value and a function
     that computes d(value)/dp.
-    The columns are the classes present in the selected targets, or the whole
-    vocabulary when ``every_class`` is set. Only these columns carry
-    d(value)/dp, so the softmax backward p * (dp - inner) sums ``inner`` over
-    them alone and scales the softmax buffer's other columns by -inner in
-    place.
+    The columns are the classes present in the selected targets. Only these
+    columns carry d(value)/dp, so the softmax backward p * (dp - inner) sums
+    ``inner`` over them alone and scales the softmax buffer's other columns
+    by -inner in place.
     """
     shape = batch.logits.shape
     idx = _selected(batch, roles)
     probs = softmax(batch.logits[idx])
     targets = batch.targets[idx]
-    # the classes present in the targets; every_class keeps the absent ones too
-    classes = (np.bincount(targets, minlength=batch.vocab_size) | every_class).nonzero()[0]
+    classes = np.bincount(targets, minlength=batch.vocab_size).nonzero()[0]
     p = probs[:, classes]
     value, term_backward = term(p, (targets[:, None] == classes).astype(np.float64))
 
@@ -395,15 +346,25 @@ def _generalized_dice_term(
     p: np.ndarray, y: np.ndarray
 ) -> tuple[float, Callable[[], np.ndarray]]:
     volume = y.sum(axis=0)
-    weights = 1.0 / np.where(volume > 0, volume, EMPTY_CLASS_EPSILON) ** 2
+    weights = 1.0 / volume**2
     num = 2.0 * float((weights * (p * y).sum(axis=0)).sum())
     den = float((weights * (p + y).sum(axis=0)).sum())
     return 1.0 - num / den, lambda: -(2.0 * weights * y * den - num * weights) / den**2
 
 
 def _lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
-    terms, derr = _lovasz_extension(np.where(y > 0, 1.0 - p, p), y)
-    return terms.sum() / terms.size, lambda: derr() * (1.0 - 2.0 * y) / terms.size
+    """The per-class term of :func:`lovasz_loss`, averaged over the columns."""
+    errors = np.where(y > 0, 1.0 - p, p)
+    sort = (-errors).argsort(axis=0, kind="stable"), np.arange(errors.shape[1])
+    weights = _jaccard_weights(y[sort])
+    terms = (errors[sort] * weights).sum(axis=0)
+
+    def backward() -> np.ndarray:
+        derr = np.empty_like(errors)
+        derr[sort] = weights
+        return derr * (1.0 - 2.0 * y) / terms.size
+
+    return terms.sum() / terms.size, backward
 
 
 def dice_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
@@ -426,18 +387,12 @@ def self_adjusting_dice_loss(
     return _region_loss(batch, roles, _self_adjusting_dice_term)
 
 
-def generalized_dice_loss(
-    batch: LogitBatch,
-    roles: Iterable[Role] = FULL_CONTEXT,
-    empty_class_policy: EmptyClassPolicy = EmptyClassPolicy.ZERO_WEIGHT,
-) -> LossResult:
+def generalized_dice_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
     """Generalized Dice with per-class weights 1/(sum y)^2.
 
-    Under ZERO_WEIGHT, classes with zero ground-truth volume are dropped from
-    both sums; under EPSILON they stay with weight 1/EMPTY_CLASS_EPSILON^2.
+    Classes with zero ground-truth volume are dropped from both sums.
     """
-    every_class = empty_class_policy is EmptyClassPolicy.EPSILON
-    return _region_loss(batch, roles, _generalized_dice_term, every_class)
+    return _region_loss(batch, roles, _generalized_dice_term)
 
 
 def lovasz_grad_weights(sorted_gt: np.ndarray) -> np.ndarray:
@@ -468,92 +423,26 @@ def _jaccard_weights(gt: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _lovasz_extension(
-    errors: np.ndarray, fg: np.ndarray
-) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """Lovász extension of the Jaccard loss for each column of ``errors``.
+def lovasz_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
+    """Lovász-Softmax: the Lovász extension of the Jaccard loss per class.
 
-    ``errors`` and the float64 0/1 foreground indicator ``fg`` are (n, k).
-    Each column is sorted descending, ties broken by position, and dotted with
-    the Jaccard-extension weights of the permuted ``fg``. Returns the k
-    column values and a function that computes their gradient wrt
-    ``errors`` with the sort permutation held fixed.
-    """
-    sort = (-errors).argsort(axis=0, kind="stable"), np.arange(errors.shape[1])
-    weights = _jaccard_weights(fg[sort])
-
-    def derr() -> np.ndarray:
-        grad = np.empty_like(errors)
-        grad[sort] = weights
-        return grad
-
-    return (errors[sort] * weights).sum(axis=0), derr
-
-
-def lovasz_hinge(scores: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lovász hinge over margins for labels in {-1, +1}.
-
-    Hinge errors max(0, 1 - score*sign) are sorted descending (stable, ties by
-    position) and dotted with the Jaccard-extension weights of the permuted
-    foreground indicator. Returns the loss and its gradient wrt ``scores``;
-    all margins satisfied gives loss 0. The subgradient at an exact hinge
-    kink is taken as 0.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    signs = np.asarray(signs, dtype=np.float64)
-    if scores.size == 0:
-        raise EmptyInput("scores must be nonempty")
-    if not np.isin(signs, (-1.0, 1.0)).all():
-        raise LossInputError("signs must be -1 or +1")
-    margins = 1.0 - scores * signs
-    errors = np.maximum(margins, 0.0)[:, None]
-    value, derr = _lovasz_extension(errors, (signs > 0).astype(np.float64)[:, None])
-    return float(value[0]), np.where(margins > 0.0, -signs * derr()[:, 0], 0.0)
-
-
-def lovasz_loss(
-    batch: LogitBatch,
-    roles: Iterable[Role] = FULL_CONTEXT,
-    mode: LovaszMode = LovaszMode.MULTICLASS_SOFTMAX,
-) -> LossResult:
-    """Lovász extension of the Jaccard loss.
-
-    MULTICLASS_SOFTMAX forms per-class errors (1 - p_c at positions whose
-    target is c, p_c elsewhere), sorts each class column descending with ties
-    broken by position index, dots with the Jaccard-extension weights, and
+    Per-class errors are 1 - p_c at positions whose target is c and p_c
+    elsewhere. Each class column is sorted descending with ties broken by
+    position index and dotted with the Jaccard-extension weights; the loss
     averages over classes present in the targets. The gradient holds the sort
     permutation fixed.
-
-    BINARY_HINGE requires vocabulary size 2; the per-position score is the
-    logit margin logits[:, 1] - logits[:, 0] and targets map to sign -1/+1.
     """
-    if mode is LovaszMode.BINARY_HINGE:
-        if batch.vocab_size != 2:
-            raise LossInputError("binary hinge mode requires vocabulary size 2")
-        shape = batch.logits.shape
-        idx = _selected(batch, roles)
-        logits = batch.logits[idx]
-        targets = batch.targets[idx]
-        scores = logits[:, 1] - logits[:, 0]
-        signs = np.where(targets == 1, 1.0, -1.0)
-        value, dscores = lovasz_hinge(scores, signs)
-        return LossResult(
-            value, lambda: _scatter(shape, idx, np.stack((-dscores, dscores), axis=1))
-        )
-
     return _region_loss(batch, roles, _lovasz_softmax_term)
 
 
 # Each entry looks its loss up by module-level name when called, so a loss
 # rebound on this module (for tracing, say) is the one combined_loss runs.
 _AUXILIARY: dict[AuxiliaryKind, Callable[[LogitBatch, LossConfig], LossResult]] = {
-    AuxiliaryKind.FOCAL: lambda b, c: focal_loss(b, c.gamma, ANSWER_ONLY, c.reduction),
+    AuxiliaryKind.FOCAL: lambda b, c: focal_loss(b, c.gamma, ANSWER_ONLY),
     AuxiliaryKind.DICE: lambda b, c: dice_loss(b, ANSWER_ONLY),
-    AuxiliaryKind.GENERALIZED_DICE: lambda b, c: generalized_dice_loss(
-        b, ANSWER_ONLY, c.empty_class_policy
-    ),
+    AuxiliaryKind.GENERALIZED_DICE: lambda b, c: generalized_dice_loss(b, ANSWER_ONLY),
     AuxiliaryKind.SELF_ADJUSTING_DICE: lambda b, c: self_adjusting_dice_loss(b, ANSWER_ONLY),
-    AuxiliaryKind.LOVASZ: lambda b, c: lovasz_loss(b, ANSWER_ONLY, LovaszMode.MULTICLASS_SOFTMAX),
+    AuxiliaryKind.LOVASZ: lambda b, c: lovasz_loss(b, ANSWER_ONLY),
 }
 
 
@@ -575,7 +464,7 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
     value = 0.0
     ce = aux = None
     if mix > 0.0:
-        ce = ce_loss(batch, FULL_CONTEXT, config.reduction)
+        ce = ce_loss(batch, FULL_CONTEXT)
         value += mix * ce.value
     if mix < 1.0 and kind is not AuxiliaryKind.NONE:
         aux = _AUXILIARY[kind](batch, config)
@@ -604,32 +493,19 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
     return LossResult(value, backward)
 
 
-def lovasz_tie_rows(
-    batch: LogitBatch,
-    roles: Iterable[Role],
-    step: float,
-    mode: LovaszMode = LovaszMode.MULTICLASS_SOFTMAX,
-) -> set[int]:
+def lovasz_tie_rows(batch: LogitBatch, roles: Iterable[Role], step: float) -> set[int]:
     """Absolute row indices whose Lovász sort order could flip under a +-step
     perturbation of any single logit in that row.
 
     Perturbing one logit moves only that row's class errors, each by at most
     the step size, so two errors can cross only if their gap is <= 2*step.
-    Binary hinge mode additionally flags rows sitting at the hinge kink.
     """
     idx = _selected(batch, roles)
-    logits = batch.logits[idx]
     targets = batch.targets[idx]
     window = 2.0 * step
-    if mode is LovaszMode.BINARY_HINGE:
-        margins = 1.0 - (logits[:, 1] - logits[:, 0]) * np.where(targets == 1, 1.0, -1.0)
-        errors = np.maximum(margins, 0.0)[:, None]
-        flagged = np.abs(margins) <= window
-    else:
-        classes = np.bincount(targets, minlength=batch.vocab_size).nonzero()[0]
-        p = softmax(logits)[:, classes]
-        errors = np.where(targets[:, None] == classes[None, :], 1.0 - p, p)
-        flagged = np.zeros(idx.size, dtype=bool)
+    classes = np.bincount(targets, minlength=batch.vocab_size).nonzero()[0]
+    p = softmax(batch.logits[idx])[:, classes]
+    errors = np.where(targets[:, None] == classes[None, :], 1.0 - p, p)
     # In sorted order the nearest other error of a column is a sorted
     # neighbour, and rounded subtraction is monotone, so checking neighbour
     # gaps finds every gap <= window that comparing all pairs would.
@@ -640,5 +516,4 @@ def lovasz_tie_rows(
     close_sorted[:-1] |= close_gap
     close = np.empty_like(close_sorted)
     close[order] = close_sorted
-    flagged |= close.any(axis=1)
-    return set(idx[flagged].tolist())
+    return set(idx[close.any(axis=1)].tolist())

@@ -453,7 +453,8 @@ def parse_rationale(text: str, fmt: RationaleFormat) -> Rationale:
 
 @dataclass(frozen=True)
 class PoisonedValue:
-    """Sentinel for a value ruined by division by zero or a domain error.
+    """Sentinel for a value ruined by division by zero, a domain error or a
+    result that is not finite.
 
     Any step consuming a poisoned operand is itself poisoned; the sentinel
     never silently turns back into a number.
@@ -481,6 +482,14 @@ def resolve_constant(name: str) -> float:
 
 
 def _apply_operator(op: str, args: list[float], index: int) -> float | PoisonedValue:
+    """``op`` applied to ``args``, or step ``index``'s :class:`PoisonedValue`
+    for a division by zero, a domain error or a result that is not finite."""
+    result = _operate(op, args)
+    return result if math.isfinite(result) else PoisonedValue(index)
+
+
+def _operate(op: str, args: list[float]) -> float:
+    """``op`` applied to ``args``; NaN for a division by zero or a domain error."""
     try:
         if op in ("+", "add"):
             return math.fsum(args)
@@ -497,8 +506,6 @@ def _apply_operator(op: str, args: list[float], index: int) -> float | PoisonedV
         if op in ("/", "divide"):
             result = args[0]
             for a in args[1:]:
-                if a == 0.0:
-                    return PoisonedValue(index)
                 result /= a
             return result
         if op == "power":
@@ -515,8 +522,6 @@ def _apply_operator(op: str, args: list[float], index: int) -> float | PoisonedV
             return -args[0]
         if op == "inverse":
             _need(op, args, 1)
-            if args[0] == 0.0:
-                return PoisonedValue(index)
             return 1.0 / args[0]
         if op == "max":
             return max(args)
@@ -525,8 +530,8 @@ def _apply_operator(op: str, args: list[float], index: int) -> float | PoisonedV
         if op == "floor":
             _need(op, args, 1)
             return float(math.floor(args[0]))
-    except (ValueError, OverflowError):
-        return PoisonedValue(index)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return math.nan
     raise UnknownOperator(f"unknown operator {op!r}")
 
 
@@ -540,8 +545,9 @@ def evaluate_program(
 ) -> list[float | PoisonedValue]:
     """Evaluate steps in order, resolving references against prior values.
 
-    Division by zero (and any numeric domain error) yields a
-    :class:`PoisonedValue` that propagates to every dependent step.
+    Division by zero, any numeric domain error and any result that is not
+    finite yield a :class:`PoisonedValue` that propagates to every dependent
+    step.
     """
     values: list[float | PoisonedValue] = []
     for index, step in enumerate(steps):
@@ -607,10 +613,12 @@ def normalize_final_answer(text: str) -> float | str:
     """Comparable form of a final answer.
 
     Strips whitespace and thousands separators; numeric strings (including a
-    trailing .0) become floats, anything else becomes trimmed lowercase text.
+    trailing .0) that are finite become floats, anything else (``nan``,
+    ``inf``, a numeral too large for a float) becomes trimmed lowercase text.
     """
     cleaned = text.strip().replace(",", "")
     try:
-        return float(cleaned)
+        value = float(cleaned)
     except ValueError:
         return cleaned.lower()
+    return value if math.isfinite(value) else cleaned.lower()

@@ -177,14 +177,6 @@ class TinyModel:
             a = rng.normal(0.0, 0.02, size=(rank, vocab_size))
         return cls(emb, pos, proj, rank, adapter_scale, b, a)
 
-    @classmethod
-    def zeros(cls, vocab_size: int, dim: int, window: int) -> "TinyModel":
-        return cls(
-            np.zeros((vocab_size, dim)),
-            np.zeros(window),
-            np.zeros((dim, vocab_size)),
-        )
-
     def effective_projection(self) -> np.ndarray:
         if self.rank > 0:
             delta = (self.adapter_scale / self.rank) * (self.adapter_b @ self.adapter_a)

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,10 @@ class TestRunEval:
         pred.write_text('{"id": 1, "prediction": "b"}\n')
         report, _ = run_eval(pred, gold, "gsm8k")
         assert report["aggregate"]["em"] == pytest.approx(100.0)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def run_main(argv):
@@ -755,6 +760,13 @@ class TestTrainCommand:
         assert TRAIN_CONFIG_KEYS["mix"] == LossConfig().mix
         assert len(TRAIN_CONFIG_KEYS) == 22
 
+    def test_every_loss_option_is_a_train_key(self):
+        # a LossConfig field that no train key sets is an option no command reaches
+        key = {"auxiliary_kind": "auxiliary"}
+        for field in fields(LossConfig):
+            default = getattr(field.default, "value", field.default)
+            assert TRAIN_CONFIG_KEYS.get(key.get(field.name, field.name)) == default, field.name
+
     # every drawn number is small, so an accepted value trains at toy size
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1006,6 +1018,34 @@ class TestParseCommand:
         err = capsys.readouterr().err
         assert "--numbers" in err
         assert "'a'" in err
+
+    @pytest.mark.parametrize("numbers", ["inf,0", "1,nan", "2,-inf", "1e999"])
+    def test_non_finite_number_exits_2(self, capsys, numbers):
+        code = run_main(["parse", "--text", "<<1+1=2>> #### 2", "--numbers", numbers])
+        assert code == EXIT_DATA
+        assert "--numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "final", ["nan", "inf", "-Infinity", pytest.param("9" * 500, id="500-digits")]
+    )
+    def test_non_finite_final_answer_prints_valid_json(self, capsys, final):
+        assert run_main(["parse", "--text", f"<<1+1=2>> #### {final}"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert payload["final_answer"] == final
+        assert payload["final_value"] is None
+
+    @pytest.mark.parametrize("step", ["multiply(n0,n0)", "add(nan,1)", "power(10,400)"])
+    def test_non_finite_step_value_is_poisoned(self, capsys, step):
+        code = run_main(
+            [
+                "parse", "--format", "mathqa",
+                "--text", f"<<{step}>> <<add(#0,const_1)>> #### 1",
+                "--numbers", "1e200",
+            ]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["values"] == [{"poisoned_by_step": 0}] * 2
 
     def test_poisoned_value_marker(self, capsys):
         code = run_main(

@@ -7,6 +7,7 @@ is a bug in the program, not in its input.
 """
 
 import json
+import math
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,13 @@ def run(argv: list[str], capsys) -> int:
     return code
 
 
+def printable_value(value) -> bool:
+    """A value ``parse`` may print: null, a finite number or a poison marker."""
+    if value is None or (isinstance(value, dict) and set(value) == {"poisoned_by_step"}):
+        return True
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def run_out(argv: list[str], capsys) -> str:
     assert main(argv) == EXIT_OK
     return capsys.readouterr().out
@@ -92,11 +100,21 @@ class TestParseNeverExits3:
     @example(text=completion([MANY_MINUS], "3"), fmt="gsm8k", numbers=None)
     @example(text=completion(["power(n0,const_0_5)"], "1"), fmt="mathqa", numbers="-8")
     @example(text=completion(["power(n0,n1)"], "1"), fmt="mathqa", numbers="0,-1")
+    @example(text=completion(["1+1"], "nan"), fmt="gsm8k", numbers=None)
+    @example(text=completion(["1+1"], "9" * 500), fmt="gsm8k", numbers=None)
+    @example(text=completion(["multiply(n0,n1)"], "1"), fmt="mathqa", numbers="1e308,1e308")
+    @example(text=completion(["add(n0,1)"], "1"), fmt="mathqa", numbers="nan,inf")
     def test_parse(self, capsys, text, fmt, numbers):
         argv = ["parse", "--text", text, "--format", fmt]
         if numbers is not None:
             argv += ["--numbers", numbers]
-        run(argv, capsys)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in ALLOWED, err
+        if code == EXIT_OK:
+            payload = json.loads(out)
+            for value in (payload["final_value"], *payload.get("values", ())):
+                assert printable_value(value), value
 
     def test_recursion_spans_parse_or_name_the_step(self, capsys):
         for span in RECURSION_SPANS:

@@ -18,7 +18,6 @@ from losslab.losses import (
     AuxiliaryKind,
     LogitBatch,
     LossConfig,
-    LovaszMode,
     ce_loss,
     lovasz_loss,
     lovasz_tie_rows,
@@ -147,45 +146,13 @@ class TestLovaszTieHandling:
         assert report.skipped == []
 
 
-class TestBinaryHingeGradient:
-    def test_hinge_gradient_matches_central_differences(self):
-        mode = LovaszMode.BINARY_HINGE
-        checked = 0
-        for seed in range(20):
-            batch = random_batch(seed, n=12, vocab=2)
-            ties = lovasz_tie_rows(batch, FULL_CONTEXT, 1e-5, mode)
-            report = finite_difference_check(
-                lambda b: lovasz_loss(b, FULL_CONTEXT, mode), batch, skip_rows=ties
-            )
-            assert report.passed, f"seed {seed}: {report.summary()}"
-            assert report.n_checked + len(report.skipped) == batch.logits.size
-            checked += report.n_checked
-        assert checked > 0
-
-
-def all_pairs_tie_rows(batch, roles, step, mode=LovaszMode.MULTICLASS_SOFTMAX):
+def all_pairs_tie_rows(batch, roles, step):
     """Reference tie detector: compares every pair of errors in each class column."""
     idx = np.flatnonzero(np.isin(batch.role_mask, [int(r) for r in roles]))
-    logits = batch.logits[idx]
     targets = batch.targets[idx]
     flagged = set()
     window = 2.0 * step
-    if mode is LovaszMode.BINARY_HINGE:
-        scores = logits[:, 1] - logits[:, 0]
-        signs = np.where(targets == 1, 1.0, -1.0)
-        margins = 1.0 - scores * signs
-        errors = np.maximum(margins, 0.0)
-        for i in range(idx.size):
-            if abs(margins[i]) <= window:
-                flagged.add(int(idx[i]))
-                continue
-            gaps = np.abs(errors - errors[i])
-            gaps[i] = np.inf
-            if gaps.min() <= window:
-                flagged.add(int(idx[i]))
-        return flagged
-
-    probs = softmax(logits)
+    probs = softmax(batch.logits[idx])
     for cls in np.unique(targets):
         fg = targets == cls
         errors = np.where(fg, 1.0 - probs[:, cls], probs[:, cls])
@@ -214,15 +181,6 @@ class TestTieRowsAgainstAllPairs:
                 for step in (1e-5, 1e-2, 0.1):
                     assert lovasz_tie_rows(batch, roles, step) == all_pairs_tie_rows(
                         batch, roles, step
-                    )
-
-    def test_binary_hinge_sets_are_identical(self):
-        mode = LovaszMode.BINARY_HINGE
-        for batch in self.batches(vocab=2):
-            for roles in (FULL_CONTEXT, ANSWER_ONLY):
-                for step in (1e-5, 1e-2, 0.3):
-                    assert lovasz_tie_rows(batch, roles, step, mode) == all_pairs_tie_rows(
-                        batch, roles, step, mode
                     )
 
 

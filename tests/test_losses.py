@@ -15,15 +15,12 @@ from losslab.losses import (
     PROB_FLOOR,
     AuxiliaryKind,
     EmptyAnswerMask,
-    EmptyClassPolicy,
     EmptyInput,
     LogitBatch,
     LossConfig,
     LossInputError,
     LossResult,
-    LovaszMode,
     NoSelectedPositions,
-    Reduction,
     Role,
     ce_loss,
     combined_loss,
@@ -31,7 +28,6 @@ from losslab.losses import (
     focal_loss,
     generalized_dice_loss,
     lovasz_grad_weights,
-    lovasz_hinge,
     lovasz_loss,
     self_adjusting_dice_loss,
     softmax,
@@ -46,9 +42,15 @@ LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
 
 
+def batch_from_probs(probs, targets, role_mask):
+    """A batch whose softmax reproduces ``probs`` (rows sum to 1)."""
+    logits = np.log(np.clip(np.asarray(probs, dtype=np.float64), 1e-300, None))
+    return LogitBatch(logits, np.asarray(targets), np.asarray(role_mask))
+
+
 def single_position(probs, target=0):
     probs = np.asarray(probs, dtype=np.float64)[None, :]
-    return LogitBatch.from_probs(probs, np.array([target]), np.array([1]))
+    return batch_from_probs(probs, np.array([target]), np.array([1]))
 
 
 def random_batch(seed, n=8, vocab=17):
@@ -124,19 +126,16 @@ def per_class_reference(batch, roles, column_term, classes=None):
     return total / classes.size, logit_gradient(batch, idx, probs, dprobs / classes.size)
 
 
-def generalized_dice_reference(batch, roles, policy):
+def generalized_dice_reference(batch, roles):
     idx = np.flatnonzero(np.isin(batch.role_mask, [int(r) for r in roles]))
     probs = softmax(batch.logits[idx])
     targets = batch.targets[idx]
-    classes = (
-        np.unique(targets) if policy is EmptyClassPolicy.ZERO_WEIGHT
-        else np.arange(batch.vocab_size)
-    )
+    classes = np.unique(targets)
     num = den = 0.0
     weights = {}
     for c in classes:
         y = (targets == c).astype(np.float64)
-        weights[c] = 1.0 / (y.sum() if y.sum() > 0 else 1e-6) ** 2
+        weights[c] = 1.0 / y.sum() ** 2
         num += 2.0 * weights[c] * float(np.dot(probs[:, c], y))
         den += weights[c] * float(np.sum(probs[:, c] + y))
     dprobs = np.zeros_like(probs)
@@ -188,7 +187,7 @@ class TestLogitBatch:
 
     def test_from_probs_recovers_distribution(self):
         probs = np.array([[0.1, 0.2, 0.7], [0.25, 0.25, 0.5]])
-        batch = LogitBatch.from_probs(probs, np.array([2, 0]), np.array([1, 1]))
+        batch = batch_from_probs(probs, np.array([2, 0]), np.array([1, 1]))
         assert np.allclose(softmax(batch.logits), probs, atol=1e-12)
 
 
@@ -211,17 +210,11 @@ class TestCrossEntropy:
 
     def test_gradient_is_probs_minus_onehot(self):
         batch = random_batch(0)
-        result = ce_loss(batch, FULL_CONTEXT, Reduction.SUM)
+        result = ce_loss(batch, FULL_CONTEXT)
         probs = softmax(batch.logits)
         expected = probs.copy()
         expected[np.arange(8), batch.targets] -= 1.0
-        assert np.allclose(result.gradient, expected, atol=1e-12)
-
-    def test_sum_is_count_times_mean(self):
-        batch = random_batch(1)
-        mean = ce_loss(batch, FULL_CONTEXT, Reduction.MEAN)
-        total = ce_loss(batch, FULL_CONTEXT, Reduction.SUM)
-        assert total.value == pytest.approx(8 * mean.value, rel=1e-12)
+        assert np.allclose(result.gradient, expected / 8, atol=1e-12)
 
     def test_answer_only_selects_answer_rows(self):
         batch = random_batch(2)
@@ -303,7 +296,7 @@ class TestFocal:
 class TestDice:
     def test_perfect_onehot_is_zero(self):
         probs = np.eye(4)[[0, 1, 2, 3]]
-        batch = LogitBatch.from_probs(probs, np.arange(4), np.ones(4, dtype=np.int64))
+        batch = batch_from_probs(probs, np.arange(4), np.ones(4, dtype=np.int64))
         assert dice_loss(batch).value == pytest.approx(0.0, abs=1e-9)
 
     def test_single_class_worked_example(self):
@@ -358,31 +351,24 @@ class TestSelfAdjustingDice:
 class TestGeneralizedDice:
     def test_perfect_two_class(self):
         probs = np.eye(2)[[0, 1]]
-        batch = LogitBatch.from_probs(probs, np.array([0, 1]), np.array([1, 1]))
+        batch = batch_from_probs(probs, np.array([0, 1]), np.array([1, 1]))
         assert generalized_dice_loss(batch).value == pytest.approx(0.0, abs=1e-9)
 
     def test_worked_example(self):
         # y = [[1,0],[0,1]], p = [[0.9,0.1],[0.2,0.8]] -> both weights 1,
         # numerator 2*(0.9+0.8), denominator (0.9+0.2+1) + (0.1+0.8+1)
         probs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        batch = LogitBatch.from_probs(probs, np.array([0, 1]), np.array([1, 1]))
+        batch = batch_from_probs(probs, np.array([0, 1]), np.array([1, 1]))
         assert generalized_dice_loss(batch).value == pytest.approx(0.15, abs=1e-9)
 
     def test_zero_weight_drops_empty_class(self):
         # vocab 3 but only classes 0 and 1 appear; class 2 has zero volume
         probs = np.array([[0.8, 0.15, 0.05], [0.1, 0.85, 0.05]])
-        batch = LogitBatch.from_probs(probs, np.array([0, 1]), np.array([1, 1]))
-        full = generalized_dice_loss(batch, empty_class_policy=EmptyClassPolicy.ZERO_WEIGHT)
+        batch = batch_from_probs(probs, np.array([0, 1]), np.array([1, 1]))
+        full = generalized_dice_loss(batch)
         num = 2.0 * (0.8 + 0.85)
         den = (0.8 + 0.1 + 1.0) + (0.15 + 0.85 + 1.0)
         assert full.value == pytest.approx(1.0 - num / den, abs=1e-12)
-
-    def test_epsilon_policy_differs(self):
-        probs = np.array([[0.8, 0.15, 0.05], [0.1, 0.85, 0.05]])
-        batch = LogitBatch.from_probs(probs, np.array([0, 1]), np.array([1, 1]))
-        a = generalized_dice_loss(batch, empty_class_policy=EmptyClassPolicy.ZERO_WEIGHT)
-        b = generalized_dice_loss(batch, empty_class_policy=EmptyClassPolicy.EPSILON)
-        assert a.value != b.value
 
     def test_range_zero_one(self):
         for seed in range(10):
@@ -421,24 +407,6 @@ class TestLovaszWeights:
             assert w.sum() == pytest.approx(expected, abs=1e-12)
 
 
-class TestLovaszHinge:
-    def test_worked_example(self):
-        loss, grad = lovasz_hinge(np.array([2.0, -1.0]), np.array([1.0, 1.0]))
-        assert loss == pytest.approx(1.0, abs=1e-12)
-
-    def test_all_margins_satisfied(self):
-        loss, grad = lovasz_hinge(np.array([2.0, 1.5]), np.array([1.0, 1.0]))
-        assert loss == 0.0
-        assert np.allclose(grad, 0.0)
-
-    def test_gradient_descends(self):
-        scores = np.array([0.5, -0.5, 0.2])
-        signs = np.array([1.0, 1.0, -1.0])
-        loss, grad = lovasz_hinge(scores, signs)
-        stepped, _ = lovasz_hinge(scores - 0.01 * grad, signs)
-        assert stepped <= loss + 1e-12
-
-
 def brute_force_jaccard_loss(errors, gt):
     """Discrete Jaccard loss of the prediction implied by a 0/1 error vector."""
     gt = gt.astype(bool)
@@ -474,21 +442,6 @@ class TestLovaszLoss:
     def test_multiclass_nonnegative(self):
         for seed in range(10):
             assert lovasz_loss(random_batch(seed)).value >= -1e-12
-
-    def test_binary_hinge_mode_requires_vocab_two(self):
-        with pytest.raises(LossInputError):
-            lovasz_loss(random_batch(0), mode=LovaszMode.BINARY_HINGE)
-
-    def test_binary_hinge_mode_matches_direct_hinge(self):
-        rng = np.random.default_rng(4)
-        logits = rng.standard_normal((6, 2))
-        targets = rng.integers(0, 2, 6)
-        batch = LogitBatch(logits, targets, np.ones(6, dtype=np.int64))
-        result = lovasz_loss(batch, mode=LovaszMode.BINARY_HINGE)
-        scores = logits[:, 1] - logits[:, 0]
-        signs = np.where(targets == 1, 1.0, -1.0)
-        loss, _ = lovasz_hinge(scores, signs)
-        assert result.value == pytest.approx(loss, abs=1e-12)
 
 
 class TestCombined:
@@ -550,28 +503,19 @@ class TestCombined:
             LossConfig(mix=-0.1)
 
 
-# Every loss entry point, with the vocabulary size of the batch it takes.
+# Every loss entry point.
 LAZY_CASES = [
-    pytest.param(lambda b: ce_loss(b), 17, id="ce"),
-    pytest.param(lambda b: ce_loss(b, ANSWER_ONLY, Reduction.SUM), 17, id="ce-answer-sum"),
-    pytest.param(lambda b: focal_loss(b, 2.0), 17, id="fl"),
-    pytest.param(lambda b: focal_loss(b, 0.0, ANSWER_ONLY), 17, id="fl-gamma0"),
-    pytest.param(lambda b: dice_loss(b, ANSWER_ONLY), 17, id="dl"),
-    pytest.param(lambda b: self_adjusting_dice_loss(b), 17, id="sadl"),
-    pytest.param(lambda b: generalized_dice_loss(b), 17, id="gdl"),
-    pytest.param(
-        lambda b: generalized_dice_loss(b, ANSWER_ONLY, EmptyClassPolicy.EPSILON),
-        17,
-        id="gdl-epsilon",
-    ),
-    pytest.param(lambda b: lovasz_loss(b), 17, id="ll"),
-    pytest.param(
-        lambda b: lovasz_loss(b, ANSWER_ONLY, LovaszMode.BINARY_HINGE), 2, id="ll-hinge"
-    ),
+    pytest.param(lambda b: ce_loss(b), id="ce"),
+    pytest.param(lambda b: ce_loss(b, ANSWER_ONLY), id="ce-answer"),
+    pytest.param(lambda b: focal_loss(b, 2.0), id="fl"),
+    pytest.param(lambda b: focal_loss(b, 0.0, ANSWER_ONLY), id="fl-gamma0"),
+    pytest.param(lambda b: dice_loss(b, ANSWER_ONLY), id="dl"),
+    pytest.param(lambda b: self_adjusting_dice_loss(b), id="sadl"),
+    pytest.param(lambda b: generalized_dice_loss(b), id="gdl"),
+    pytest.param(lambda b: lovasz_loss(b), id="ll"),
     *(
         pytest.param(
             lambda b, kind=kind, mix=mix: combined_loss(b, LossConfig(mix, auxiliary_kind=kind)),
-            17,
             id=f"combined-{kind.value}-{mix}",
         )
         for kind in AuxiliaryKind
@@ -581,22 +525,22 @@ LAZY_CASES = [
 
 
 class TestLazyGradient:
-    @pytest.mark.parametrize("loss, vocab", LAZY_CASES)
-    def test_gradient_ignores_later_changes_to_the_batch(self, loss, vocab):
-        batch = random_batch(7, n=10, vocab=vocab)
+    @pytest.mark.parametrize("loss", LAZY_CASES)
+    def test_gradient_ignores_later_changes_to_the_batch(self, loss):
+        batch = random_batch(7, n=10)
         copy = LogitBatch(batch.logits.copy(), batch.targets.copy(), batch.role_mask.copy())
         result = loss(batch)
         rng = np.random.default_rng(8)
         batch.logits[:] = rng.standard_normal(batch.logits.shape)
-        batch.targets[:] = rng.integers(0, vocab, len(batch.targets))
+        batch.targets[:] = rng.integers(0, batch.vocab_size, len(batch.targets))
         batch.role_mask[:] = batch.role_mask[::-1].copy()
         expected = loss(copy)
         assert result.value == expected.value
         assert np.array_equal(result.gradient, expected.gradient)
 
-    @pytest.mark.parametrize("loss, vocab", LAZY_CASES)
-    def test_every_read_returns_the_same_array(self, loss, vocab):
-        result = loss(random_batch(3, vocab=vocab))
+    @pytest.mark.parametrize("loss", LAZY_CASES)
+    def test_every_read_returns_the_same_array(self, loss):
+        result = loss(random_batch(3))
         gradient = result.gradient
         first = gradient.copy()
         assert result.gradient is gradient
@@ -673,12 +617,11 @@ class TestMaskingInvariants:
             assert np.array_equal(a.gradient, b.gradient[:-3])
 
     def test_all_classes_empty_policy(self):
-        # every class weight suppressed is impossible with real targets, so
-        # drive it through the policy that suppresses present classes only
-        # when vocabulary has no target mass at all
+        # class 2 has no target mass, so generalized Dice drops it from both
+        # sums instead of weighting it by 1/0
         probs = np.full((2, 3), 1.0 / 3.0)
-        batch = LogitBatch.from_probs(probs, np.array([0, 1]), np.array([1, 1]))
-        value = generalized_dice_loss(batch, empty_class_policy=EmptyClassPolicy.ZERO_WEIGHT)
+        batch = batch_from_probs(probs, np.array([0, 1]), np.array([1, 1]))
+        value = generalized_dice_loss(batch)
         assert np.isfinite(value.value)
 
 
@@ -708,14 +651,8 @@ def test_region_losses_match_per_class_references(batch, roles):
             per_class_reference(batch, roles, self_adjusting_dice_term),
         ),
         (lovasz_loss(batch, roles), per_class_reference(batch, roles, lovasz_softmax_term)),
+        (generalized_dice_loss(batch, roles), generalized_dice_reference(batch, roles)),
     ]
-    for policy in EmptyClassPolicy:
-        cases.append(
-            (
-                generalized_dice_loss(batch, roles, policy),
-                generalized_dice_reference(batch, roles, policy),
-            )
-        )
     for result, (value, gradient) in cases:
         assert abs(result.value - value) <= 1e-12
         assert np.max(np.abs(result.gradient - gradient)) <= 1e-12
@@ -761,13 +698,13 @@ def scatter_oracle(batch, idx, grad_sel):
     return grad
 
 
-def ce_oracle(batch, roles, reduction):
+def ce_oracle(batch, roles):
     idx = selected_oracle(batch, roles)
     probs = softmax_oracle(batch.logits[idx])
     rows = np.arange(idx.size)
     targets = batch.targets[idx]
     values = -np.log(np.clip(probs[rows, targets], PROB_FLOOR, 1.0))
-    scale = 1.0 / idx.size if reduction is Reduction.MEAN else 1.0
+    scale = 1.0 / idx.size
     grad_sel = probs.copy()
     grad_sel[rows, targets] -= 1.0
     grad_sel *= scale
@@ -775,11 +712,9 @@ def ce_oracle(batch, roles, reduction):
 
 
 AUXILIARY_ORACLE = {
-    AuxiliaryKind.FOCAL: lambda b, c: focal_loss(b, c.gamma, ANSWER_ONLY, c.reduction),
+    AuxiliaryKind.FOCAL: lambda b, c: focal_loss(b, c.gamma, ANSWER_ONLY),
     AuxiliaryKind.DICE: lambda b, c: dice_loss(b, ANSWER_ONLY),
-    AuxiliaryKind.GENERALIZED_DICE: lambda b, c: generalized_dice_loss(
-        b, ANSWER_ONLY, c.empty_class_policy
-    ),
+    AuxiliaryKind.GENERALIZED_DICE: lambda b, c: generalized_dice_loss(b, ANSWER_ONLY),
     AuxiliaryKind.SELF_ADJUSTING_DICE: lambda b, c: self_adjusting_dice_loss(b, ANSWER_ONLY),
     AuxiliaryKind.LOVASZ: lambda b, c: lovasz_loss(b, ANSWER_ONLY),
 }
@@ -789,7 +724,7 @@ def combined_oracle(batch, config):
     value = 0.0
     gradient = np.zeros_like(batch.logits)
     if config.mix > 0.0:
-        ce = ce_loss(batch, FULL_CONTEXT, config.reduction)
+        ce = ce_loss(batch, FULL_CONTEXT)
         value += config.mix * ce.value
         gradient += config.mix * ce.gradient
     if config.mix < 1.0 and config.auxiliary_kind is not AuxiliaryKind.NONE:
@@ -807,9 +742,8 @@ def combined_oracle(batch, config):
     scale=st.sampled_from([1.0, 1e3]),
     kind=st.sampled_from(list(AuxiliaryKind)),
     mix=st.sampled_from([0.0, 0.6, 1.0]),
-    reduction=st.sampled_from(list(Reduction)),
 )
-def test_in_place_losses_match_out_of_place_oracles(batch, scale, kind, mix, reduction):
+def test_in_place_losses_match_out_of_place_oracles(batch, scale, kind, mix):
     batch = LogitBatch(batch.logits * scale, batch.targets, batch.role_mask)
     assert_same_bits(softmax(batch.logits), softmax_oracle(batch.logits))
     for roles in (FULL_CONTEXT, ANSWER_ONLY, (Role.INSTRUCTION,)):
@@ -819,11 +753,11 @@ def test_in_place_losses_match_out_of_place_oracles(batch, scale, kind, mix, red
                 _selected(batch, roles)
             continue
         assert_same_bits(_selected(batch, roles), idx)
-        result = ce_loss(batch, roles, reduction)
-        value, gradient = ce_oracle(batch, roles, reduction)
+        result = ce_loss(batch, roles)
+        value, gradient = ce_oracle(batch, roles)
         assert_same_bits(result.value, value)
         assert_same_bits(result.gradient, gradient)
-    config = LossConfig(mix=mix, auxiliary_kind=kind, reduction=reduction)
+    config = LossConfig(mix=mix, auxiliary_kind=kind)
     result = combined_loss(batch, config)
     value, gradient = combined_oracle(batch, config)
     assert_same_bits(result.value, value)
@@ -840,7 +774,7 @@ def softmax_backward_oracle(probs, dprobs):
     return probs * (dprobs - inner)
 
 
-def focal_oracle(batch, gamma, roles, reduction):
+def focal_oracle(batch, gamma, roles):
     idx = selected_oracle(batch, roles)
     probs = softmax_oracle(batch.logits[idx])
     rows = np.arange(idx.size)
@@ -850,7 +784,7 @@ def focal_oracle(batch, gamma, roles, reduction):
     log_pt = np.log(p_c)
     miss = 1.0 - p_t
     values = -(miss**gamma) * log_pt
-    scale = 1.0 / idx.size if reduction is Reduction.MEAN else 1.0
+    scale = 1.0 / idx.size
     dv_dp = np.zeros_like(p_t)
     hit = miss > 0.0
     dv_dp[hit] = gamma * miss[hit] ** (gamma - 1.0) * log_pt[hit] - (miss[hit] ** gamma) / p_c[hit]
@@ -870,12 +804,12 @@ def lovasz_term_oracle(p, y):
     return terms.mean(), derr * (1.0 - 2.0 * y) / terms.size
 
 
-def region_oracle(batch, roles, term, every_class=False):
+def region_oracle(batch, roles, term):
     """The value, the gradient, and the largest row sum of |d(value)/dp * p|."""
     idx = selected_oracle(batch, roles)
     probs = softmax_oracle(batch.logits[idx])
     targets = batch.targets[idx]
-    classes = np.arange(batch.vocab_size) if every_class else np.unique(targets)
+    classes = np.unique(targets)
     y = (targets[:, None] == classes[None, :]).astype(np.float64)
     value, dp = term(probs[:, classes], y)
     if callable(dp):  # the private terms return a function that builds d(value)/dp
@@ -887,20 +821,14 @@ def region_oracle(batch, roles, term, every_class=False):
 
 
 def region_cases(batch, roles):
-    """(loss result, dense oracle) for each region loss and Dice policy."""
+    """(loss result, dense oracle) for each region loss."""
     yield dice_loss(batch, roles), region_oracle(batch, roles, _dice_term)
     yield (
         self_adjusting_dice_loss(batch, roles),
         region_oracle(batch, roles, _self_adjusting_dice_term),
     )
     yield lovasz_loss(batch, roles), region_oracle(batch, roles, lovasz_term_oracle)
-    for policy in EmptyClassPolicy:
-        yield (
-            generalized_dice_loss(batch, roles, policy),
-            region_oracle(
-                batch, roles, _generalized_dice_term, policy is EmptyClassPolicy.EPSILON
-            ),
-        )
+    yield generalized_dice_loss(batch, roles), region_oracle(batch, roles, _generalized_dice_term)
 
 
 # The kernels sum the softmax backward's inner product over the gradient-
@@ -915,12 +843,11 @@ def region_cases(batch, roles):
     scale=st.sampled_from([1.0, 1e3]),
     roles=st.sampled_from([FULL_CONTEXT, ANSWER_ONLY]),
     gamma=st.sampled_from([0.5, 2.0]),
-    reduction=st.sampled_from(list(Reduction)),
 )
-def test_sparse_backward_matches_dense_oracles(batch, scale, roles, gamma, reduction):
+def test_sparse_backward_matches_dense_oracles(batch, scale, roles, gamma):
     batch = LogitBatch(batch.logits * scale, batch.targets, batch.role_mask)
-    result = focal_loss(batch, gamma, roles, reduction)
-    value, gradient = focal_oracle(batch, gamma, roles, reduction)
+    result = focal_loss(batch, gamma, roles)
+    value, gradient = focal_oracle(batch, gamma, roles)
     assert_same_bits(result.value, value)
     assert_same_bits(result.gradient, gradient)
     for result, (value, gradient, terms) in region_cases(batch, roles):

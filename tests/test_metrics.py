@@ -62,6 +62,14 @@ class TestExactMatch:
         assert not exact_match(None, "5")
         assert not exact_match("5", None)
 
+    def test_non_finite_answers_compare_as_text(self):
+        assert exact_match("nan", "NaN")
+        assert exact_match("inf", "inf")
+        assert not exact_match("inf", "nan")
+        assert not exact_match("inf", "1e999")
+        assert exact_match("9" * 500, "9" * 500)
+        assert not exact_match("9" * 500, "9" * 499 + "8")
+
 
 class TestOverlap:
     def test_one_common_of_three(self):

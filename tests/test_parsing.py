@@ -187,6 +187,22 @@ class TestUnrepresentableNumbers:
         steps = [ReasoningStep("power", (Operand.literal(base), Operand.literal(exponent)))]
         assert isinstance(evaluate_program(steps, [])[0], PoisonedValue)
 
+    @pytest.mark.parametrize(
+        "operator, operands",
+        [
+            ("multiply", (1e200, 1e200)),
+            ("add", (math.nan, 1.0)),
+            ("subtract", (math.inf, 1.0)),
+            ("negate", (-math.inf,)),
+            ("max", (math.inf, 1.0)),
+            ("divide", (1e300, 1e-300)),
+        ],
+    )
+    def test_non_finite_result_poisons(self, operator, operands):
+        step = ReasoningStep(operator, tuple(Operand.literal(v) for v in operands))
+        dependent = ReasoningStep("add", (Operand.step_ref(0), Operand.literal(1.0)))
+        assert evaluate_program([step, dependent], []) == [PoisonedValue(0)] * 2
+
 
 class TestProgramSteps:
     def test_divide_refs(self):
@@ -535,3 +551,20 @@ class TestNormalizeFinalAnswer:
 
     def test_letter_answers(self):
         assert normalize_final_answer("C") == normalize_final_answer("c")
+
+    @pytest.mark.parametrize(
+        "text, expected", [("nan", "nan"), (" INF ", "inf"), ("-Infinity", "-infinity")]
+    )
+    def test_non_finite_numerals_are_text(self, text, expected):
+        assert normalize_final_answer(text) == expected
+
+    def test_numeral_beyond_float_range_is_text(self):
+        digits = "9" * 500
+        assert normalize_final_answer(digits) == digits
+        assert normalize_final_answer("1,000" + digits) == "1000" + digits
+
+    @pytest.mark.parametrize("final", ["nan", "inf", pytest.param("9" * 500, id="500-digits")])
+    def test_non_finite_final_has_no_value(self, final):
+        rationale = parse_rationale(f"<<1+1=2>> #### {final}", GSM8K)
+        assert rationale.final_answer == final
+        assert rationale.final_value is None

@@ -31,6 +31,11 @@ from losslab.training import (
 )
 
 
+def zero_model(vocab_size, dim, window):
+    """A model whose every parameter is zero, so every logit is 0."""
+    return TinyModel(np.zeros((vocab_size, dim)), np.zeros(window), np.zeros((dim, vocab_size)))
+
+
 class TestCorpus:
     def test_deterministic(self):
         a = make_synthetic_corpus(5, 32, 1.0, 20)
@@ -111,7 +116,7 @@ class TestCorpus:
 
 class TestTinyModel:
     def test_zero_model_uniform_logits(self):
-        model = TinyModel.zeros(8, 4, 3)
+        model = zero_model(8, 4, 3)
         windows = np.array([[1, 2, 3], [4, 5, 6]])
         logits = model.forward_windows(windows)
         assert logits.shape == (2, 8)
@@ -133,12 +138,12 @@ class TestTinyModel:
         assert not np.allclose(before, after)
 
     def test_window_width_validated(self):
-        model = TinyModel.zeros(8, 4, 3)
+        model = zero_model(8, 4, 3)
         with pytest.raises(ValueError):
             model.forward_windows(np.array([[1, 2]]))
 
     def test_out_of_range_token_rejected(self):
-        model = TinyModel.zeros(8, 4, 3)
+        model = zero_model(8, 4, 3)
         with pytest.raises(UnknownTokenId):
             model.forward_windows(np.array([[1, 2, 8]]))
         with pytest.raises(UnknownTokenId):
@@ -194,7 +199,7 @@ class TestSnapshot:
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_truncated_rejected(self, tmp_path):
-        model = TinyModel.zeros(6, 3, 2)
+        model = zero_model(6, 3, 2)
         path = str(tmp_path / "model.sltm")
         save_model(model, path)
         Path(path).write_bytes(Path(path).read_bytes()[:-8])
@@ -202,7 +207,7 @@ class TestSnapshot:
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        model = TinyModel.zeros(6, 3, 2)
+        model = zero_model(6, 3, 2)
         path = str(tmp_path / "model.sltm")
         save_model(model, path)
         with open(path, "ab") as fh:
@@ -212,7 +217,7 @@ class TestSnapshot:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "model.sltm")
-        model = TinyModel.zeros(6, 3, 2)
+        model = zero_model(6, 3, 2)
         save_model(model, path)
         raw = bytearray(Path(path).read_bytes())
         raw[:4] = b"XXXX"
@@ -272,7 +277,7 @@ class TestTrainableFraction:
         assert fraction < 0.01
 
     def test_full_training_is_one(self):
-        model = TinyModel.zeros(16, 8, 4)
+        model = zero_model(16, 8, 4)
         assert trainable_fraction(model, TrainConfig()) == 1.0
 
 
@@ -429,7 +434,7 @@ class TestTrainLoop:
 class TestBatchAssembly:
     def test_shapes_and_roles(self):
         corpus = quick_corpus(n=3)
-        model = TinyModel.zeros(corpus.vocab_size, 4, 2)
+        model = zero_model(corpus.vocab_size, 4, 2)
         batch, windows = batch_for_samples(model, corpus.samples)
         total = sum(s.tokens.size for s in corpus.samples)
         assert windows.shape == (total, 2)
@@ -440,7 +445,7 @@ class TestBatchAssembly:
 
     def test_targets_are_sample_tokens(self):
         corpus = quick_corpus(n=2)
-        model = TinyModel.zeros(corpus.vocab_size, 4, 2)
+        model = zero_model(corpus.vocab_size, 4, 2)
         batch, _ = batch_for_samples(model, corpus.samples)
         assert np.array_equal(
             batch.targets, np.concatenate([s.tokens for s in corpus.samples])
@@ -448,7 +453,7 @@ class TestBatchAssembly:
 
     def test_first_window_is_all_pad(self):
         corpus = quick_corpus(n=1)
-        model = TinyModel.zeros(corpus.vocab_size, 4, 3)
+        model = zero_model(corpus.vocab_size, 4, 3)
         _, windows = batch_for_samples(model, corpus.samples)
         assert windows[0].tolist() == [PAD_TOKEN_ID] * 3
 
@@ -683,7 +688,7 @@ class TestEvaluateToy:
 
     def test_per_class_counts_match_pairs(self):
         corpus = quick_corpus(n=10)
-        model = TinyModel.zeros(corpus.vocab_size, 4, 4)
+        model = zero_model(corpus.vocab_size, 4, 4)
         report = evaluate_toy(model, corpus)
         total_fn = sum(c[2] for c in report.per_class.values())
         total_gold = sum(len(g) for g, _ in report.pairs)
