@@ -468,9 +468,8 @@ def _cmd_stats(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-# AdamW's betas and eps are fixed; the loss is built from mix, gamma and auxiliary
-_NOT_CONFIG_KEYS = ("beta1", "beta2", "eps", "loss")
-_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name not in _NOT_CONFIG_KEYS}
+# the loss is built from mix, gamma and auxiliary
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "loss"}
 TRAIN_CONFIG_KEYS = {
     **_TRAIN_DEFAULTS,
     "mix": LossConfig.mix,

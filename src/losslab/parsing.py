@@ -21,9 +21,11 @@ evaluated to a literal. The flat step form round-trips through
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -157,11 +159,17 @@ class Rationale:
 
 
 def step_to_dict(step: ReasoningStep) -> dict:
+    """JSON form of a step; a number that is not finite, such as an
+    overflowed literal, is written as None (null), like ``final_value``."""
     return {
         "operator": step.operator,
-        "operands": [{"kind": o.kind.value, "value": o.value} for o in step.operands],
-        "stated_result": step.stated_result,
+        "operands": [{"kind": o.kind.value, "value": _json_value(o.value)} for o in step.operands],
+        "stated_result": _json_value(step.stated_result),
     }
+
+
+def _json_value(value):
+    return None if type(value) is float and not math.isfinite(value) else value
 
 
 def format_number(value: float) -> str:
@@ -197,6 +205,11 @@ class _InfixParser:
     ``ch`` is the character at ``pos``; whitespace is skipped once, right
     after each token is consumed. Recursion depth grows only with nesting,
     which :data:`MAX_NESTING` bounds; chains are built in loops.
+
+    Each rule returns a node ``(value, op, operands, groups)``: the value of
+    the subexpression in tree order (None under a division by zero), the
+    operator and flat operand values of its chain (both None for a number or
+    a negation), and the number of parentheses around it.
     """
 
     def __init__(self, text: str):
@@ -224,7 +237,7 @@ class _InfixParser:
         while self.ch in ("+", "-"):
             op = self.ch
             self._advance(1)
-            node = (op, node, self._term())
+            node = _chain(op, node, self._term())
         return node
 
     def _term(self) -> tuple:
@@ -232,7 +245,7 @@ class _InfixParser:
         while self.ch in ("*", "/"):
             op = self.ch
             self._advance(1)
-            node = (op, node, self._factor())
+            node = _chain(op, node, self._factor())
         return node
 
     def _factor(self) -> tuple:
@@ -243,13 +256,14 @@ class _InfixParser:
             self.depth += 1
             self._advance(1)
             if ch == "(":
-                node = ("group", self._expr())
+                value, op, operands, groups = self._expr()
                 if self.ch != ")":
                     raise MalformedStep("unbalanced parenthesis", self.pos)
                 self._advance(1)
+                node = (value, op, operands, groups + 1)
             else:
-                inner = self._factor()
-                node = ("num", -inner[1]) if inner[0] == "num" else ("neg", inner)
+                value = self._factor()[0]
+                node = (None if value is None else -value, None, None, 0)
             self.depth -= 1
             return node
         if not ch:
@@ -258,70 +272,31 @@ class _InfixParser:
         if not m:
             raise MalformedStep(f"expected a number, found {ch!r}", self.pos)
         self._advance(m.end() - self.pos)
-        return ("num", float(m.group().replace(",", "")))
+        return (float(m.group().replace(",", "")), None, None, 0)
 
 
-def _eval_node(node: tuple, offset: int) -> float:
-    """Value of a parse tree, walked with an explicit stack: a chain of any
-    length is a tree of that depth."""
-    values: list[float] = []
-    stack: list = [node]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:  # an operator whose operands are on ``values``
-            if item == "neg":
-                values[-1] = -values[-1]
-                continue
-            b = values.pop()
-            a = values[-1]
-            if item == "+":
-                values[-1] = a + b
-            elif item == "-":
-                values[-1] = a - b
-            elif item == "*":
-                values[-1] = a * b
-            elif b == 0.0:
-                raise MalformedStep("division by zero inside a nested expression", offset)
-            else:
-                values[-1] = a / b
-            continue
-        kind = item[0]
-        if kind == "num":
-            values.append(item[1])
-        elif kind == "group":
-            stack.append(item[1])
-        elif kind == "neg":
-            stack += ("neg", item[1])
-        else:
-            stack += (kind, item[2], item[1])
-    return values[0]
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _flatten(node: tuple, offset: int) -> ReasoningStep:
-    """Collapse a parse tree into one operator with an ordered operand list.
-
-    Same-operator chains keep all operands: + and * flatten on both sides
-    (associativity), - and / flatten only their left spine so the list reads
-    back left-associatively. A subtree under the chain's operator, or such a
-    subtree in one pair of parentheses, continues the chain where it may;
-    any other subtree becomes a literal holding its evaluated value.
-    """
-    op = node[0]
-    commutative = op in ("+", "*")
-    operands: list[Operand] = []
-    # (subtree, whether it may continue the chain), popped left to right
-    stack = [(node, True)]
-    while stack:
-        n, chained = stack.pop()
-        kind = n[0]
-        if chained:
-            if kind == "group" and n[1][0] == op:
-                n, kind = n[1], op
-            if kind == op:
-                stack += ((n[2], commutative), (n[1], True))
-                continue
-        operands.append(Operand.literal(n[1] if kind == "num" else _eval_node(n, offset)))
-    return ReasoningStep(op, tuple(operands))
+def _chain(op: str, left: tuple, right: tuple) -> tuple:
+    """Node of ``left op right``. A child continues the chain when it has the
+    same operator, sits inside at most one pair of parentheses, and is the
+    left operand or ``op`` is + or *; any other child is one operand, its
+    value. The left child's list is extended in place, so chains stay linear."""
+    a, b = left[0], right[0]
+    if a is None or b is None or (op == "/" and b == 0.0):
+        value = None
+    else:
+        value = _ARITHMETIC[op](a, b)
+    if left[1] == op and left[3] <= 1:
+        operands = left[2]
+    else:
+        operands = [a]
+    if right[1] == op and right[3] <= 1 and op in ("+", "*"):
+        operands += right[2]
+    else:
+        operands.append(b)
+    return (value, op, operands, 0)
 
 
 def _parse_infix_step(span: str) -> ReasoningStep:
@@ -340,15 +315,12 @@ def _parse_infix_step(span: str) -> ReasoningStep:
             raise MalformedStep(
                 f"stated result {result_text!r} is not a number", span.index("=") + 1
             ) from None
-    node = _InfixParser(expr).parse()
-    while node[0] == "group":
-        node = node[1]
-    if node[0] in ("num", "neg"):
+    _, op, operands, _ = _InfixParser(expr).parse()
+    if op is None:
         raise MalformedStep("step contains no operator", 0)
-    step = _flatten(node, 0)
-    if stated is not None:
-        step = ReasoningStep(step.operator, step.operands, stated)
-    return step
+    if None in operands:
+        raise MalformedStep("division by zero inside a nested expression", 0)
+    return ReasoningStep(op, tuple(map(Operand.literal, operands)), stated)
 
 
 _PROGRAM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$", re.DOTALL)
@@ -481,9 +453,19 @@ def resolve_constant(name: str) -> float:
     raise UnknownConstant(f"unknown constant const_{name}")
 
 
+# Operators that take a fixed number of arguments; the others take any number.
+_ARITY = {"power": 2, "sqrt": 1, "log": 1, "negate": 1, "inverse": 1, "floor": 1}
+
+
 def _apply_operator(op: str, args: list[float], index: int) -> float | PoisonedValue:
     """``op`` applied to ``args``, or step ``index``'s :class:`PoisonedValue`
-    for a division by zero, a domain error or a result that is not finite."""
+    for a division by zero, a domain error or a result that is not finite.
+
+    A wrong number of arguments raises :class:`UnknownOperator`.
+    """
+    arity = _ARITY.get(op, len(args))
+    if len(args) != arity:
+        raise UnknownOperator(f"operator {op!r} takes {arity} argument(s), got {len(args)}")
     result = _operate(op, args)
     return result if math.isfinite(result) else PoisonedValue(index)
 
@@ -494,50 +476,30 @@ def _operate(op: str, args: list[float]) -> float:
         if op in ("+", "add"):
             return math.fsum(args)
         if op in ("-", "subtract"):
-            result = args[0]
-            for a in args[1:]:
-                result -= a
-            return result
+            return reduce(operator.sub, args)
         if op in ("*", "multiply"):
-            result = 1.0
-            for a in args:
-                result *= a
-            return result
+            return reduce(operator.mul, args, 1.0)
         if op in ("/", "divide"):
-            result = args[0]
-            for a in args[1:]:
-                result /= a
-            return result
+            return reduce(operator.truediv, args)
         if op == "power":
-            _need(op, args, 2)
             return math.pow(args[0], args[1])  # a domain error, not a complex number
         if op == "sqrt":
-            _need(op, args, 1)
             return math.sqrt(args[0])
         if op == "log":
-            _need(op, args, 1)
             return math.log(args[0])
         if op == "negate":
-            _need(op, args, 1)
             return -args[0]
         if op == "inverse":
-            _need(op, args, 1)
             return 1.0 / args[0]
         if op == "max":
             return max(args)
         if op == "min":
             return min(args)
         if op == "floor":
-            _need(op, args, 1)
             return float(math.floor(args[0]))
     except (ValueError, OverflowError, ZeroDivisionError):
         return math.nan
     raise UnknownOperator(f"unknown operator {op!r}")
-
-
-def _need(op: str, args: list[float], arity: int) -> None:
-    if len(args) != arity:
-        raise UnknownOperator(f"operator {op!r} takes {arity} argument(s), got {len(args)}")
 
 
 def evaluate_program(
@@ -586,12 +548,10 @@ def evaluate_program(
 
 def render_step(step: ReasoningStep) -> str:
     """Surface form that reparses to an identical step (numerals normalized)."""
-    if step.is_named:
-        return f"{step.operator}({','.join(o.render() for o in step.operands)})"
-    body = step.operator.join(o.render() for o in step.operands)
-    if step.stated_result is not None:
-        body += f"={format_number(step.stated_result)}"
-    return body
+    key = canonicalize_step(step)
+    if step.stated_result is None or step.is_named:
+        return key
+    return f"{key}={format_number(step.stated_result)}"
 
 
 def canonicalize_step(step: ReasoningStep, commutative: bool = False) -> str:

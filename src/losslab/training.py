@@ -277,12 +277,18 @@ def load_model(path: str) -> TinyModel:
     return TinyModel(arrays[0], arrays[1], arrays[2], int(rank), float(scale), b, a)
 
 
+# AdamW's moment decay rates and denominator epsilon, fixed by the recipe
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for a toy run.
 
-    Defaults follow the documented recipe (AdamW with decoupled weight decay,
-    betas 0.9/0.999, eps 1e-8, weight decay 0.01, peak learning rate 1e-4,
+    Defaults follow the documented recipe (AdamW with decoupled weight decay
+    0.01 and the fixed betas and eps above, peak learning rate 1e-4,
     batch size 2) on the toy budget of 200 steps with 50 warmup steps, the
     ``losslab train`` defaults; toy regressions override the budget knobs.
     ``adapter_rank`` > 0 freezes the base weights and trains only the
@@ -298,9 +304,6 @@ class TrainConfig:
     window: int = 4
     adapter_rank: int = 0
     adapter_scale: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     accum_steps: int = 1
     eval_interval: int = 100
@@ -451,16 +454,16 @@ def _adamw_update(
     with the bias-corrected moments m_hat = m / (1 - beta1**t) and
     v_hat = v / (1 - beta2**t). ``grad`` and ``scratch`` are overwritten.
     """
-    m *= config.beta1
-    m += np.multiply(1.0 - config.beta1, grad, out=scratch)
-    v *= config.beta2
-    np.multiply(1.0 - config.beta2, grad, out=scratch)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=scratch)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grad, out=scratch)
     scratch *= grad
     v += scratch
-    update = np.divide(m, 1.0 - config.beta1**t, out=grad)
-    denom = np.divide(v, 1.0 - config.beta2**t, out=scratch)
+    update = np.divide(m, 1.0 - ADAM_BETA1**t, out=grad)
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)
     np.sqrt(denom, out=denom)
-    denom += config.eps
+    denom += ADAM_EPS
     update /= denom
     update += np.multiply(config.weight_decay, param, out=scratch)
     update *= lr
@@ -558,9 +561,9 @@ def train(
     fraction = trainable_fraction(model, config)
     header = {
         "optimizer": "adamw",
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "eps": config.eps,
+        "beta1": ADAM_BETA1,
+        "beta2": ADAM_BETA2,
+        "eps": ADAM_EPS,
         "weight_decay": config.weight_decay,
         "max_lr": config.max_lr,
         "warmup_steps": config.warmup_steps,

@@ -1034,6 +1034,29 @@ class TestParseCommand:
         assert payload["final_answer"] == final
         assert payload["final_value"] is None
 
+    @pytest.mark.parametrize(
+        "text, fmt, path",
+        [
+            ("<<" + "9" * 400 + "+1=2>> #### 2", "gsm8k", ("operands", 0, "value")),
+            ("<<1+1=1e400>> #### 2", "gsm8k", ("stated_result",)),
+            ("<<add(nan,1)>> #### 1", "mathqa", ("operands", 0, "value")),
+        ],
+        ids=["overflowed-literal", "overflowed-stated-result", "nan-literal"],
+    )
+    def test_non_finite_step_number_prints_null(self, capsys, text, fmt, path):
+        assert run_main(["parse", "--text", text, "--format", fmt]) == EXIT_OK
+        value = json.loads(capsys.readouterr().out, parse_constant=reject_constant)["steps"][0]
+        for key in path:
+            value = value[key]
+        assert value is None
+
+    def test_wrong_arity_exits_2(self, capsys):
+        code = run_main(
+            ["parse", "--format", "mathqa", "--text", "<<power(n0)>> #### 1", "--numbers", "2,3"]
+        )
+        assert code == EXIT_DATA
+        assert "operator 'power' takes 2 argument(s), got 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("step", ["multiply(n0,n0)", "add(nan,1)", "power(10,400)"])
     def test_non_finite_step_value_is_poisoned(self, capsys, step):
         code = run_main(

@@ -80,6 +80,10 @@ def printable_value(value) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
+def reject_constant(name: str):
+    raise AssertionError(f"parse printed {name}, which is not JSON")
+
+
 def run_out(argv: list[str], capsys) -> str:
     assert main(argv) == EXIT_OK
     return capsys.readouterr().out
@@ -104,6 +108,9 @@ class TestParseNeverExits3:
     @example(text=completion(["1+1"], "9" * 500), fmt="gsm8k", numbers=None)
     @example(text=completion(["multiply(n0,n1)"], "1"), fmt="mathqa", numbers="1e308,1e308")
     @example(text=completion(["add(n0,1)"], "1"), fmt="mathqa", numbers="nan,inf")
+    @example(text=completion(["9" * 400 + "+1=2"], "2"), fmt="gsm8k", numbers=None)
+    @example(text=completion(["1+1=1e400"], "2"), fmt="gsm8k", numbers=None)
+    @example(text=completion(["add(nan,1)"], "1"), fmt="mathqa", numbers=None)
     def test_parse(self, capsys, text, fmt, numbers):
         argv = ["parse", "--text", text, "--format", fmt]
         if numbers is not None:
@@ -112,7 +119,7 @@ class TestParseNeverExits3:
         out, err = capsys.readouterr()
         assert code in ALLOWED, err
         if code == EXIT_OK:
-            payload = json.loads(out)
+            payload = json.loads(out, parse_constant=reject_constant)
             for value in (payload["final_value"], *payload.get("values", ())):
                 assert printable_value(value), value
 

@@ -1,10 +1,11 @@
 import math
 import re
 import time
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from losslab.parsing import (
@@ -29,7 +30,7 @@ from losslab.parsing import (
     render_step,
     resolve_constant,
 )
-from losslab.parsing import _spans
+from losslab.parsing import _NUMBER_RE, _InfixParser, _spans
 
 GSM8K = RationaleFormat.GSM8K
 MATHQA = RationaleFormat.MATHQA
@@ -153,6 +154,191 @@ class TestBoundedRecursion:
         assert rationale.diagnostics == (
             f"step 1 at char 10: nesting deeper than {MAX_NESTING} levels (offset {MAX_NESTING})",
         )
+
+
+class _TreeParser(_InfixParser):
+    """The infix grammar read into a tagged tree: ("num", v), ("group", n),
+    ("neg", n) and (op, left, right)."""
+
+    def _expr(self):
+        node = self._term()
+        while self.ch in ("+", "-"):
+            op = self.ch
+            self._advance(1)
+            node = (op, node, self._term())
+        return node
+
+    def _term(self):
+        node = self._factor()
+        while self.ch in ("*", "/"):
+            op = self.ch
+            self._advance(1)
+            node = (op, node, self._factor())
+        return node
+
+    def _factor(self):
+        ch = self.ch
+        if ch == "(" or ch == "-":
+            if self.depth == MAX_NESTING:
+                raise MalformedStep(f"nesting deeper than {MAX_NESTING} levels", self.pos)
+            self.depth += 1
+            self._advance(1)
+            if ch == "(":
+                node = ("group", self._expr())
+                if self.ch != ")":
+                    raise MalformedStep("unbalanced parenthesis", self.pos)
+                self._advance(1)
+            else:
+                inner = self._factor()
+                node = ("num", -inner[1]) if inner[0] == "num" else ("neg", inner)
+            self.depth -= 1
+            return node
+        if not ch:
+            raise MalformedStep("expression ended unexpectedly", self.pos)
+        m = _NUMBER_RE.match(self.text, self.pos)
+        if not m:
+            raise MalformedStep(f"expected a number, found {ch!r}", self.pos)
+        self._advance(m.end() - self.pos)
+        return ("num", float(m.group().replace(",", "")))
+
+
+def _tree_value(node):
+    """Value of a tagged tree, walked with an explicit stack."""
+    values = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:  # an operator whose operands are on ``values``
+            if item == "neg":
+                values[-1] = -values[-1]
+                continue
+            b = values.pop()
+            a = values[-1]
+            if item == "+":
+                values[-1] = a + b
+            elif item == "-":
+                values[-1] = a - b
+            elif item == "*":
+                values[-1] = a * b
+            elif b == 0.0:
+                raise MalformedStep("division by zero inside a nested expression", 0)
+            else:
+                values[-1] = a / b
+            continue
+        kind = item[0]
+        if kind == "num":
+            values.append(item[1])
+        elif kind == "group":
+            stack.append(item[1])
+        elif kind == "neg":
+            stack += ("neg", item[1])
+        else:
+            stack += (kind, item[2], item[1])
+    return values[0]
+
+
+def _tree_flatten(node):
+    """Operator and operand values of a tagged tree's top chain."""
+    op = node[0]
+    commutative = op in ("+", "*")
+    operands = []
+    stack = [(node, True)]  # (subtree, whether it may continue the chain)
+    while stack:
+        n, chained = stack.pop()
+        kind = n[0]
+        if chained:
+            if kind == "group" and n[1][0] == op:
+                n, kind = n[1], op
+            if kind == op:
+                stack += ((n[2], commutative), (n[1], True))
+                continue
+        operands.append(Operand.literal(n[1] if kind == "num" else _tree_value(n)))
+    return op, tuple(operands)
+
+
+def tree_infix_step(span):
+    """The three-phase infix parser (tree, then flatten, then evaluate the
+    subtrees that do not continue the chain), kept as an oracle."""
+    if span.count("=") > 1:
+        raise MalformedStep("more than one '=' in step", span.index("="))
+    stated = None
+    expr = span
+    if "=" in span:
+        expr, result_text = span.split("=", 1)
+        result_text = result_text.strip().replace(",", "")
+        if not result_text:
+            raise MalformedStep("empty stated result", span.index("=") + 1)
+        try:
+            stated = float(result_text)
+        except ValueError:
+            raise MalformedStep(
+                f"stated result {result_text!r} is not a number", span.index("=") + 1
+            ) from None
+    node = _TreeParser(expr).parse()
+    while node[0] == "group":
+        node = node[1]
+    if node[0] in ("num", "neg"):
+        raise MalformedStep("step contains no operator", 0)
+    return ReasoningStep(*_tree_flatten(node), stated)
+
+
+def step_bits(parse, span):
+    """Operator, stated result and operand reprs (so -0.0 and NaN count), or
+    the MalformedStep message."""
+    try:
+        step = parse(span)
+    except MalformedStep as exc:
+        return str(exc)
+    return step.operator, repr(step.stated_result), [repr(o.value) for o in step.operands]
+
+
+# Infix spans: chains under 0-2 pairs of parentheses, unary minus, zero
+# divisors at the top level and nested, literals that overflow to inf, and
+# truncated text or "=" suffixes.
+numerals = st.one_of(
+    st.integers(0, 999).map(str),
+    st.sampled_from(["0", "0.0", ".0", "0.5", ".25", "1,000", "2.50"]),
+    st.text("0123456789", min_size=300, max_size=400),  # overflows to inf
+)
+infix_operators = st.sampled_from(["+", "-", "*", "/", " + ", " - ", "* ", " /"])
+expressions = st.recursive(
+    numerals,
+    lambda inner: st.one_of(
+        st.builds(str.join, infix_operators, st.lists(inner, min_size=2, max_size=4)),
+        st.builds(lambda e, n: "(" * n + e + ")" * n, inner, st.integers(1, 2)),
+        inner.map(lambda e: "-" + e),
+    ),
+    max_leaves=10,
+)
+chains = st.builds(str.join, infix_operators, st.lists(expressions, min_size=2, max_size=4))
+infix_spans = st.one_of(
+    chains,
+    expressions,
+    st.builds(lambda span, cut: span[:cut], chains, st.integers(0, 40)),
+    st.builds(
+        str.__add__,
+        chains,
+        st.sampled_from(["=3", "= 1,000", "=", "=x", "=1e400", "=1=2", ")", "(1"]),
+    ),
+)
+
+
+class TestOnePassMatchesTree:
+    @settings(max_examples=400, deadline=None)
+    @given(span=infix_spans)
+    @example(span="1/0")
+    @example(span="1+2/0")
+    @example(span="(1/0)/2")
+    @example(span="8/(4/0)")
+    @example(span="10-(4-1)")
+    @example(span="8/(4/2)")
+    @example(span="-(1/0)")
+    @example(span="((1+2))+3")
+    @example(span="2*((3*4))")
+    @example(span="-0*-0")
+    @example(span="9" * 400 + "-" + "9" * 400 + "*(2-2)")
+    def test_same_step_or_message(self, span):
+        assert step_bits(partial(parse_step, fmt=GSM8K), span) == step_bits(tree_infix_step, span)
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,6 +543,13 @@ class TestEvaluateProgram:
     def test_unknown_operator(self):
         steps = [ReasoningStep("frobnicate", (Operand.literal(1.0),))]
         with pytest.raises(UnknownOperator):
+            evaluate_program(steps, [])
+
+    @pytest.mark.parametrize("operator, arity, count", [("power", 2, 1), ("sqrt", 1, 2)])
+    def test_wrong_arity_is_reported(self, operator, arity, count):
+        steps = [ReasoningStep(operator, (Operand.literal(4.0),) * count)]
+        message = f"operator '{operator}' takes {arity} argument\\(s\\), got {count}"
+        with pytest.raises(UnknownOperator, match=message):
             evaluate_program(steps, [])
 
     def test_infix_steps_also_evaluate(self):

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from losslab.losses import AuxiliaryKind, LogitBatch, LossConfig, Role, combined_loss
 from losslab.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PAD_TOKEN_ID,
     Corpus,
     CorpusTemplate,
@@ -495,11 +498,11 @@ def backward_oracle(model, windows, dlogits):
 
 
 def adamw_oracle(p, g, m, v, lr, t, config):
-    m = config.beta1 * m + (1.0 - config.beta1) * g
-    v = config.beta2 * v + (1.0 - config.beta2) * g * g
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    p = p - lr * (m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * p)
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    p = p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + config.weight_decay * p)
     return p, m, v
 
 
