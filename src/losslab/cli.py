@@ -286,7 +286,7 @@ def run_eval(
             )
 
     report = {
-        "aggregate": aggregate_report(samples).as_dict(),
+        "aggregate": aggregate_report(samples),
         "per_sample": per_sample,
         "conventions": {
             "commutative_matching": commutative,

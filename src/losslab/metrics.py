@@ -214,29 +214,11 @@ CSV_COLUMNS = tuple(f.name for f in fields(SampleMetrics))
 LOWER_IS_BETTER = frozenset({"es", "ms", "wo", "io"})
 
 
-@dataclass
-class MetricReport:
-    """Aggregate over samples: EM as a percentage, the rest unweighted means."""
-
-    em: float
-    iou: float
-    ciou: float
-    precision: float
-    recall: float
-    dice: float
-    es: float
-    ms: float
-    wo: float
-    io: float
-    n_samples: int
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def aggregate_report(records: Sequence[SampleMetrics]) -> MetricReport:
+def aggregate_report(records: Sequence[SampleMetrics]) -> dict:
+    """Aggregate over samples, keyed by CSV_COLUMNS then ``n_samples``: EM as
+    a percentage, the other columns unweighted means."""
     if not records:
         raise EmptyRecordSet("no per-sample records to aggregate")
     n = len(records)
     means = {c: sum(float(getattr(r, c)) for r in records) / n for c in CSV_COLUMNS if c != "em"}
-    return MetricReport(em=100.0 * sum(1 for r in records if r.em) / n, **means, n_samples=n)
+    return {"em": 100.0 * sum(1 for r in records if r.em) / n, **means, "n_samples": n}

@@ -453,53 +453,25 @@ def resolve_constant(name: str) -> float:
     raise UnknownConstant(f"unknown constant const_{name}")
 
 
-# Operators that take a fixed number of arguments; the others take any number.
-_ARITY = {"power": 2, "sqrt": 1, "log": 1, "negate": 1, "inverse": 1, "floor": 1}
-
-
-def _apply_operator(op: str, args: list[float], index: int) -> float | PoisonedValue:
-    """``op`` applied to ``args``, or step ``index``'s :class:`PoisonedValue`
-    for a division by zero, a domain error or a result that is not finite.
-
-    A wrong number of arguments raises :class:`UnknownOperator`.
-    """
-    arity = _ARITY.get(op, len(args))
-    if len(args) != arity:
-        raise UnknownOperator(f"operator {op!r} takes {arity} argument(s), got {len(args)}")
-    result = _operate(op, args)
-    return result if math.isfinite(result) else PoisonedValue(index)
-
-
-def _operate(op: str, args: list[float]) -> float:
-    """``op`` applied to ``args``; NaN for a division by zero or a domain error."""
-    try:
-        if op in ("+", "add"):
-            return math.fsum(args)
-        if op in ("-", "subtract"):
-            return reduce(operator.sub, args)
-        if op in ("*", "multiply"):
-            return reduce(operator.mul, args, 1.0)
-        if op in ("/", "divide"):
-            return reduce(operator.truediv, args)
-        if op == "power":
-            return math.pow(args[0], args[1])  # a domain error, not a complex number
-        if op == "sqrt":
-            return math.sqrt(args[0])
-        if op == "log":
-            return math.log(args[0])
-        if op == "negate":
-            return -args[0]
-        if op == "inverse":
-            return 1.0 / args[0]
-        if op == "max":
-            return max(args)
-        if op == "min":
-            return min(args)
-        if op == "floor":
-            return float(math.floor(args[0]))
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return math.nan
-    raise UnknownOperator(f"unknown operator {op!r}")
+# Each operator's argument count (None: any number, passed as one list) and
+# function. The infix operators share their named twins' entries.
+_OPERATORS = {
+    "add": (None, math.fsum),
+    "subtract": (None, lambda args: reduce(operator.sub, args)),
+    "multiply": (None, lambda args: reduce(operator.mul, args, 1.0)),
+    "divide": (None, lambda args: reduce(operator.truediv, args)),
+    "max": (None, max),
+    "min": (None, min),
+    "power": (2, math.pow),  # a domain error, not a complex number
+    "sqrt": (1, math.sqrt),
+    "log": (1, math.log),
+    "negate": (1, operator.neg),
+    "inverse": (1, lambda x: 1.0 / x),
+    "floor": (1, lambda x: float(math.floor(x))),
+}
+_OPERATORS.update(
+    zip(INFIX_OPERATORS, [_OPERATORS[n] for n in ("add", "subtract", "multiply", "divide")])
+)
 
 
 def evaluate_program(
@@ -509,7 +481,8 @@ def evaluate_program(
 
     Division by zero, any numeric domain error and any result that is not
     finite yield a :class:`PoisonedValue` that propagates to every dependent
-    step.
+    step. An unknown operator or a wrong number of arguments raises
+    :class:`UnknownOperator`, even when an argument is poisoned.
     """
     values: list[float | PoisonedValue] = []
     for index, step in enumerate(steps):
@@ -539,10 +512,21 @@ def evaluate_program(
                     args.append(float(prior))
             else:
                 args.append(resolve_constant(str(operand.value)))
+        if step.operator not in _OPERATORS:
+            raise UnknownOperator(f"unknown operator {step.operator!r}")
+        arity, function = _OPERATORS[step.operator]
+        if arity not in (None, len(step.operands)):
+            raise UnknownOperator(
+                f"operator {step.operator!r} takes {arity} argument(s), got {len(step.operands)}"
+            )
         if poisoned is not None:
             values.append(poisoned)
             continue
-        values.append(_apply_operator(step.operator, args, index))
+        try:
+            result = function(args) if arity is None else function(*args)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            result = math.nan
+        values.append(result if math.isfinite(result) else PoisonedValue(index))
     return values
 
 

@@ -1,12 +1,13 @@
 """Statistical comparisons between evaluation runs, self-contained.
 
-Distribution tails come from series/continued-fraction evaluations of the
-regularized incomplete gamma and beta functions (the classical numerical
-recipes), so no statistics library is required at runtime. Includes McNemar's
-test with continuity correction (exact binomial fallback for small discordant
-counts), the paired two-sided t-test, Pearson correlation, mean-rank
-summaries with average-rank ties, and a Gaussian kernel density over token
-ids (one convolution, O(G) memory over G ids) for frequency diagnostics.
+McNemar's chi-square(1) tail comes from ``math.erfc``; only the Student t
+tail is a continued fraction, of the regularized incomplete beta function
+(the classical numerical recipe), so no statistics library is required at
+runtime. Includes McNemar's test with continuity correction (exact binomial
+fallback for small discordant counts), the paired two-sided t-test, Pearson
+correlation, mean-rank summaries with average-rank ties, and a Gaussian
+kernel density over token ids (one convolution, O(G) memory over G ids) for
+frequency diagnostics.
 """
 
 from __future__ import annotations
@@ -34,61 +35,6 @@ class EmptyStream(ValueError):
     """Token density needs at least one token id."""
 
 
-def _gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series, for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction,
-    for x >= a + 1 (modified Lentz iteration)."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
-
-
-def chi_square_sf(x: float, df: float) -> float:
-    """Survival function of the chi-square distribution."""
-    return regularized_gamma_q(df / 2.0, x / 2.0)
-
-
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
@@ -102,25 +48,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             break
     return h
@@ -202,7 +141,8 @@ def mcnemar_test(outcomes: PairedOutcomes) -> McNemarResult:
         tail = sum(math.comb(n, i) for i in range(k + 1)) / 2.0**n
         return McNemarResult(b, c, None, min(1.0, 2.0 * tail), "exact-binomial")
     statistic = (abs(b - c) - 1.0) ** 2 / n
-    return McNemarResult(b, c, statistic, chi_square_sf(statistic, 1.0), "chi-square")
+    # chi-square(1) tail: Q(1/2, x/2) = erfc(sqrt(x/2))
+    return McNemarResult(b, c, statistic, math.erfc(math.sqrt(statistic / 2.0)), "chi-square")
 
 
 @dataclass
@@ -275,16 +215,8 @@ class ScoreTable:
 def _column_ranks(scores: np.ndarray, higher_is_better: bool) -> np.ndarray:
     """Ranks with 1 = best; tied scores share the average of their ranks."""
     keyed = -scores if higher_is_better else scores
-    order = np.argsort(keyed, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and keyed[order[j + 1]] == keyed[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, sizes = np.unique(keyed, return_inverse=True, return_counts=True)
+    return (np.cumsum(sizes) - (sizes - 1) / 2.0)[inverse]
 
 
 def mean_rank(table: ScoreTable) -> dict[str, float]:

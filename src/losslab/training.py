@@ -388,29 +388,27 @@ def batch_for_samples(
 def _backward(
     model: TinyModel, windows: np.ndarray, dlogits: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients of the scalar loss wrt every parameter tensor."""
+    """Gradients of the scalar loss wrt the trainable tensors: the two adapter
+    factors when the model has an adapter, else the three base tensors."""
     embedded = model.embeddings[windows]
     hidden = np.einsum("w,nwd->nd", model.position_weights, embedded)
-    w_eff = model.effective_projection()
-    grads: dict[str, np.ndarray] = {}
-    d_hidden = dlogits @ w_eff.T
     d_weff = hidden.T @ dlogits
-    grads["position_weights"] = np.einsum("nd,nwd->w", d_hidden, embedded)
+    if model.rank > 0:
+        factor = model.adapter_scale / model.rank
+        return {
+            "adapter_b": factor * (d_weff @ model.adapter_a.T),
+            "adapter_a": factor * (model.adapter_b.T @ d_weff),
+        }
+    d_hidden = dlogits @ model.projection.T
+    d_position = np.einsum("nd,nwd->w", d_hidden, embedded)
     d_embedded = model.position_weights[None, :, None] * d_hidden[:, None, :]
     # Entry (id, j) of the table is flat bin id * dim + j; bincount adds the
     # rows in the order np.add.at would, so the sums match it bit for bit.
     vocab, dim = model.embeddings.shape
     bins = (windows[:, :, None] * dim + np.arange(dim)).ravel()
     d_emb = np.bincount(bins, weights=d_embedded.ravel(), minlength=vocab * dim)
-    grads["embeddings"] = d_emb.reshape(vocab, dim)
-    if model.rank > 0:
-        factor = model.adapter_scale / model.rank
-        grads["adapter_b"] = factor * (d_weff @ model.adapter_a.T)
-        grads["adapter_a"] = factor * (model.adapter_b.T @ d_weff)
-        grads["projection"] = d_weff
-    else:
-        grads["projection"] = d_weff
-    return grads
+    d_emb = d_emb.reshape(vocab, dim)
+    return {"embeddings": d_emb, "position_weights": d_position, "projection": d_weff}
 
 
 def trainable_parameter_names(config: TrainConfig) -> tuple[str, ...]:

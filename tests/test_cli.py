@@ -1057,6 +1057,25 @@ class TestParseCommand:
         assert code == EXIT_DATA
         assert "operator 'power' takes 2 argument(s), got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ("<<bogus(#0)>> <<power(#0)>>", "unknown operator 'bogus'"),
+            ("<<power(#0)>>", "operator 'power' takes 2 argument(s), got 1"),
+        ],
+        ids=["unknown", "arity"],
+    )
+    def test_operator_error_behind_a_poisoned_argument_exits_2(self, capsys, steps, message):
+        code = run_main(
+            [
+                "parse", "--format", "mathqa",
+                "--text", f"<<divide(n0,0)>> {steps} #### 1",
+                "--numbers", "2",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("step", ["multiply(n0,n0)", "add(nan,1)", "power(10,400)"])
     def test_non_finite_step_value_is_poisoned(self, capsys, step):
         code = run_main(

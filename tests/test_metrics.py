@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from losslab.metrics import (
     CSV_COLUMNS,
     LOWER_IS_BETTER,
     EmptyRecordSet,
-    MetricReport,
     OverlapCounts,
     SampleMetrics,
     StepSet,
@@ -313,30 +311,30 @@ class TestMicroCorpus:
 
     def test_aggregate_values(self):
         report = aggregate_report([score_pair(g, p) for g, p in MICRO5])
-        assert report.em == pytest.approx(60.0)
-        assert report.iou == pytest.approx(11 / 30)
-        assert report.ciou == pytest.approx(17 / 30)
-        assert report.precision == pytest.approx(0.7)
-        assert report.recall == pytest.approx(0.6)
-        assert report.dice == pytest.approx(19 / 30)
-        assert report.es == pytest.approx(0.3)
-        assert report.ms == pytest.approx(0.4)
-        assert report.wo == pytest.approx(0.2)
-        assert report.io == pytest.approx(0.2)
-        assert report.n_samples == 5
+        assert report["em"] == pytest.approx(60.0)
+        assert report["iou"] == pytest.approx(11 / 30)
+        assert report["ciou"] == pytest.approx(17 / 30)
+        assert report["precision"] == pytest.approx(0.7)
+        assert report["recall"] == pytest.approx(0.6)
+        assert report["dice"] == pytest.approx(19 / 30)
+        assert report["es"] == pytest.approx(0.3)
+        assert report["ms"] == pytest.approx(0.4)
+        assert report["wo"] == pytest.approx(0.2)
+        assert report["io"] == pytest.approx(0.2)
+        assert report["n_samples"] == 5
 
 
 class TestAggregate:
     def test_single_record_passthrough(self):
         row = score_pair(*MICRO5[3][::-1])
         report = aggregate_report([row])
-        assert report.iou == pytest.approx(row.iou)
-        assert report.n_samples == 1
+        assert report["iou"] == pytest.approx(row.iou)
+        assert report["n_samples"] == 1
 
     def test_em_percentage(self):
         rows = [score_pair(g, p) for g, p in MICRO5[:2]]
         rows[1].em = False
-        assert aggregate_report(rows).em == pytest.approx(50.0)
+        assert aggregate_report(rows)["em"] == pytest.approx(50.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyRecordSet):
@@ -347,12 +345,11 @@ class TestAggregate:
             "em", "iou", "ciou", "precision", "recall", "dice", "es", "ms", "wo", "io",
         )
         report = aggregate_report([score_pair(g, p) for g, p in MICRO5])
-        assert list(report.as_dict())[:10] == list(CSV_COLUMNS)
+        assert list(report)[:10] == list(CSV_COLUMNS)
 
 
 class TestColumnDeclaration:
     def test_schema(self):
-        assert tuple(f.name for f in fields(MetricReport)) == CSV_COLUMNS + ("n_samples",)
         assert LOWER_IS_BETTER <= set(CSV_COLUMNS)
         directions = tuple(c not in LOWER_IS_BETTER for c in CSV_COLUMNS)
         assert directions == (True,) * 6 + (False,) * 4
@@ -372,10 +369,10 @@ class TestColumnDeclaration:
     def test_aggregate_is_the_mean_of_the_rows(self, rows):
         report = aggregate_report(rows)
         n = len(rows)
-        assert report.n_samples == n
-        assert report.em == pytest.approx(100.0 * sum(r.em for r in rows) / n, rel=1e-12)
+        assert report["n_samples"] == n
+        assert report["em"] == pytest.approx(100.0 * sum(r.em for r in rows) / n, rel=1e-12)
         for c in CSV_COLUMNS[1:]:
             mean = math.fsum(getattr(r, c) for r in rows) / n
-            assert getattr(report, c) == pytest.approx(mean, rel=1e-12, abs=1e-15)
-        assert list(report.as_dict()) == [*CSV_COLUMNS, "n_samples"]
+            assert report[c] == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        assert list(report) == [*CSV_COLUMNS, "n_samples"]
         assert list(rows[0].as_dict()) == list(CSV_COLUMNS)

@@ -552,6 +552,27 @@ class TestEvaluateProgram:
         with pytest.raises(UnknownOperator, match=message):
             evaluate_program(steps, [])
 
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (ReasoningStep("bogus", (Operand.step_ref(0),)), "unknown operator 'bogus'"),
+            (
+                ReasoningStep("power", (Operand.step_ref(0),)),
+                "operator 'power' takes 2 argument\\(s\\), got 1",
+            ),
+            (
+                ReasoningStep("sqrt", (Operand.step_ref(0), Operand.literal(1.0))),
+                "operator 'sqrt' takes 1 argument\\(s\\), got 2",
+            ),
+        ],
+        ids=["unknown", "too-few", "too-many"],
+    )
+    def test_poisoned_argument_does_not_hide_an_operator_error(self, step, message):
+        divide_by_zero = ReasoningStep("divide", (Operand.literal(1.0), Operand.literal(0.0)))
+        assert evaluate_program([divide_by_zero], []) == [PoisonedValue(0)]
+        with pytest.raises(UnknownOperator, match=message):
+            evaluate_program([divide_by_zero, step], [])
+
     def test_infix_steps_also_evaluate(self):
         steps = [
             ReasoningStep("*", (Operand.literal(10.0), Operand.literal(0.5))),
