@@ -51,7 +51,6 @@ from .parsing import (
 )
 from .stats import (
     LengthMismatch,
-    McNemarResult,
     PairedOutcomes,
     ScoreTable,
     ZeroVariance,
@@ -170,6 +169,18 @@ def _sha256(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write(text: str, path: str | Path | None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def build_manifest(command: list[str], config: dict, inputs: list[str | Path], seed=None) -> dict:
@@ -316,20 +327,16 @@ def emit_report(report: dict, out_format: str, out_path: str | None) -> None:
     """Write a report as lossless JSON, a CSV aggregate row, or a markdown
     table. CSV and markdown files get a manifest sidecar next to them."""
     if out_format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json_text(report)
     elif out_format == "csv":
         text = _aggregate_row_csv(report["aggregate"])
     elif out_format == "markdown":
         text = _aggregate_row_markdown(report["aggregate"])
     else:
         raise ConfigError(f"unknown output format {out_format!r}")
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    Path(out_path).write_text(text, encoding="utf-8")
-    if out_format != "json" and "manifest" in report:
-        sidecar = Path(str(out_path) + ".manifest.json")
-        sidecar.write_text(json.dumps(report["manifest"], indent=2) + "\n", encoding="utf-8")
+    _write(text, out_path)
+    if out_path is not None and out_format != "json" and "manifest" in report:
+        _write(_json_text(report["manifest"]), f"{out_path}.manifest.json")
 
 
 def _cmd_eval(args, argv: list[str]) -> int:
@@ -348,7 +355,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
     )
     report = {"manifest": manifest, **report}
     if args.dump_parse:
-        Path(args.dump_parse).write_text(json.dumps(dump, indent=2) + "\n", encoding="utf-8")
+        _write(_json_text(dump), args.dump_parse)
     emit_report(report, args.out_format, args.out)
     return EXIT_OK
 
@@ -452,12 +459,8 @@ def _cmd_stats(args, argv: list[str]) -> int:
     manifest = build_manifest(
         argv, {"test": args.test, "metric": args.metric}, args.reports
     )
-    report = {"manifest": manifest, **result}
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    # an empty --out prints, like no --out
+    _write(_json_text({"manifest": manifest, **result}), args.out or None)
     if "p_value" in result:
         star = " *" if result.get("significant") else ""
         print(
@@ -591,9 +594,7 @@ def run_train(config: dict, out_dir: str | Path, argv: list[str], config_path: s
     manifest["best_step"] = trace.best_step
     manifest["best_val_loss"] = trace.best_val_loss
     manifest["trainable_fraction"] = trace.trainable_fraction
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    _write(_json_text(manifest), out / "manifest.json")
     return EXIT_OK
 
 
@@ -670,8 +671,7 @@ def _cmd_grad_check(args, argv: list[str]) -> int:
             [],
             seed=args.seed,
         )
-        payload = {"manifest": manifest, "results": results}
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write(_json_text({"manifest": manifest, "results": results}), args.out)
     return EXIT_OK if all_passed else EXIT_INTERNAL
 
 
@@ -715,14 +715,13 @@ def _cmd_tokens(args, argv: list[str]) -> int:
     lines = ["id,density"]
     for i, d in zip(density.ids, density.density):
         lines.append(f"{int(i)},{float(d)!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write("\n".join(lines) + "\n", args.out)
     manifest = build_manifest(
         argv,
         {"exclude_ids": sorted(exclude), "bandwidth": args.bandwidth},
         [args.input],
     )
-    sidecar = Path(str(args.out) + ".manifest.json")
-    sidecar.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    _write(_json_text(manifest), f"{args.out}.manifest.json")
     if args.json_out:
         payload = {
             "manifest": manifest,
@@ -733,23 +732,14 @@ def _cmd_tokens(args, argv: list[str]) -> int:
             "log_density": [float(d) for d in density.log_density],
             "histogram": [int(c) for c in density.histogram],
         }
-        Path(args.json_out).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        _write(_json_text(payload), args.json_out)
     return EXIT_OK
 
 
 def _cmd_parse(args, argv: list[str]) -> int:
-    fmt = RationaleFormat(args.format)
-    missing_final = None
-    try:
-        rationale = parse_rationale(args.text, fmt)
-    except MissingFinalAnswer as exc:
-        rationale = exc.rationale
-        missing_final = str(exc)
+    rationale, extra_diagnostics = _parse_completion(args.text, args.format)
     payload = rationale.to_dict()
-    if missing_final:
-        payload["diagnostics"].append(missing_final)
+    payload["diagnostics"] += extra_diagnostics
     if args.numbers is not None:
         try:
             numbers = [float(x) for x in args.numbers.split(",") if x.strip()]
@@ -762,7 +752,7 @@ def _cmd_parse(args, argv: list[str]) -> int:
             {"poisoned_by_step": v.origin} if isinstance(v, PoisonedValue) else v
             for v in values
         ]
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _write(_json_text(payload), None)
     return EXIT_OK
 
 

@@ -61,18 +61,6 @@ class StepSet:
 
 
 @dataclass
-class OverlapCounts:
-    tp: int
-    fp: int
-    fn: int
-
-    @classmethod
-    def from_sets(cls, ps: StepSet, gts: StepSet) -> "OverlapCounts":
-        tp = sum((ps.keys & gts.keys).values())
-        return cls(tp, len(ps) - tp, len(gts) - tp)
-
-
-@dataclass
 class OverlapMetrics:
     iou: float
     precision: float
@@ -93,8 +81,8 @@ def step_overlap_metrics(ps: StepSet, gts: StepSet, commutative: bool) -> Overla
         return OverlapMetrics(1.0, 1.0, 1.0, 1.0)
     if len(ps) == 0 or len(gts) == 0:
         return OverlapMetrics(0.0, 0.0, 0.0, 0.0)
-    counts = OverlapCounts.from_sets(ps, gts)
-    tp, fp, fn = counts.tp, counts.fp, counts.fn
+    tp = sum((ps.keys & gts.keys).values())
+    fp, fn = len(ps) - tp, len(gts) - tp
     return OverlapMetrics(
         iou=tp / (tp + fp + fn),
         precision=tp / (tp + fp),

@@ -12,19 +12,18 @@ runs with the same config and corpus produce bit-identical traces.
 
 from __future__ import annotations
 
+import copy
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .losses import (
-    AuxiliaryKind,
     LogitBatch,
     LossConfig,
-    LossResult,
     NonFiniteLogits,
     Role,
     combined_loss,
@@ -34,6 +33,8 @@ PAD_TOKEN_ID = 0
 
 SNAPSHOT_MAGIC = b"SLTM"
 SNAPSHOT_VERSION = 1
+# magic, version, vocab, dim, window, rank, adapter scale
+SNAPSHOT_HEADER = struct.Struct("<4sIIIIId")
 
 
 class UnknownTokenId(ValueError):
@@ -208,23 +209,14 @@ class TinyModel:
         return hidden @ self.effective_projection()
 
     def copy(self) -> "TinyModel":
-        return TinyModel(
-            self.embeddings.copy(),
-            self.position_weights.copy(),
-            self.projection.copy(),
-            self.rank,
-            self.adapter_scale,
-            None if self.adapter_b is None else self.adapter_b.copy(),
-            None if self.adapter_a is None else self.adapter_a.copy(),
-        )
+        return copy.deepcopy(self)
 
 
 def save_model(model: TinyModel, path: str) -> None:
     """Flat binary snapshot: magic, version, dims, then row-major float64
     arrays (embeddings, position weights, projection, adapter B, adapter A),
     all little-endian."""
-    header = struct.pack(
-        "<4sIIIIId",
+    header = SNAPSHOT_HEADER.pack(
         SNAPSHOT_MAGIC,
         SNAPSHOT_VERSION,
         model.vocab_size,
@@ -249,12 +241,9 @@ def _model_arrays(model: TinyModel) -> list[np.ndarray]:
 def load_model(path: str) -> TinyModel:
     with open(path, "rb") as fh:
         raw = fh.read()
-    header_size = struct.calcsize("<4sIIIIId")
-    if len(raw) < header_size:
+    if len(raw) < SNAPSHOT_HEADER.size:
         raise SnapshotFormatError("snapshot shorter than its header")
-    magic, version, vocab, dim, window, rank, scale = struct.unpack(
-        "<4sIIIIId", raw[:header_size]
-    )
+    magic, version, vocab, dim, window, rank, scale = SNAPSHOT_HEADER.unpack_from(raw)
     if magic != SNAPSHOT_MAGIC:
         raise SnapshotFormatError(f"bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
@@ -262,7 +251,7 @@ def load_model(path: str) -> TinyModel:
     shapes = [(vocab, dim), (window,), (dim, vocab)]
     if rank > 0:
         shapes += [(dim, rank), (rank, vocab)]
-    offset = header_size
+    offset = SNAPSHOT_HEADER.size
     arrays = []
     for shape in shapes:
         count = int(np.prod(shape))
@@ -468,9 +457,6 @@ def _adamw_update(
     param -= update
 
 
-OnStep = Callable[[int, LogitBatch, LossResult], None]
-
-
 def _diverged(step: int, what: str, records: list[TraceRecord]) -> TrainingDiverged:
     last = records[-1].loss if records else None
     return TrainingDiverged(
@@ -482,7 +468,6 @@ def train(
     config: TrainConfig,
     corpus: Corpus,
     val_corpus: Corpus | None = None,
-    on_step: OnStep | None = None,
 ) -> TrainingTrace:
     """AdamW training loop over the combined objective.
 
@@ -532,8 +517,6 @@ def train(
                 batch_samples = [corpus.samples[int(i)] for i in picks]
                 batch, windows = forward(batch_samples)
                 result = combined_loss(batch, config.loss)
-                if on_step is not None:
-                    on_step(step, batch, result)
                 grads = _backward(model, windows, result.gradient)
                 for name in names:
                     grad_sum[name] += grads[name]
@@ -610,52 +593,33 @@ def evaluate_toy(model: TinyModel, corpus: Corpus) -> ToyEvalReport:
     frequency (ties broken by id), restricted to classes with gold answer
     occurrences; minority_recall averages recall over that set.
     """
-    tp = np.zeros(corpus.vocab_size, dtype=np.int64)
-    fp = np.zeros(corpus.vocab_size, dtype=np.int64)
-    fn = np.zeros(corpus.vocab_size, dtype=np.int64)
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    exact = 0
     for sample in corpus.samples:
         is_answer = sample.roles == int(Role.ANSWER)
-        gold = sample.tokens[is_answer]
-        instruction = sample.tokens[~is_answer]
-        pred = greedy_answer(model, instruction, gold.size)
-        pairs.append((tuple(int(t) for t in gold), tuple(pred)))
-        if list(gold) == pred:
-            exact += 1
-        for g, p in zip(gold, pred):
-            if g == p:
-                tp[g] += 1
-            else:
-                fp[p] += 1
-                fn[g] += 1
+        answer = sample.tokens[is_answer]
+        pred = greedy_answer(model, sample.tokens[~is_answer], answer.size)
+        pairs.append((tuple(int(t) for t in answer), tuple(pred)))
 
+    gold = np.array([t for g, _ in pairs for t in g], dtype=np.intp)
+    pred = np.array([t for _, p in pairs for t in p], dtype=np.intp)
+    hit = gold == pred
+    tp = np.bincount(gold[hit], minlength=corpus.vocab_size)
+    fp = np.bincount(pred[~hit], minlength=corpus.vocab_size)
+    fn = np.bincount(gold[~hit], minlength=corpus.vocab_size)
     gold_count = tp + fn
     present = np.flatnonzero(gold_count > 0)
     denom = tp + fp + fn
-    iou = np.zeros(corpus.vocab_size, dtype=np.float64)
-    nonzero = denom > 0
-    iou[nonzero] = tp[nonzero] / denom[nonzero]
+    iou = np.divide(tp, denom, out=np.zeros(corpus.vocab_size), where=denom > 0)
     mean_iou = float(iou[present].mean()) if present.size else 0.0
 
-    stream = corpus.token_stream()
-    freq = np.bincount(stream, minlength=corpus.vocab_size)
+    freq = np.bincount(corpus.token_stream(), minlength=corpus.vocab_size)
     k = max(1, (corpus.vocab_size - 1) // 10)
-    candidates = sorted(present.tolist(), key=lambda c: (freq[c], c))
-    minority = candidates[:k]
-    if minority:
-        recalls = [tp[c] / (tp[c] + fn[c]) for c in minority]
-        minority_recall = float(np.mean(recalls))
-    else:
-        minority_recall = 0.0
+    minority = present[np.lexsort((present, freq[present]))][:k]
+    minority_recall = float(np.mean(tp[minority] / gold_count[minority])) if minority.size else 0.0
 
-    per_class = {
-        int(c): (int(tp[c]), int(fp[c]), int(fn[c]))
-        for c in range(corpus.vocab_size)
-        if tp[c] or fp[c] or fn[c]
-    }
+    per_class = {int(c): (int(tp[c]), int(fp[c]), int(fn[c])) for c in np.flatnonzero(denom)}
     return ToyEvalReport(
-        answer_exact_match=exact / len(corpus.samples),
+        answer_exact_match=sum(g == p for g, p in pairs) / len(corpus.samples),
         mean_class_iou=mean_iou,
         minority_recall=minority_recall,
         per_class=per_class,

@@ -1,6 +1,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import fields
@@ -1101,3 +1104,24 @@ class TestParseCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["values"][0] == {"poisoned_by_step": 0}
         assert payload["values"][1] == {"poisoned_by_step": 0}
+
+
+class TestRuntimeImports:
+    def test_import_loads_only_stdlib_numpy_and_losslab(self, tmp_path):
+        # the baseline is taken after startup, so site's .pth hooks stay out of it
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import losslab.cli\n"
+            "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        loaded = {name.partition(".")[0] for name in out.split()}
+        assert {"losslab", "numpy"} <= loaded
+        assert loaded - sys.stdlib_module_names - {"numpy", "losslab"} == set()

@@ -93,6 +93,21 @@ class TestFiniteDifference:
         assert calls == {"loss": 2 * 8 * 17 + 1, "backward": 1}
         assert report.n_checked == 8 * 17
 
+    def test_skipped_rows_are_never_probed(self):
+        fn, _ = build_loss_fn("ce")
+        calls = []
+
+        def counted(batch):
+            calls.append(batch.logits.copy())
+            return fn(batch)
+
+        report = finite_difference_check(counted, random_batch(0), skip_rows={0, 1})
+        assert len(calls) == 2 * 6 * 17 + 1
+        assert all(np.array_equal(logits[:2], calls[0][:2]) for logits in calls)
+        assert report.skipped == [(i, k) for i in (0, 1) for k in range(17)]
+        assert report.n_checked == 6 * 17
+        assert report.worst_coordinate[0] >= 2
+
     def test_infinite_error_fails_under_an_infinite_tolerance(self):
         assert not GradCheckReport(math.inf, (0, 0), tolerance=math.inf).passed
 

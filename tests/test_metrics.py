@@ -10,7 +10,6 @@ from losslab.metrics import (
     CSV_COLUMNS,
     LOWER_IS_BETTER,
     EmptyRecordSet,
-    OverlapCounts,
     SampleMetrics,
     StepSet,
     aggregate_report,
@@ -115,10 +114,9 @@ class TestOverlap:
 
     def test_counts_invariants(self):
         ps, gts = sets_for("<<1+1>> <<2+2>> <<2+2>>", "<<2+2>> <<9*9>>", False)
-        counts = OverlapCounts.from_sets(ps, gts)
-        assert counts.tp == 1
-        assert counts.fp == len(ps) - counts.tp
-        assert counts.fn == len(gts) - counts.tp
+        # tp 1, fp 2, fn 1
+        m = step_overlap_metrics(ps, gts, commutative=False)
+        assert (m.iou, m.precision, m.recall, m.dice) == (1 / 4, 1 / 3, 1 / 2, 2 / 5)
 
 
 def random_step_multiset(rng):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from losslab import training
 from losslab.losses import AuxiliaryKind, LogitBatch, LossConfig, Role, combined_loss
 from losslab.training import (
     ADAM_BETA1,
@@ -22,6 +23,7 @@ from losslab.training import (
     UnknownTokenId,
     batch_for_samples,
     evaluate_toy,
+    greedy_answer,
     learning_rate,
     load_model,
     make_synthetic_corpus,
@@ -377,23 +379,36 @@ class TestTrainLoop:
         assert trace.best_model is None
         assert trace.best_step is None
 
-    def test_on_step_sees_every_batch(self):
-        calls = []
-        config = quick_config(steps=15, accum_steps=2)
-        train(config, quick_corpus(), on_step=lambda s, b, r: calls.append((s, r.value)))
-        assert len(calls) == 30
-        assert all(np.isfinite(v) for _, v in calls)
+    def test_on_step_sees_every_batch(self, monkeypatch):
+        values = []
 
-    def test_non_finite_gradient_raises_diverged_at_its_step(self):
+        def recorded(batch, config):
+            result = combined_loss(batch, config)
+            values.append(result.value)
+            return result
+
+        monkeypatch.setattr(training, "combined_loss", recorded)
+        config = quick_config(steps=15, accum_steps=2)
+        trace = train(config, quick_corpus())
+        assert len(values) == 30
+        assert all(np.isfinite(v) for v in values)
+        assert [r.loss for r in trace.records] == [
+            (a + b) / 2 for a, b in zip(values[::2], values[1::2])
+        ]
+
+    def test_non_finite_gradient_raises_diverged_at_its_step(self, monkeypatch):
         losses = []
 
-        def poison(step, batch, result):
+        def poisoned(batch, config):
+            result = combined_loss(batch, config)
             losses.append(result.value)
-            if step == 3:
+            if len(losses) == 4:  # step 3, one micro-batch per step
                 result.gradient[0, 0] = np.nan
+            return result
 
+        monkeypatch.setattr(training, "combined_loss", poisoned)
         with pytest.raises(TrainingDiverged) as info:
-            train(quick_config(steps=10), quick_corpus(), on_step=poison)
+            train(quick_config(steps=10), quick_corpus())
         assert "at step 3: the loss or the updated parameters" in str(info.value)
         assert f"last finite loss {losses[2]!r}" in str(info.value)
 
@@ -648,7 +663,84 @@ def lookup_model(corpus, mapping):
     return TinyModel(emb, pos, proj)
 
 
+def evaluate_toy_oracle(model, corpus):
+    """evaluate_toy as a per-token counting loop: the five report fields."""
+    tp = np.zeros(corpus.vocab_size, dtype=np.int64)
+    fp = np.zeros(corpus.vocab_size, dtype=np.int64)
+    fn = np.zeros(corpus.vocab_size, dtype=np.int64)
+    pairs = []
+    exact = 0
+    for sample in corpus.samples:
+        is_answer = sample.roles == int(Role.ANSWER)
+        gold = sample.tokens[is_answer]
+        pred = greedy_answer(model, sample.tokens[~is_answer], gold.size)
+        pairs.append((tuple(int(t) for t in gold), tuple(pred)))
+        if list(gold) == pred:
+            exact += 1
+        for g, p in zip(gold, pred):
+            if g == p:
+                tp[g] += 1
+            else:
+                fp[p] += 1
+                fn[g] += 1
+
+    present = np.flatnonzero(tp + fn > 0)
+    denom = tp + fp + fn
+    iou = np.zeros(corpus.vocab_size, dtype=np.float64)
+    nonzero = denom > 0
+    iou[nonzero] = tp[nonzero] / denom[nonzero]
+    mean_iou = float(iou[present].mean()) if present.size else 0.0
+
+    freq = np.bincount(corpus.token_stream(), minlength=corpus.vocab_size)
+    k = max(1, (corpus.vocab_size - 1) // 10)
+    minority = sorted(present.tolist(), key=lambda c: (freq[c], c))[:k]
+    if minority:
+        minority_recall = float(np.mean([tp[c] / (tp[c] + fn[c]) for c in minority]))
+    else:
+        minority_recall = 0.0
+    per_class = {
+        int(c): (int(tp[c]), int(fp[c]), int(fn[c]))
+        for c in range(corpus.vocab_size)
+        if tp[c] or fp[c] or fn[c]
+    }
+    return exact / len(corpus.samples), mean_iou, minority_recall, per_class, pairs
+
+
 class TestEvaluateToy:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        vocab=st.integers(4, 24),
+        exponent=st.sampled_from([0.0, 1.0, 2.5]),
+        n=st.integers(1, 12),
+        template=st.sampled_from(list(CorpusTemplate)),
+        rank=st.sampled_from([0, 2]),
+        zero_projection=st.booleans(),
+    )
+    def test_matches_counting_oracle(
+        self, seed, vocab, exponent, n, template, rank, zero_projection
+    ):
+        corpus = make_synthetic_corpus(
+            seed, vocab, exponent, n, template, instruction_len=3, seq_len=5
+        )
+        rng = np.random.default_rng(seed)
+        model = TinyModel.create(vocab, 6, 4, rank=rank, rng=rng)
+        if rank:
+            model.adapter_b = rng.normal(0.0, 0.5, size=model.adapter_b.shape)
+        if zero_projection:  # every logit ties, so every argmax is id 0
+            model.projection[:] = 0.0
+            if rank:
+                model.adapter_b[:] = 0.0
+        report = evaluate_toy(model, corpus)
+        fields = (
+            report.answer_exact_match,
+            report.mean_class_iou,
+            report.minority_recall,
+            report.per_class,
+            report.pairs,
+        )
+        assert fields == evaluate_toy_oracle(model, corpus)
+
     def test_perfect_lookup_model(self):
         corpus = make_synthetic_corpus(21, 8, 1.0, 40, instruction_len=1, seq_len=2)
         rng = np.random.default_rng(21)
