@@ -19,3 +19,7 @@ The package has six layers:
 """
 
 __version__ = "0.1.0"
+
+
+class DataError(ValueError):
+    """Input the program cannot use; ``losslab`` exits 2 on it."""

@@ -21,13 +21,12 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import DataError, __version__
 from .gradcheck import LOSS_NAMES, check_named_loss
 from .losses import (
     AuxiliaryKind,
     LogitBatch,
     LossConfig,
-    LossInputError,
     Role,
 )
 from .metrics import (
@@ -42,7 +41,6 @@ from .metrics import (
 )
 from .parsing import (
     MissingFinalAnswer,
-    ParseError,
     PoisonedValue,
     Rationale,
     RationaleFormat,
@@ -50,10 +48,8 @@ from .parsing import (
     parse_rationale,
 )
 from .stats import (
-    LengthMismatch,
     PairedOutcomes,
     ScoreTable,
-    ZeroVariance,
     mcnemar_test,
     mean_rank,
     paired_t_test,
@@ -62,10 +58,8 @@ from .stats import (
 )
 from .training import (
     CorpusTemplate,
-    SnapshotFormatError,
     TrainConfig,
     TrainingDiverged,
-    UnknownTokenId,
     make_synthetic_corpus,
     save_model,
     train,
@@ -83,39 +77,18 @@ EVAL_FORMATS = ("gsm8k", "mathqa", "qa_letter")
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
-class DataError(ValueError):
-    """Input data problems: malformed files, schema violations, mismatches."""
-
-
-class MalformedLine(DataError):
-    pass
-
-
-class MissingField(DataError):
-    pass
-
-
-class DuplicateId(DataError):
-    pass
-
-
-class IdMismatch(DataError):
-    pass
-
-
-class IncompatibleReports(DataError):
-    pass
-
-
-class ConfigError(DataError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D401 - argparse hook
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _output_path(text: str) -> str:
+    """The argparse type of every output flag: an empty path is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("an output path must not be empty")
+    return text
 
 
 # json.loads raises more than JSONDecodeError on text it cannot hold: ValueError
@@ -146,18 +119,18 @@ def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
         try:
             record = json.loads(line)
         except JSON_ERRORS as exc:
-            raise MalformedLine(f"{path}:{lineno}: invalid JSON ({_json_error(exc)})") from exc
+            raise DataError(f"{path}:{lineno}: invalid JSON ({_json_error(exc)})") from exc
         if not isinstance(record, dict):
-            raise MalformedLine(f"{path}:{lineno}: record must be a JSON object")
+            raise DataError(f"{path}:{lineno}: record must be a JSON object")
         for field in required:
             if field not in record:
-                raise MissingField(f"{path}:{lineno}: missing field {field!r}")
+                raise DataError(f"{path}:{lineno}: missing field {field!r}")
         if "id" in required:
             rid = record["id"]
             if isinstance(rid, (list, dict)):
-                raise MalformedLine(f"{path}:{lineno}: id {json.dumps(rid)} is an array or object")
+                raise DataError(f"{path}:{lineno}: id {json.dumps(rid)} is an array or object")
             if rid in seen_ids:
-                raise DuplicateId(f"{path}:{lineno}: duplicate id {rid!r}")
+                raise DataError(f"{path}:{lineno}: duplicate id {rid!r}")
             seen_ids.add(rid)
         records.append(record)
     return records
@@ -262,7 +235,7 @@ def run_eval(
     if set(pred_by_id) != set(gold_by_id):
         only_pred = sorted(set(pred_by_id) - set(gold_by_id), key=str)[:5]
         only_gold = sorted(set(gold_by_id) - set(pred_by_id), key=str)[:5]
-        raise IdMismatch(
+        raise DataError(
             f"ids of {pred_path} and {gold_path} differ "
             f"(pred-only {only_pred}, gold-only {only_gold})"
         )
@@ -333,7 +306,7 @@ def emit_report(report: dict, out_format: str, out_path: str | None) -> None:
     elif out_format == "markdown":
         text = _aggregate_row_markdown(report["aggregate"])
     else:
-        raise ConfigError(f"unknown output format {out_format!r}")
+        raise DataError(f"unknown output format {out_format!r}")
     _write(text, out_path)
     if out_path is not None and out_format != "json" and "manifest" in report:
         _write(_json_text(report["manifest"]), f"{out_path}.manifest.json")
@@ -370,12 +343,12 @@ def _has_json_type(value, kind: type) -> bool:
 
 def _check_columns(row, kinds: dict, where: str) -> None:
     if not isinstance(row, dict):
-        raise IncompatibleReports(f"{where} must be an object")
+        raise DataError(f"{where} must be an object")
     for name, kind in kinds.items():
         if name not in row:
-            raise IncompatibleReports(f"{where} lacks column {name!r}")
+            raise DataError(f"{where} lacks column {name!r}")
         if not _has_json_type(row[name], kind):
-            raise IncompatibleReports(
+            raise DataError(
                 f"{where}: {name} must be {_JSON_TYPES[kind]}, got {json.dumps(row[name])}"
             )
 
@@ -389,23 +362,23 @@ def _load_report(path: str) -> dict:
     except JSON_ERRORS as exc:
         raise DataError(f"{path}: not valid JSON ({_json_error(exc)})") from exc
     if not isinstance(report, dict) or "per_sample" not in report or "aggregate" not in report:
-        raise IncompatibleReports(f"{path}: not an evaluation report")
+        raise DataError(f"{path}: not an evaluation report")
     # the aggregate em is a percentage, so every aggregate column is a number
     _check_columns(report["aggregate"], dict.fromkeys(CSV_COLUMNS, float), f"{path}: aggregate")
     if not isinstance(report["per_sample"], list):
-        raise IncompatibleReports(f"{path}: per_sample must be an array")
+        raise DataError(f"{path}: per_sample must be an array")
     kinds = get_type_hints(SampleMetrics)
     # every column but the em flag is a rate; pearson_r squares them, so a
     # huge finite value would overflow it
     rates = [name for name, kind in kinds.items() if kind is float]
     for index, row in enumerate(report["per_sample"]):
         if not isinstance(row, dict) or "id" not in row:
-            raise IncompatibleReports(f"{path}: per_sample[{index}] must be an object with an id")
+            raise DataError(f"{path}: per_sample[{index}] must be an object with an id")
         where = f"{path}: per_sample[{index}] (id {json.dumps(row['id'])})"
         _check_columns(row, kinds, where)
         for name in rates:
             if not 0.0 <= row[name] <= 1.0:
-                raise IncompatibleReports(
+                raise DataError(
                     f"{where}: {name} must lie in [0, 1], got {json.dumps(row[name])}"
                 )
     return report
@@ -418,18 +391,18 @@ def _aligned_columns(reports: list[dict], paths: list[str], column: str) -> list
         by_id: dict[str, dict] = {}
         for row in rep["per_sample"]:
             if by_id.setdefault(str(row["id"]), row) is not row:
-                raise IncompatibleReports(f"{path}: two per-sample ids read {str(row['id'])!r}")
+                raise DataError(f"{path}: two per-sample ids read {str(row['id'])!r}")
         tables.append(by_id)
     ids = sorted(tables[0])
     if any(sorted(table) != ids for table in tables[1:]):
-        raise IncompatibleReports("reports cover different sample ids")
+        raise DataError("reports cover different sample ids")
     return [[table[i][column] for i in ids] for table in tables]
 
 
 def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
     reports = [_load_report(p) for p in paths]
     if test in ("mcnemar", "ttest", "pearson") and len(reports) != 2:
-        raise IncompatibleReports(f"{test} compares exactly two reports")
+        raise DataError(f"{test} compares exactly two reports")
     if test == "mcnemar":
         a, b = _aligned_columns(reports, paths, "em")
         result = mcnemar_test(PairedOutcomes(np.array(a, bool), np.array(b, bool)))
@@ -443,7 +416,7 @@ def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
         return {"test": "pearson", "metric": metric, "r": pearson_r(x, y), "n": len(x)}
     if test == "meanrank":
         if len(reports) < 2:
-            raise IncompatibleReports("meanrank needs at least two reports")
+            raise DataError("meanrank needs at least two reports")
         names = tuple(Path(p).stem for p in paths)
         if len(set(names)) != len(names):
             names = tuple(str(p) for p in paths)
@@ -451,7 +424,7 @@ def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
         higher_is_better = tuple(c not in LOWER_IS_BETTER for c in CSV_COLUMNS)
         table = ScoreTable(names, CSV_COLUMNS, scores, higher_is_better)
         return {"test": "meanrank", "mean_rank": mean_rank(table)}
-    raise ConfigError(f"unknown test {test!r}")
+    raise DataError(f"unknown test {test!r}")
 
 
 def _cmd_stats(args, argv: list[str]) -> int:
@@ -459,8 +432,7 @@ def _cmd_stats(args, argv: list[str]) -> int:
     manifest = build_manifest(
         argv, {"test": args.test, "metric": args.metric}, args.reports
     )
-    # an empty --out prints, like no --out
-    _write(_json_text({"manifest": manifest, **result}), args.out or None)
+    _write(_json_text({"manifest": manifest, **result}), args.out)
     if "p_value" in result:
         star = " *" if result.get("significant") else ""
         print(
@@ -529,7 +501,7 @@ def _check_array_sizes(config: dict, path: str) -> None:
         arrays.append((f"{keys} * window * embed_dim", positions * width))
     for keys, size in arrays:
         if size > MAX_ARRAY_VALUES:
-            raise ConfigError(
+            raise DataError(
                 f"{path}: {keys} is {size} values in one array, above the ceiling of "
                 f"{MAX_ARRAY_VALUES}"
             )
@@ -542,18 +514,18 @@ def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except JSON_ERRORS as exc:
-        raise ConfigError(f"{path}: not valid JSON ({_json_error(exc)})") from exc
+        raise DataError(f"{path}: not valid JSON ({_json_error(exc)})") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise DataError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(TRAIN_CONFIG_KEYS))
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys {unknown}")
+        raise DataError(f"{path}: unknown config keys {unknown}")
     for key, value in raw.items():
         kind = type(TRAIN_CONFIG_KEYS[key])
         if not _has_json_type(value, kind):
-            raise ConfigError(f"{path}: {key} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+            raise DataError(f"{path}: {key} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
         if kind is int and value > TRAIN_INT_CEILINGS[key]:
-            raise ConfigError(
+            raise DataError(
                 f"{path}: {key} must be at most {TRAIN_INT_CEILINGS[key]}, got {json.dumps(value)}"
             )
     config = {**TRAIN_CONFIG_KEYS, **raw}
@@ -581,7 +553,7 @@ def run_train(config: dict, out_dir: str | Path, argv: list[str], config_path: s
             seed=typed["seed"] + 1, n_samples=typed["val_samples"], **shared
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid training config: {exc}") from exc
+        raise DataError(f"invalid training config: {exc}") from exc
     trace = train(train_cfg, corpus, val_corpus)
 
     out = Path(out_dir)
@@ -617,15 +589,15 @@ def _check_grad_check_args(args) -> None:
         ("--vocab", args.vocab, 2),
     ):
         if value < least:
-            raise ConfigError(f"{flag} must be at least {least}, got {value}")
+            raise DataError(f"{flag} must be at least {least}, got {value}")
     if args.positions * args.vocab > MAX_GRADCHECK_LOGITS:
-        raise ConfigError(
+        raise DataError(
             f"--positions * --vocab must be at most {MAX_GRADCHECK_LOGITS}, "
             f"got {args.positions} * {args.vocab}"
         )
     for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
         if not (value > 0.0 and math.isfinite(value)):
-            raise ConfigError(f"{flag} must be a positive finite number, got {value!r}")
+            raise DataError(f"{flag} must be a positive finite number, got {value!r}")
 
 
 def _gradcheck_batch(seed: int, positions: int, vocab: int) -> LogitBatch:
@@ -682,16 +654,16 @@ def _cmd_tokens(args, argv: list[str]) -> int:
         try:
             exclude = {int(x) for x in args.exclude_ids.split(",") if x.strip()}
         except ValueError as exc:
-            raise ConfigError(f"--exclude-ids must be integers: {exc}") from exc
+            raise DataError(f"--exclude-ids must be integers: {exc}") from exc
     stream: list[int] = []
     for lineno, record in enumerate(records, start=1):
         tokens = record["tokens"]
         if not isinstance(tokens, list):
-            raise MalformedLine(f"{args.input}: record {lineno}: 'tokens' must be a list")
+            raise DataError(f"{args.input}: record {lineno}: 'tokens' must be a list")
         for t in tokens:
             # JSON true/false load as bool, a subclass of int
             if type(t) is not int or not -(2**63) <= t < 2**63:
-                raise MalformedLine(
+                raise DataError(
                     f"{args.input}: record {lineno}: token {json.dumps(t)} is not a 64-bit integer"
                 )
             if t not in exclude:
@@ -708,7 +680,7 @@ def _cmd_tokens(args, argv: list[str]) -> int:
         except ValueError:
             bandwidth = math.nan
         if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-            raise ConfigError(
+            raise DataError(
                 f"--bandwidth must be 'scott' or a positive finite number, got {args.bandwidth!r}"
             )
     density = token_density(stream, bandwidth)
@@ -744,9 +716,9 @@ def _cmd_parse(args, argv: list[str]) -> int:
         try:
             numbers = [float(x) for x in args.numbers.split(",") if x.strip()]
         except ValueError as exc:
-            raise ConfigError(f"--numbers must be comma-separated numbers: {exc}") from exc
+            raise DataError(f"--numbers must be comma-separated numbers: {exc}") from exc
         if not all(math.isfinite(x) for x in numbers):
-            raise ConfigError(f"--numbers must be finite numbers, got {args.numbers!r}")
+            raise DataError(f"--numbers must be finite numbers, got {args.numbers!r}")
         values = evaluate_program(rationale.steps, numbers)
         payload["values"] = [
             {"poisoned_by_step": v.origin} if isinstance(v, PoisonedValue) else v
@@ -766,21 +738,21 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--gold", required=True)
     p_eval.add_argument("--format", choices=EVAL_FORMATS, default="gsm8k")
     p_eval.add_argument("--no-commutative", action="store_true")
-    p_eval.add_argument("--out", default=None)
+    p_eval.add_argument("--out", default=None, type=_output_path)
     p_eval.add_argument("--out-format", choices=("json", "csv", "markdown"), default="json")
-    p_eval.add_argument("--dump-parse", default=None)
+    p_eval.add_argument("--dump-parse", default=None, type=_output_path)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_stats = sub.add_parser("stats", help="statistical comparison of eval reports")
     p_stats.add_argument("--test", choices=("mcnemar", "ttest", "pearson", "meanrank"), required=True)
     p_stats.add_argument("--metric", choices=CSV_COLUMNS, default="iou")
-    p_stats.add_argument("--out", default=None)
+    p_stats.add_argument("--out", default=None, type=_output_path)
     p_stats.add_argument("reports", nargs="+")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_train = sub.add_parser("train", help="train the toy model on a synthetic corpus")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out-dir", required=True)
+    p_train.add_argument("--out-dir", required=True, type=_output_path)
     p_train.add_argument("--loss-by-task", choices=("mwp", "qa"), default=None)
     p_train.set_defaults(func=_cmd_train)
 
@@ -791,13 +763,13 @@ def build_parser() -> _Parser:
     p_grad.add_argument("--vocab", type=int, default=17)
     p_grad.add_argument("--step", type=float, default=1e-5)
     p_grad.add_argument("--tolerance", type=float, default=1e-4)
-    p_grad.add_argument("--out", default=None)
+    p_grad.add_argument("--out", default=None, type=_output_path)
     p_grad.set_defaults(func=_cmd_grad_check)
 
     p_tokens = sub.add_parser("tokens", help="token id density and histogram")
     p_tokens.add_argument("--input", required=True)
-    p_tokens.add_argument("--out", required=True)
-    p_tokens.add_argument("--json-out", default=None)
+    p_tokens.add_argument("--out", required=True, type=_output_path)
+    p_tokens.add_argument("--json-out", default=None, type=_output_path)
     p_tokens.add_argument("--exclude-ids", default=None)
     p_tokens.add_argument("--bandwidth", default="scott")
     p_tokens.set_defaults(func=_cmd_tokens)
@@ -810,17 +782,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-DATA_ERRORS = (
-    DataError,
-    ParseError,
-    LengthMismatch,
-    ZeroVariance,
-    LossInputError,
-    UnknownTokenId,
-    SnapshotFormatError,
-    TrainingDiverged,
-    OSError,
-)
+DATA_ERRORS = (DataError, TrainingDiverged, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,6 +29,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import DataError
+
 PROB_FLOOR = 1e-12
 
 
@@ -55,23 +57,7 @@ class AuxiliaryKind(Enum):
     NONE = "none"
 
 
-class LossInputError(ValueError):
-    """Base class for malformed loss inputs."""
-
-
-class NoSelectedPositions(LossInputError):
-    """The role filter selected no positions."""
-
-
-class EmptyAnswerMask(LossInputError):
-    """An auxiliary loss was requested but the batch has no answer positions."""
-
-
-class EmptyInput(LossInputError):
-    """An operation that needs at least one element received none."""
-
-
-class NonFiniteLogits(LossInputError):
+class NonFiniteLogits(DataError):
     """A logit row holds NaN or +inf, or only -inf."""
 
 
@@ -93,22 +79,22 @@ class LogitBatch:
         self.targets = np.asarray(self.targets, dtype=np.intp)
         self.role_mask = np.asarray(self.role_mask, dtype=np.intp)
         if self.logits.ndim != 2:
-            raise LossInputError("logits must be 2-d (positions, vocabulary)")
+            raise DataError("logits must be 2-d (positions, vocabulary)")
         n, vocab = self.logits.shape
         if vocab < 2:
-            raise LossInputError("vocabulary size must be at least 2")
+            raise DataError("vocabulary size must be at least 2")
         if self.targets.shape != (n,) or self.role_mask.shape != (n,):
-            raise LossInputError("targets and role_mask must be 1-d of length len(logits)")
+            raise DataError("targets and role_mask must be 1-d of length len(logits)")
         # NaN and +inf propagate into the row maximum; an all -inf row has maximum -inf
         finite_max = np.isfinite(self.logits.max(axis=1))
         if not finite_max.all():
             raise NonFiniteLogits(f"logits row {finite_max.argmin()} has NaN, +inf or only -inf")
         if self.targets.min(initial=0) < 0 or self.targets.max(initial=0) >= vocab:
-            raise LossInputError("every target index must be in [0, vocabulary)")
+            raise DataError("every target index must be in [0, vocabulary)")
         if self.role_mask.min(initial=0) < 0 or self.role_mask.max(initial=0) > Role.PAD:
-            raise LossInputError("role_mask entries must be Role values")
+            raise DataError("role_mask entries must be Role values")
         if not (self.role_mask != Role.PAD).any():
-            raise LossInputError("batch must contain at least one non-PAD position")
+            raise DataError("batch must contain at least one non-PAD position")
 
     @property
     def vocab_size(self) -> int:
@@ -130,13 +116,13 @@ class LossConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mix <= 1.0:
-            raise LossInputError(f"mix must lie in [0, 1], got {self.mix}")
+            raise DataError(f"mix must lie in [0, 1], got {self.mix}")
         _check_gamma(self.gamma)
 
 
 def _check_gamma(gamma: float) -> None:
     if not 0.0 <= gamma < math.inf:
-        raise LossInputError(f"gamma must be a finite number >= 0, got {gamma}")
+        raise DataError(f"gamma must be a finite number >= 0, got {gamma}")
 
 
 @dataclass
@@ -193,12 +179,12 @@ def _role_table(roles: tuple[Role, ...]) -> np.ndarray:
 def _selected(batch: LogitBatch, roles: Iterable[Role]) -> np.ndarray:
     roles = tuple(roles)
     if Role.PAD in roles:
-        raise LossInputError("PAD positions are never selectable")
+        raise DataError("PAD positions are never selectable")
     if not roles:
-        raise LossInputError("role filter must name at least one role")
+        raise DataError("role filter must name at least one role")
     idx = _role_table(roles)[batch.role_mask].nonzero()[0]
     if idx.size == 0:
-        raise NoSelectedPositions(f"no positions with roles {tuple(r.name for r in roles)}")
+        raise DataError(f"no positions with roles {tuple(r.name for r in roles)}")
     return idx
 
 
@@ -406,9 +392,9 @@ def lovasz_grad_weights(sorted_gt: np.ndarray) -> np.ndarray:
     """
     gt = np.asarray(sorted_gt, dtype=np.float64)
     if gt.ndim not in (1, 2) or gt.size == 0:
-        raise EmptyInput("sorted ground truth must be a nonempty 1-d or 2-d array")
+        raise DataError("sorted ground truth must be a nonempty 1-d or 2-d array")
     if not np.isin(gt, (0.0, 1.0)).all():
-        raise LossInputError("ground truth entries must be 0 or 1")
+        raise DataError("ground truth entries must be 0 or 1")
     return _jaccard_weights(gt)
 
 
@@ -457,7 +443,7 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
     """
     kind = config.auxiliary_kind
     if kind is not AuxiliaryKind.NONE and not (batch.role_mask == Role.ANSWER).any():
-        raise EmptyAnswerMask("auxiliary loss requested but batch has no answer positions")
+        raise DataError("auxiliary loss requested but batch has no answer positions")
 
     shape = batch.logits.shape
     mix = config.mix

@@ -13,13 +13,10 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Sequence
 
+from . import DataError
 from .parsing import ReasoningStep, canonicalize_step, normalize_final_answer
 
 NUMERIC_TOLERANCE = 1e-6
-
-
-class EmptyRecordSet(ValueError):
-    """aggregate_report needs at least one per-sample record."""
 
 
 def exact_match(prediction: str | None, gold: str | None) -> bool:
@@ -206,7 +203,7 @@ def aggregate_report(records: Sequence[SampleMetrics]) -> dict:
     """Aggregate over samples, keyed by CSV_COLUMNS then ``n_samples``: EM as
     a percentage, the other columns unweighted means."""
     if not records:
-        raise EmptyRecordSet("no per-sample records to aggregate")
+        raise DataError("no per-sample records to aggregate")
     n = len(records)
     means = {c: sum(float(getattr(r, c)) for r in records) / n for c in CSV_COLUMNS if c != "em"}
     return {"em": 100.0 * sum(1 for r in records if r.em) / n, **means, "n_samples": n}

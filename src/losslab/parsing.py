@@ -30,6 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import DataError
+
 FINAL_MARKER = "####"
 
 INFIX_OPERATORS = ("+", "-", "*", "/")
@@ -48,17 +50,13 @@ class OperandKind(Enum):
     CONST = "const"
 
 
-class ParseError(ValueError):
-    """Base class for rationale parsing failures."""
-
-
-class MalformedStep(ParseError):
+class MalformedStep(DataError):
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
 
-class MissingFinalAnswer(ParseError):
+class MissingFinalAnswer(DataError):
     """Raised when a completion lacks the final-answer marker.
 
     Carries the partially parsed rationale (steps and diagnostics) so callers
@@ -68,18 +66,6 @@ class MissingFinalAnswer(ParseError):
     def __init__(self, message: str, rationale: "Rationale"):
         super().__init__(message)
         self.rationale = rationale
-
-
-class UnresolvedReference(ParseError):
-    """A problem or step reference points outside the available values."""
-
-
-class UnknownOperator(ParseError):
-    pass
-
-
-class UnknownConstant(ParseError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -434,9 +420,6 @@ class PoisonedValue:
 
     origin: int
 
-    def __float__(self):  # pragma: no cover - defensive
-        raise TypeError("poisoned values cannot be coerced to float")
-
 
 NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -450,7 +433,7 @@ def resolve_constant(name: str) -> float:
         return NAMED_CONSTANTS[name]
     if _NUMERIC_CONST_RE.match(name):
         return float(name.replace("_", ".", 1))
-    raise UnknownConstant(f"unknown constant const_{name}")
+    raise DataError(f"unknown constant const_{name}")
 
 
 # Each operator's argument count (None: any number, passed as one list) and
@@ -482,7 +465,7 @@ def evaluate_program(
     Division by zero, any numeric domain error and any result that is not
     finite yield a :class:`PoisonedValue` that propagates to every dependent
     step. An unknown operator or a wrong number of arguments raises
-    :class:`UnknownOperator`, even when an argument is poisoned.
+    :class:`~losslab.DataError`, even when an argument is poisoned.
     """
     values: list[float | PoisonedValue] = []
     for index, step in enumerate(steps):
@@ -494,7 +477,7 @@ def evaluate_program(
             elif operand.kind is OperandKind.PROBLEM_REF:
                 k = int(operand.value)
                 if not 0 <= k < len(problem_numbers):
-                    raise UnresolvedReference(
+                    raise DataError(
                         f"step {index} references problem number n{k}, "
                         f"but only {len(problem_numbers)} are available"
                     )
@@ -502,7 +485,7 @@ def evaluate_program(
             elif operand.kind is OperandKind.STEP_REF:
                 k = int(operand.value)
                 if not 0 <= k < index:
-                    raise UnresolvedReference(
+                    raise DataError(
                         f"step {index} references step #{k}, which is not a prior step"
                     )
                 prior = values[k]
@@ -513,10 +496,10 @@ def evaluate_program(
             else:
                 args.append(resolve_constant(str(operand.value)))
         if step.operator not in _OPERATORS:
-            raise UnknownOperator(f"unknown operator {step.operator!r}")
+            raise DataError(f"unknown operator {step.operator!r}")
         arity, function = _OPERATORS[step.operator]
         if arity not in (None, len(step.operands)):
-            raise UnknownOperator(
+            raise DataError(
                 f"operator {step.operator!r} takes {arity} argument(s), got {len(step.operands)}"
             )
         if poisoned is not None:

@@ -18,21 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import DataError
+
 _MAX_ITER = 500
 _EPS = 1e-15
 _TINY = 1e-300
-
-
-class LengthMismatch(ValueError):
-    """Paired inputs must have equal, sufficient length."""
-
-
-class ZeroVariance(ValueError):
-    """Correlation is undefined when one side is constant."""
-
-
-class EmptyStream(ValueError):
-    """Token density needs at least one token id."""
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -105,9 +95,9 @@ class PairedOutcomes:
         self.a_correct = np.asarray(self.a_correct, dtype=bool)
         self.b_correct = np.asarray(self.b_correct, dtype=bool)
         if self.a_correct.shape != self.b_correct.shape or self.a_correct.ndim != 1:
-            raise LengthMismatch("outcome vectors must be 1-d and equally long")
+            raise DataError("outcome vectors must be 1-d and equally long")
         if self.a_correct.size == 0:
-            raise LengthMismatch("outcome vectors must be nonempty")
+            raise DataError("outcome vectors must be nonempty")
 
 
 @dataclass
@@ -162,10 +152,10 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> TTestResult:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatch("paired vectors must be 1-d and equally long")
+        raise DataError("paired vectors must be 1-d and equally long")
     n = x.size
     if n < 2:
-        raise LengthMismatch("paired t-test needs at least two pairs")
+        raise DataError("paired t-test needs at least two pairs")
     d = x - y
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
@@ -183,15 +173,15 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatch("vectors must be 1-d and equally long")
+        raise DataError("vectors must be 1-d and equally long")
     if x.size < 2:
-        raise LengthMismatch("correlation needs at least two points")
+        raise DataError("correlation needs at least two points")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
     if sxx == 0.0 or syy == 0.0:
-        raise ZeroVariance("correlation is undefined for a constant vector")
+        raise DataError("correlation is undefined for a constant vector")
     return float(np.dot(dx, dy) / math.sqrt(sxx * syy))
 
 
@@ -207,9 +197,9 @@ class ScoreTable:
     def __post_init__(self) -> None:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != (len(self.row_names), len(self.col_names)):
-            raise LengthMismatch("score matrix shape must match row/column names")
+            raise DataError("score matrix shape must match row/column names")
         if len(self.higher_is_better) != len(self.col_names):
-            raise LengthMismatch("one direction flag per column is required")
+            raise DataError("one direction flag per column is required")
 
 
 def _column_ranks(scores: np.ndarray, higher_is_better: bool) -> np.ndarray:
@@ -260,7 +250,7 @@ def token_density(
     """
     ids = np.asarray(token_ids, dtype=np.int64).ravel()
     if ids.size == 0:
-        raise EmptyStream("token stream is empty")
+        raise DataError("token stream is empty")
     n = ids.size
     lo, hi = int(ids.min()), int(ids.max())
     g = hi - lo + 1

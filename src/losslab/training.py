@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import DataError
 from .losses import (
     LogitBatch,
     LossConfig,
@@ -35,14 +36,6 @@ SNAPSHOT_MAGIC = b"SLTM"
 SNAPSHOT_VERSION = 1
 # magic, version, vocab, dim, window, rank, adapter scale
 SNAPSHOT_HEADER = struct.Struct("<4sIIIIId")
-
-
-class UnknownTokenId(ValueError):
-    """A token id fell outside the model's vocabulary."""
-
-
-class SnapshotFormatError(ValueError):
-    """A model snapshot file is not in the expected layout."""
 
 
 class TrainingDiverged(ArithmeticError):
@@ -64,9 +57,6 @@ class Sample:
 class Corpus:
     vocab_size: int
     samples: list[Sample]
-    template: CorpusTemplate
-    seed: int
-    zipf_exponent: float
 
     def token_stream(self) -> np.ndarray:
         """All non-pad tokens of the corpus, concatenated."""
@@ -125,7 +115,7 @@ def make_synthetic_corpus(
                 ]
             )
             samples.append(Sample(tokens, roles))
-    return Corpus(vocab_size, samples, template, seed, zipf_exponent)
+    return Corpus(vocab_size, samples)
 
 
 @dataclass
@@ -203,7 +193,7 @@ class TinyModel:
         if windows.ndim != 2 or windows.shape[1] != self.window:
             raise ValueError(f"windows must be 2-d with width {self.window}")
         if windows.min(initial=0) < 0 or windows.max(initial=0) >= self.vocab_size:
-            raise UnknownTokenId("token id outside the model vocabulary")
+            raise DataError("token id outside the model vocabulary")
         embedded = self.embeddings[windows]
         hidden = np.einsum("w,nwd->nd", self.position_weights, embedded)
         return hidden @ self.effective_projection()
@@ -242,12 +232,12 @@ def load_model(path: str) -> TinyModel:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < SNAPSHOT_HEADER.size:
-        raise SnapshotFormatError("snapshot shorter than its header")
+        raise DataError("snapshot shorter than its header")
     magic, version, vocab, dim, window, rank, scale = SNAPSHOT_HEADER.unpack_from(raw)
     if magic != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"bad magic {magic!r}")
+        raise DataError(f"bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"unsupported snapshot version {version}")
+        raise DataError(f"unsupported snapshot version {version}")
     shapes = [(vocab, dim), (window,), (dim, vocab)]
     if rank > 0:
         shapes += [(dim, rank), (rank, vocab)]
@@ -257,11 +247,11 @@ def load_model(path: str) -> TinyModel:
         count = int(np.prod(shape))
         end = offset + count * 8
         if end > len(raw):
-            raise SnapshotFormatError("snapshot truncated")
+            raise DataError("snapshot truncated")
         arrays.append(np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy())
         offset = end
     if offset != len(raw):
-        raise SnapshotFormatError("snapshot has trailing bytes")
+        raise DataError("snapshot has trailing bytes")
     b, a = (arrays[3], arrays[4]) if rank > 0 else (None, None)
     return TinyModel(arrays[0], arrays[1], arrays[2], int(rank), float(scale), b, a)
 

@@ -1,7 +1,9 @@
 import gc
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losslab import cli
+import losslab
+from losslab import DataError, cli
 from losslab.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -22,11 +25,6 @@ from losslab.cli import (
     MAX_ARRAY_VALUES,
     TRAIN_CONFIG_KEYS,
     TRAIN_INT_CEILINGS,
-    ConfigError,
-    DuplicateId,
-    IdMismatch,
-    MalformedLine,
-    MissingField,
     build_manifest,
     ingest_jsonl,
     load_train_config,
@@ -36,7 +34,7 @@ from losslab.cli import (
 )
 from losslab.losses import LossConfig
 from losslab.metrics import CSV_COLUMNS
-from losslab.training import TrainConfig
+from losslab.training import TrainConfig, TrainingDiverged
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MICRO5_GOLD = str(FIXTURES / "micro5_gold.jsonl")
@@ -61,7 +59,7 @@ class TestIngest:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": 1\n')
-        with pytest.raises(MalformedLine):
+        with pytest.raises(DataError, match="data.jsonl:1: invalid JSON"):
             ingest_jsonl(path, required=("id",))
 
     def test_unicode_line_separators_inside_strings_exit_0(self, tmp_path, capsys):
@@ -83,7 +81,7 @@ class TestIngest:
         path = tmp_path / "data.jsonl"
         lines = ['{"id": 1, "gold": "x"}', "", '{"id": 2, "gold": "z"}', '{"id": 3']
         path.write_bytes(newline.join(line.encode() for line in lines) + newline)
-        with pytest.raises(MalformedLine, match="data.jsonl:4: invalid JSON"):
+        with pytest.raises(DataError, match="data.jsonl:4: invalid JSON"):
             ingest_jsonl(path, required=("id", "gold"))
 
     @pytest.mark.parametrize(
@@ -96,7 +94,7 @@ class TestIngest:
     def test_json_the_decoder_cannot_hold_is_malformed(self, tmp_path, line, named):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": 1}\n' + line + "\n")
-        with pytest.raises(MalformedLine, match=f"data.jsonl:2: invalid JSON \\({named}"):
+        with pytest.raises(DataError, match=f"data.jsonl:2: invalid JSON \\({named}"):
             ingest_jsonl(path, required=("id",))
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
@@ -108,19 +106,19 @@ class TestIngest:
     def test_non_object_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text("[1, 2]\n")
-        with pytest.raises(MalformedLine):
+        with pytest.raises(DataError, match="data.jsonl:1: record must be a JSON object"):
             ingest_jsonl(path, required=())
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": 1, "gold": "x"}\n{"id": 2}\n')
-        with pytest.raises(MissingField, match="2"):
+        with pytest.raises(DataError, match="data.jsonl:2: missing field 'gold'"):
             ingest_jsonl(path, required=("id", "gold"))
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": 1, "gold": "x"}\n{"id": 1, "gold": "y"}\n')
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DataError, match="data.jsonl:2: duplicate id 1"):
             ingest_jsonl(path, required=("id", "gold"))
 
     @pytest.mark.parametrize("rid", ["[1]", '{"a": 1}'])
@@ -225,7 +223,7 @@ class TestRunEval:
     def test_id_mismatch_rejected(self, tmp_path):
         pred = tmp_path / "pred.jsonl"
         pred.write_text('{"id": "zz", "prediction": "#### 1"}\n')
-        with pytest.raises(IdMismatch):
+        with pytest.raises(DataError, match=r"ids of .* differ \(pred-only \['zz'\]"):
             run_eval(pred, MICRO3_GOLD, "gsm8k")
 
     def test_per_record_format_override(self, tmp_path):
@@ -394,6 +392,59 @@ class TestUsageErrors:
     def test_version_exits_zero(self, capsys):
         assert run_main(["--version"]) == EXIT_OK
         assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("eval", "--out"),
+            ("eval", "--dump-parse"),
+            ("stats", "--out"),
+            ("train", "--out-dir"),
+            ("grad-check", "--out"),
+            ("tokens", "--out"),
+            ("tokens", "--json-out"),
+        ],
+    )
+    def test_empty_output_path_is_a_usage_error(
+        self, two_reports, tmp_path, monkeypatch, capsys, command, flag
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TRAIN_CONFIG))
+        tokens = tmp_path / "tokens.jsonl"
+        tokens.write_text('{"tokens": [1, 2, 2, 3]}\n')
+        # every input is valid, so only the empty path stops the command
+        argv = {
+            "eval": ["eval", "--pred", MICRO5_PRED, "--gold", MICRO5_GOLD],
+            "stats": ["stats", "--test", "ttest", *two_reports],
+            "train": ["train", "--config", str(config)],
+            "grad-check": ["grad-check", "--loss", "ce"],
+            "tokens": ["tokens", "--input", str(tokens), "--out", str(tmp_path / "d.csv")],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert run_main([*argv, flag, ""]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{command}: error: argument {flag}: an output path must not be empty" in err
+        assert list(cwd.iterdir()) == []
+        assert sorted(tmp_path.rglob("*")) == sorted([*before, cwd])
+
+
+class TestErrorContract:
+    def test_every_error_class_but_divergence_is_a_data_error(self):
+        # main maps only DATA_ERRORS to exit 2; any other error type exits 3
+        submodules = pkgutil.iter_modules(losslab.__path__, "losslab.")
+        modules = [losslab, *(importlib.import_module(m.name) for m in submodules)]
+        errors = {
+            obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__.partition(".")[0] == "losslab"
+        }
+        assert DataError in errors and TrainingDiverged in errors
+        assert {e for e in errors if not issubclass(e, DataError)} == {TrainingDiverged}
+        assert cli.DATA_ERRORS == (DataError, TrainingDiverged, OSError)
 
 
 @pytest.fixture()
@@ -724,7 +775,7 @@ class TestTrainCommand:
         config = self.write_config(tmp_path, extra={"vocab_size": 16384, "val_samples": at})
         assert load_train_config(config)["val_samples"] == at
         config = self.write_config(tmp_path, extra={"vocab_size": 16384, "val_samples": at + 1})
-        with pytest.raises(ConfigError, match="val_samples"):
+        with pytest.raises(DataError, match="val_samples"):
             load_train_config(config)
 
     def test_diverging_run_exits_2(self, tmp_path, capsys):

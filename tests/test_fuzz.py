@@ -1,5 +1,5 @@
-"""Property tests: malformed input never makes ``eval``, ``tokens`` or ``parse``
-exit 3.
+"""Property tests: malformed input never makes ``eval``, ``stats``, ``train``,
+``tokens`` or ``parse`` exit 3.
 
 Every command maps a bad file, line, field, flag or span to exit 1 (usage) or
 2 (data); exit 3 is kept for internal errors, so any example that reaches it
@@ -8,11 +8,21 @@ is a bug in the program, not in its input.
 
 import json
 import math
+from typing import get_type_hints
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from losslab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from losslab.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    TRAIN_CONFIG_KEYS,
+    TRAIN_INT_CEILINGS,
+    main,
+)
+from losslab.metrics import CSV_COLUMNS, SampleMetrics
 from losslab.parsing import MAX_NESTING
 
 ALLOWED = (EXIT_OK, EXIT_USAGE, EXIT_DATA)
@@ -70,6 +80,7 @@ def run(argv: list[str], capsys) -> int:
     code = main(argv)
     err = capsys.readouterr().err
     assert code in ALLOWED, err
+    assert "internal error" not in err
     return code
 
 
@@ -237,4 +248,118 @@ class TestTokensNeverExits3:
                 "--json-out", str(tmp_path / "density.json"), "--bandwidth", bandwidth]
         if exclude is not None:
             argv += ["--exclude-ids", exclude]
+        run(argv, capsys)
+
+
+# JSON values of the wrong type or outside every column's range
+junk = st.sampled_from(
+    [None, "x", "", True, False, -1, 0, 2, 0.5, 1e308, 10**400, math.nan, math.inf, -math.inf,
+     [], [1], {}, {"a": 1}]
+)
+rates = st.sampled_from([0.0, 0.25, 0.5, 1.0, 0, 1])
+COLUMN_KINDS = get_type_hints(SampleMetrics)
+
+
+def mutate(draw, report: dict) -> None:
+    """Delete a key of the report, its aggregate or one row, or set it to junk."""
+    rows = report.get("per_sample")
+    parts = (report, report.get("aggregate"), *(rows if isinstance(rows, list) else ()))
+    targets = [part for part in parts if isinstance(part, dict) and part]
+    if not targets:
+        return
+    target = draw(st.sampled_from(targets))
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(junk)
+
+
+@st.composite
+def eval_reports(draw) -> list[str]:
+    """One to three eval reports over shared ids, each mutated or replaced by a bad line."""
+    # 1 and "1" read the same as text, which stats rejects
+    size = draw(st.sampled_from([3, 4, 5, 2, 1, 0]))
+    ids = draw(st.lists(st.one_of(st.integers(0, 5), st.sampled_from(["1", "a"])),
+                        min_size=size, max_size=size, unique=True))
+    texts = []
+    # most draws hold the two reports a paired test takes, most of them valid
+    for _ in range(draw(st.sampled_from([2, 2, 2, 1, 3]))):
+        rows = [
+            {"id": i, **{name: draw(st.booleans() if kind is bool else rates)
+                         for name, kind in COLUMN_KINDS.items()}}
+            for i in ids
+        ]
+        report = {"aggregate": {c: draw(rates) for c in CSV_COLUMNS}, "per_sample": rows}
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            mutate(draw, report)
+        bad = draw(st.sampled_from([False] * 7 + [True]))
+        texts.append(draw(bad_lines) if bad else json.dumps(report))
+    return texts
+
+
+class TestStatsNeverExits3:
+    @pytest.mark.parametrize("test", ["mcnemar", "ttest", "pearson", "meanrank"])
+    @settings(FUZZ, max_examples=40)
+    @given(reports=eval_reports(), metric=st.sampled_from(CSV_COLUMNS))
+    def test_stats(self, capsys, tmp_path_factory, test, reports, metric):
+        tmp_path = tmp_path_factory.mktemp("stats")
+        paths = [tmp_path / f"report{index}.json" for index in range(len(reports))]
+        for path, text in zip(paths, reports):
+            path.write_text(text, encoding="utf-8")
+        run(["stats", "--test", test, "--metric", metric,
+             "--out", str(tmp_path / "stats.json"), *map(str, paths)], capsys)
+
+
+# The trainer's sizes cut to a few steps on tiny arrays; each example
+# overrides some of these keys.
+TINY_TRAIN = {
+    "steps": 2, "warmup_steps": 1, "eval_interval": 1, "batch_size": 2, "samples": 4,
+    "val_samples": 2, "vocab_size": 8, "embed_dim": 4, "seq_len": 4, "instruction_len": 2,
+}
+
+
+def train_values(key: str) -> st.SearchStrategy:
+    """Values for one config key: small ones of its type, the sentinels past its
+    range, junk of every JSON type, and for the two string keys, bad names."""
+    default = TRAIN_CONFIG_KEYS[key]
+    if type(default) is int:
+        typed = st.one_of(st.integers(-2, 12), st.just(TRAIN_INT_CEILINGS[key] + 1))
+    elif type(default) is float:
+        # a huge max_lr drives the run to diverge
+        typed = st.one_of(st.floats(-2, 12), st.sampled_from([1e300, -1e300, 2**1024]))
+    else:
+        typed = st.sampled_from(["none", "ll", "fl", "dl", "plain", "instruction_answer",
+                                 "bogus", "", "NONE"])
+    return st.one_of(typed, typed, typed, junk)
+
+
+# up to three keys overridden, so most configs still pass every check but one
+overrides = st.lists(st.sampled_from(sorted(TRAIN_CONFIG_KEYS)), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: train_values(k) for k in keys})
+)
+unknown_keys = st.sampled_from([{}] * 6 + [{"stepz": 2}, {"loss": "ce"}, {"": None}])
+configs = st.builds(lambda values, unknown: {**TINY_TRAIN, **values, **unknown},
+                    overrides, unknown_keys)
+train_configs = st.one_of(
+    configs.map(json.dumps), configs.map(json.dumps), configs.map(json.dumps),
+    st.sampled_from(["[]", "null", "{", "NaN", '{"steps": 2, "steps": "x"}', "[" * 100_000]),
+)
+
+
+class TestTrainNeverExits3:
+    @settings(FUZZ, max_examples=80)
+    @given(config=train_configs, loss_by_task=st.sampled_from([None, "mwp", "qa"]))
+    @example(config=json.dumps({**TINY_TRAIN, "max_lr": 1e300}), loss_by_task=None)
+    @example(config=json.dumps({**TINY_TRAIN, "max_lr": 1e300, "auxiliary": "ll"}),
+             loss_by_task=None)
+    @example(config=json.dumps({**TINY_TRAIN, "steps": 1_000_001}), loss_by_task=None)
+    @example(config='{"max_lr": Infinity}', loss_by_task=None)
+    def test_train(self, capsys, tmp_path_factory, config, loss_by_task):
+        tmp_path = tmp_path_factory.mktemp("train")
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]
+        if loss_by_task is not None:
+            argv += ["--loss-by-task", loss_by_task]
         run(argv, capsys)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from losslab import DataError
 from losslab.metrics import (
     CSV_COLUMNS,
     LOWER_IS_BETTER,
-    EmptyRecordSet,
     SampleMetrics,
     StepSet,
     aggregate_report,
@@ -335,7 +335,7 @@ class TestAggregate:
         assert aggregate_report(rows)["em"] == pytest.approx(50.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyRecordSet):
+        with pytest.raises(DataError, match="no per-sample records to aggregate"):
             aggregate_report([])
 
     def test_csv_column_order(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losslab import training
+from losslab import DataError, training
 from losslab.losses import AuxiliaryKind, LogitBatch, LossConfig, Role, combined_loss
 from losslab.training import (
     ADAM_BETA1,
@@ -16,11 +16,9 @@ from losslab.training import (
     Corpus,
     CorpusTemplate,
     Sample,
-    SnapshotFormatError,
     TinyModel,
     TrainConfig,
     TrainingDiverged,
-    UnknownTokenId,
     batch_for_samples,
     evaluate_toy,
     greedy_answer,
@@ -150,9 +148,9 @@ class TestTinyModel:
 
     def test_out_of_range_token_rejected(self):
         model = zero_model(8, 4, 3)
-        with pytest.raises(UnknownTokenId):
+        with pytest.raises(DataError, match="token id outside the model vocabulary"):
             model.forward_windows(np.array([[1, 2, 8]]))
-        with pytest.raises(UnknownTokenId):
+        with pytest.raises(DataError, match="token id outside the model vocabulary"):
             model.forward_windows(np.array([[-1, 2, 3]]))
 
     def test_parameter_counts(self):
@@ -209,7 +207,7 @@ class TestSnapshot:
         path = str(tmp_path / "model.sltm")
         save_model(model, path)
         Path(path).write_bytes(Path(path).read_bytes()[:-8])
-        with pytest.raises(SnapshotFormatError):
+        with pytest.raises(DataError, match="snapshot truncated"):
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -218,7 +216,7 @@ class TestSnapshot:
         save_model(model, path)
         with open(path, "ab") as fh:
             fh.write(b"\x00" * 8)
-        with pytest.raises(SnapshotFormatError):
+        with pytest.raises(DataError, match="snapshot has trailing bytes"):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -228,13 +226,13 @@ class TestSnapshot:
         raw = bytearray(Path(path).read_bytes())
         raw[:4] = b"XXXX"
         Path(path).write_bytes(bytes(raw))
-        with pytest.raises(SnapshotFormatError):
+        with pytest.raises(DataError, match="bad magic b'XXXX'"):
             load_model(path)
 
     def test_header_only_rejected(self, tmp_path):
         path = str(tmp_path / "model.sltm")
         Path(path).write_bytes(b"SL")
-        with pytest.raises(SnapshotFormatError):
+        with pytest.raises(DataError, match="snapshot shorter than its header"):
             load_model(path)
 
 
