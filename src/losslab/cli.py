@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -84,10 +85,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _output_path(text: str) -> str:
-    """The argparse type of every output flag: an empty path is a usage error."""
+def _output_path(text: str, directory: bool = False) -> str:
+    """The argparse type of every output flag, so that a path the command
+    cannot write is a usage error before any input is read.
+
+    The path must not be empty. A file's directory must exist, and the file
+    must not be a directory. A ``directory`` is created with its missing
+    parents, so the nearest of it and its ancestors that exists must be a
+    directory.
+    """
     if not text:
         raise argparse.ArgumentTypeError("an output path must not be empty")
+    path = Path(text)
+    if directory:
+        existing = next((p for p in (path, *path.parents) if os.path.exists(p)), None)
+        if existing is not None and not os.path.isdir(existing):
+            raise argparse.ArgumentTypeError(f"'{existing}' exists and is not a directory")
+    elif not os.path.isdir(path.parent):
+        raise argparse.ArgumentTypeError(f"'{path.parent}' is not an existing directory")
+    elif os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"'{text}' is a directory")
     return text
 
 
@@ -752,7 +769,9 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="train the toy model on a synthetic corpus")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out-dir", required=True, type=_output_path)
+    p_train.add_argument(
+        "--out-dir", required=True, type=lambda text: _output_path(text, directory=True)
+    )
     p_train.add_argument("--loss-by-task", choices=("mwp", "qa"), default=None)
     p_train.set_defaults(func=_cmd_train)
 

@@ -16,7 +16,11 @@ Conventions shared by every loss here:
 * token losses (cross-entropy, focal) take the mean over selected positions;
   region losses are global scalars by construction and take no reduction;
 * every public loss returns a ``LossResult`` whose gradient has the same shape
-  as the input logits and is built the first time it is read.
+  as the input logits and is built the first time it is read;
+* every public loss also takes ``probs``, the softmax of its selected rows
+  computed by the caller, as its own buffer; its gradient then covers those
+  rows only. This is how :func:`combined_loss` runs one softmax for both
+  of its branches.
 """
 
 from __future__ import annotations
@@ -75,7 +79,9 @@ class LogitBatch:
     role_mask: np.ndarray
 
     def __post_init__(self) -> None:
-        self.logits = np.asarray(self.logits, dtype=np.float64)
+        # row-major, so that a row reduction sums in the same order whether it
+        # reads these rows or a copy of some of them
+        self.logits = np.ascontiguousarray(self.logits, dtype=np.float64)
         self.targets = np.asarray(self.targets, dtype=np.intp)
         self.role_mask = np.asarray(self.role_mask, dtype=np.intp)
         if self.logits.ndim != 2:
@@ -130,13 +136,14 @@ class LossResult:
     """Scalar loss value and its gradient with respect to the logits.
 
     The loss computes ``value`` when it is called; ``backward`` builds the
-    gradient the first time ``gradient`` is read, so a caller that reads only
-    the value never pays for the backward. A backward may turn the forward's
-    buffers into the gradient in place, so it runs at most once: every later
-    read, also of a copy made with ``dataclasses.replace``, returns the same
-    array, and the forward's other buffers are released. A backward depends
-    on no array of the batch, so the caller may change the batch before
-    reading the gradient.
+    gradient (of the selected rows only, if the loss was given their softmax
+    as ``probs``) the first time ``gradient`` is read, so a caller that reads
+    only the value never pays for the backward. A backward may turn the
+    forward's buffers into the gradient in place, so it runs at most once:
+    every later read, also of a copy made with ``dataclasses.replace``,
+    returns the same array, and the forward's other buffers are released. A
+    backward depends on no array of the batch, so the caller may change the
+    batch before reading the gradient.
     """
 
     value: float
@@ -196,24 +203,39 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _scatter(shape: tuple[int, int], idx: np.ndarray, grad_sel: np.ndarray) -> np.ndarray:
+def _shape_and_probs(
+    batch: LogitBatch, idx: np.ndarray, probs: np.ndarray | None
+) -> tuple[tuple[int, int] | None, np.ndarray]:
+    """The shape of the gradient a loss builds and the softmax of its rows
+    ``idx``: None (the rows only) and ``probs`` when the caller computed that
+    softmax, else the batch's shape and a fresh softmax, which reads the
+    logits in place when ``idx`` is every row."""
+    if probs is not None:
+        return None, probs
+    logits = batch.logits
+    return logits.shape, softmax(logits if idx.size == logits.shape[0] else logits[idx])
+
+
+def _scatter(shape: tuple[int, int] | None, idx: np.ndarray, grad_sel: np.ndarray) -> np.ndarray:
     """The gradient of a ``shape`` batch whose rows ``idx`` have gradient ``grad_sel``.
 
     ``idx`` is sorted and unique, so when it covers every row ``grad_sel``
-    already is that gradient and is returned as it is.
+    already is that gradient and is returned as it is; so it is when
+    ``shape`` is None, the gradient of a loss asked for its rows only.
     """
-    if idx.size == shape[0]:
+    if shape is None or idx.size == shape[0]:
         return grad_sel
     grad = np.zeros(shape)
     grad[idx] = grad_sel
     return grad
 
 
-def ce_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
+def ce_loss(
+    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT, *, probs: np.ndarray | None = None
+) -> LossResult:
     """Cross-entropy -log p_target, averaged over the selected positions."""
-    shape = batch.logits.shape
     idx = _selected(batch, roles)
-    probs = softmax(batch.logits[idx])
+    shape, probs = _shape_and_probs(batch, idx, probs)
     rows = np.arange(idx.size)
     targets = batch.targets[idx]
     p_t = probs[rows, targets]
@@ -230,7 +252,11 @@ def ce_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResu
 
 
 def focal_loss(
-    batch: LogitBatch, gamma: float = 2.0, roles: Iterable[Role] = FULL_CONTEXT
+    batch: LogitBatch,
+    gamma: float = 2.0,
+    roles: Iterable[Role] = FULL_CONTEXT,
+    *,
+    probs: np.ndarray | None = None,
 ) -> LossResult:
     """Focal loss -(1 - p_t)^gamma log p_t, averaged over the selected positions.
 
@@ -241,10 +267,9 @@ def focal_loss(
     """
     _check_gamma(gamma)
     if gamma == 0.0:
-        return ce_loss(batch, roles)
-    shape = batch.logits.shape
+        return ce_loss(batch, roles, probs=probs)
     idx = _selected(batch, roles)
-    probs = softmax(batch.logits[idx])
+    shape, probs = _shape_and_probs(batch, idx, probs)
     rows = np.arange(idx.size)
     targets = batch.targets[idx]
     p_t = probs[rows, targets]
@@ -275,7 +300,9 @@ def focal_loss(
 RegionTerm = Callable[[np.ndarray, np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 
 
-def _region_loss(batch: LogitBatch, roles: Iterable[Role], term: RegionTerm) -> LossResult:
+def _region_loss(
+    batch: LogitBatch, roles: Iterable[Role], term: RegionTerm, probs: np.ndarray | None
+) -> LossResult:
     """Shared path of the region losses, which differ only in their per-class term.
 
     ``term(p, y)`` receives the positions x classes softmax columns ``p`` and
@@ -286,9 +313,8 @@ def _region_loss(batch: LogitBatch, roles: Iterable[Role], term: RegionTerm) -> 
     ``inner`` over them alone and scales the softmax buffer's other columns
     by -inner in place.
     """
-    shape = batch.logits.shape
     idx = _selected(batch, roles)
-    probs = softmax(batch.logits[idx])
+    shape, probs = _shape_and_probs(batch, idx, probs)
     targets = batch.targets[idx]
     classes = np.bincount(targets, minlength=batch.vocab_size).nonzero()[0]
     p = probs[:, classes]
@@ -353,16 +379,18 @@ def _lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> tuple[float, Callable[
     return terms.sum() / terms.size, backward
 
 
-def dice_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
+def dice_loss(
+    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT, *, probs: np.ndarray | None = None
+) -> LossResult:
     """Soft Dice loss per vocabulary class, averaged over classes present.
 
     Each class column scores 1 - 2*sum(p*y) / (sum(p^2) + sum(y^2)).
     """
-    return _region_loss(batch, roles, _dice_term)
+    return _region_loss(batch, roles, _dice_term, probs)
 
 
 def self_adjusting_dice_loss(
-    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT
+    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT, *, probs: np.ndarray | None = None
 ) -> LossResult:
     """Self-adjusting Dice per vocabulary class, averaged over classes present.
 
@@ -370,15 +398,17 @@ def self_adjusting_dice_loss(
     (1-p) factor suppresses easy examples, so a perfectly confident correct
     prediction still carries term 1.
     """
-    return _region_loss(batch, roles, _self_adjusting_dice_term)
+    return _region_loss(batch, roles, _self_adjusting_dice_term, probs)
 
 
-def generalized_dice_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
+def generalized_dice_loss(
+    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT, *, probs: np.ndarray | None = None
+) -> LossResult:
     """Generalized Dice with per-class weights 1/(sum y)^2.
 
     Classes with zero ground-truth volume are dropped from both sums.
     """
-    return _region_loss(batch, roles, _generalized_dice_term)
+    return _region_loss(batch, roles, _generalized_dice_term, probs)
 
 
 def lovasz_grad_weights(sorted_gt: np.ndarray) -> np.ndarray:
@@ -409,7 +439,9 @@ def _jaccard_weights(gt: np.ndarray) -> np.ndarray:
     return weights
 
 
-def lovasz_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> LossResult:
+def lovasz_loss(
+    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT, *, probs: np.ndarray | None = None
+) -> LossResult:
     """Lovász-Softmax: the Lovász extension of the Jaccard loss per class.
 
     Per-class errors are 1 - p_c at positions whose target is c and p_c
@@ -418,17 +450,20 @@ def lovasz_loss(batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT) -> Loss
     averages over classes present in the targets. The gradient holds the sort
     permutation fixed.
     """
-    return _region_loss(batch, roles, _lovasz_softmax_term)
+    return _region_loss(batch, roles, _lovasz_softmax_term, probs)
 
 
 # Each entry looks its loss up by module-level name when called, so a loss
 # rebound on this module (for tracing, say) is the one combined_loss runs.
-_AUXILIARY: dict[AuxiliaryKind, Callable[[LogitBatch, LossConfig], LossResult]] = {
-    AuxiliaryKind.FOCAL: lambda b, c: focal_loss(b, c.gamma, ANSWER_ONLY),
-    AuxiliaryKind.DICE: lambda b, c: dice_loss(b, ANSWER_ONLY),
-    AuxiliaryKind.GENERALIZED_DICE: lambda b, c: generalized_dice_loss(b, ANSWER_ONLY),
-    AuxiliaryKind.SELF_ADJUSTING_DICE: lambda b, c: self_adjusting_dice_loss(b, ANSWER_ONLY),
-    AuxiliaryKind.LOVASZ: lambda b, c: lovasz_loss(b, ANSWER_ONLY),
+# The third argument is the answer rows' softmax.
+_AUXILIARY: dict[AuxiliaryKind, Callable[..., LossResult]] = {
+    AuxiliaryKind.FOCAL: lambda b, c, p: focal_loss(b, c.gamma, ANSWER_ONLY, probs=p),
+    AuxiliaryKind.DICE: lambda b, c, p: dice_loss(b, ANSWER_ONLY, probs=p),
+    AuxiliaryKind.GENERALIZED_DICE: lambda b, c, p: generalized_dice_loss(b, ANSWER_ONLY, probs=p),
+    AuxiliaryKind.SELF_ADJUSTING_DICE: lambda b, c, p: self_adjusting_dice_loss(
+        b, ANSWER_ONLY, probs=p
+    ),
+    AuxiliaryKind.LOVASZ: lambda b, c, p: lovasz_loss(b, ANSWER_ONLY, probs=p),
 }
 
 
@@ -440,41 +475,56 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
     auxiliary branch is skipped entirely, which makes the loss trace
     bit-identical to a NONE run; when mix == 0 the cross-entropy branch is
     skipped symmetrically.
+
+    One softmax serves both branches: it covers the rows of the first branch
+    that runs, the cross-entropy branch takes it over as its own buffer,
+    and the auxiliary branch gets a copy of its answer rows (or the buffer
+    itself when it runs alone). Each branch's gradient covers its own rows;
+    the auxiliary one, scaled by 1 - mix, is added into the answer rows of
+    the cross-entropy one, so no batch-sized buffer is built unless some
+    row (PAD, or an instruction row when mix == 0) gets no gradient.
     """
     kind = config.auxiliary_kind
     if kind is not AuxiliaryKind.NONE and not (batch.role_mask == Role.ANSWER).any():
         raise DataError("auxiliary loss requested but batch has no answer positions")
 
-    shape = batch.logits.shape
     mix = config.mix
+    with_ce = mix > 0.0
+    with_aux = mix < 1.0 and kind is not AuxiliaryKind.NONE
+    if not (with_ce or with_aux):
+        return LossResult(0.0, lambda shape=batch.logits.shape: np.zeros(shape))
+
+    idx = _selected(batch, FULL_CONTEXT if with_ce else ANSWER_ONLY)
+    shape, probs = _shape_and_probs(batch, idx, None)
     value = 0.0
     ce = aux = None
-    if mix > 0.0:
-        ce = ce_loss(batch, FULL_CONTEXT)
+    if with_ce:
+        ce = ce_loss(batch, FULL_CONTEXT, probs=probs)
         value += mix * ce.value
-    if mix < 1.0 and kind is not AuxiliaryKind.NONE:
-        aux = _AUXILIARY[kind](batch, config)
+    if with_aux:
+        # a softmax row depends on its logit row alone, so these rows are
+        # bit for bit the softmax of the answer rows by themselves
+        answer = batch.role_mask[idx] == Role.ANSWER
+        aux = _AUXILIARY[kind](batch, config, probs[answer] if with_ce else probs)
         value += (1.0 - mix) * aux.value
 
     def backward() -> np.ndarray:
-        # Each branch's gradient is a fresh array, so it is scaled in place
-        # and the auxiliary one is added into the cross-entropy one.
-        gradient = None
+        # Each branch's gradient is its own array, so it is scaled in place.
         if ce is not None:
             gradient = ce.gradient
             gradient *= mix
-        if aux is not None:
-            aux_gradient = aux.gradient
-            aux_gradient *= 1.0 - mix
-            if gradient is None:
-                gradient = aux_gradient
-                # x + 0.0 turns -0.0 into +0.0, so that no branch mix leaves a
-                # -0.0 (the cross-entropy gradient holds none, nor can a sum
-                # into it)
-                gradient += 0.0
-            else:
-                gradient += aux_gradient
-        return np.zeros(shape) if gradient is None else gradient
+            if aux is not None:
+                aux_gradient = aux.gradient
+                aux_gradient *= 1.0 - mix
+                gradient[answer] += aux_gradient
+        else:
+            gradient = aux.gradient
+            gradient *= 1.0 - mix
+            # x + 0.0 turns -0.0 into +0.0, so that no branch mix leaves a
+            # -0.0 (the cross-entropy gradient holds none, nor can a sum
+            # into it)
+            gradient += 0.0
+        return _scatter(shape, idx, gradient)
 
     return LossResult(value, backward)
 

@@ -16,7 +16,7 @@ import copy
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,8 +66,15 @@ class Corpus:
 def zipf_pmf(vocab_size: int, exponent: float) -> np.ndarray:
     """Probability of each drawable id (1..vocab_size-1); id 1 is rank 1."""
     ranks = np.arange(1, vocab_size, dtype=np.float64)
-    weights = ranks ** (-exponent)
-    return weights / weights.sum()
+    # a large negative exponent overflows the weights, which is reported below
+    with np.errstate(over="ignore"):
+        weights = ranks ** (-exponent)
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise ValueError(
+            f"zipf_exponent {exponent!r} overflows the token weights of vocab_size {vocab_size}"
+        )
+    return weights / total
 
 
 def make_synthetic_corpus(
@@ -116,6 +123,15 @@ def make_synthetic_corpus(
             )
             samples.append(Sample(tokens, roles))
     return Corpus(vocab_size, samples)
+
+
+class Activations(NamedTuple):
+    """One forward's context windows (n, window), their gathered embeddings
+    (n, window, dim) and the position-weighted mix of those (n, dim)."""
+
+    windows: np.ndarray
+    embedded: np.ndarray
+    hidden: np.ndarray
 
 
 @dataclass
@@ -187,8 +203,9 @@ class TinyModel:
             return self.adapter_b.size + self.adapter_a.size
         return 0
 
-    def forward_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Logits (n, vocab) for integer context windows (n, window)."""
+    def activations(self, windows: np.ndarray) -> Activations:
+        """What the forward of integer context windows (n, window) computes
+        ahead of the projection, which the backward reuses."""
         windows = np.asarray(windows, dtype=np.intp)
         if windows.ndim != 2 or windows.shape[1] != self.window:
             raise ValueError(f"windows must be 2-d with width {self.window}")
@@ -196,7 +213,11 @@ class TinyModel:
             raise DataError("token id outside the model vocabulary")
         embedded = self.embeddings[windows]
         hidden = np.einsum("w,nwd->nd", self.position_weights, embedded)
-        return hidden @ self.effective_projection()
+        return Activations(windows, embedded, hidden)
+
+    def forward_windows(self, windows: np.ndarray) -> np.ndarray:
+        """Logits (n, vocab) for integer context windows (n, window)."""
+        return self.activations(windows).hidden @ self.effective_projection()
 
     def copy(self) -> "TinyModel":
         return copy.deepcopy(self)
@@ -343,12 +364,12 @@ class TrainingTrace:
 
 def batch_for_samples(
     model: TinyModel, samples: Sequence[Sample]
-) -> tuple[LogitBatch, np.ndarray]:
+) -> tuple[LogitBatch, Activations]:
     """Forward all positions of the given samples into one flat batch.
 
-    Returns the batch and the stacked window matrix used to produce it: the
-    window of a position holds the ``model.window`` tokens before it in its
-    sample, PAD where the sample has none.
+    Returns the batch and the activations that produced it, for
+    :func:`_backward`. The window of a position holds the ``model.window``
+    tokens before it in its sample, PAD where the sample has none.
     """
     targets = np.concatenate([s.tokens for s in samples])
     roles = np.concatenate([s.roles for s in samples])
@@ -359,18 +380,18 @@ def batch_for_samples(
     starts = np.arange(targets.size) + prefixes
     padded = np.full(targets.size + width * len(samples), PAD_TOKEN_ID, dtype=np.intp)
     padded[starts + width] = targets
-    windows = sliding_window_view(padded, width)[starts]
-    logits = model.forward_windows(windows)
-    return LogitBatch(logits, targets, roles), windows
+    acts = model.activations(sliding_window_view(padded, width)[starts])
+    logits = acts.hidden @ model.effective_projection()
+    return LogitBatch(logits, targets, roles), acts
 
 
 def _backward(
-    model: TinyModel, windows: np.ndarray, dlogits: np.ndarray
+    model: TinyModel, acts: Activations, dlogits: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients of the scalar loss wrt the trainable tensors: the two adapter
-    factors when the model has an adapter, else the three base tensors."""
-    embedded = model.embeddings[windows]
-    hidden = np.einsum("w,nwd->nd", model.position_weights, embedded)
+    """Gradients of the scalar loss wrt the trainable tensors, from the
+    forward's activations: the two adapter factors when the model has an
+    adapter, else the three base tensors."""
+    windows, embedded, hidden = acts
     d_weff = hidden.T @ dlogits
     if model.rank > 0:
         factor = model.adapter_scale / model.rank
@@ -488,7 +509,7 @@ def train(
     best_val: float | None = None
     adam_t = 0
 
-    def forward(samples: Sequence[Sample]) -> tuple[LogitBatch, np.ndarray]:
+    def forward(samples: Sequence[Sample]) -> tuple[LogitBatch, Activations]:
         try:
             return batch_for_samples(model, samples)
         except NonFiniteLogits as exc:
@@ -505,9 +526,9 @@ def train(
             for _ in range(config.accum_steps):
                 picks = rng.integers(0, len(corpus.samples), size=config.batch_size)
                 batch_samples = [corpus.samples[int(i)] for i in picks]
-                batch, windows = forward(batch_samples)
+                batch, acts = forward(batch_samples)
                 result = combined_loss(batch, config.loss)
-                grads = _backward(model, windows, result.gradient)
+                grads = _backward(model, acts, result.gradient)
                 for name in names:
                     grad_sum[name] += grads[name]
                 loss_sum += result.value

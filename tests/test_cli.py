@@ -431,6 +431,50 @@ class TestUsageErrors:
         assert list(cwd.iterdir()) == []
         assert sorted(tmp_path.rglob("*")) == sorted([*before, cwd])
 
+    @pytest.mark.parametrize(
+        "command, flag, path, message",
+        [
+            pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[2]}")
+            for case in [
+                ("eval", "--out", "nodir/r.json", "'nodir' is not an existing directory"),
+                ("eval", "--dump-parse", "nodir/p.jsonl", "'nodir' is not an existing directory"),
+                ("stats", "--out", "afile/s.json", "'afile' is not an existing directory"),
+                ("train", "--out-dir", "afile", "'afile' exists and is not a directory"),
+                ("train", "--out-dir", "afile/run", "'afile' exists and is not a directory"),
+                ("grad-check", "--out", "nodir/g.json", "'nodir' is not an existing directory"),
+                ("tokens", "--out", "nodir/d.csv", "'nodir' is not an existing directory"),
+                ("tokens", "--json-out", "adir", "'adir' is a directory"),
+            ]
+        ],
+    )
+    def test_unwritable_output_path_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, flag, path, message
+    ):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        # the inputs are missing, so a command that read them first would exit 2
+        argv = {
+            "eval": ["eval", "--pred", "missing.jsonl", "--gold", "missing.jsonl"],
+            "stats": ["stats", "--test", "ttest", "missing.json"],
+            "train": ["train", "--config", "missing.json"],
+            "grad-check": ["grad-check", "--loss", "ce"],
+            "tokens": ["tokens", "--input", "missing.jsonl", "--out", "d.csv"],
+        }[command]
+        assert run_main([*argv, flag, path]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{command}: error: argument {flag}: {message}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
+    def test_out_dir_with_missing_parents_is_created(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, "steps": 2, "warmup_steps": 1}))
+        out_dir = tmp_path / "runs" / "a" / "b"
+        assert run_main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "trace.jsonl").exists()
+
 
 class TestErrorContract:
     def test_every_error_class_but_divergence_is_a_data_error(self):

@@ -8,6 +8,7 @@ is a bug in the program, not in its input.
 
 import json
 import math
+import warnings
 from typing import get_type_hints
 
 import pytest
@@ -355,6 +356,7 @@ class TestTrainNeverExits3:
              loss_by_task=None)
     @example(config=json.dumps({**TINY_TRAIN, "steps": 1_000_001}), loss_by_task=None)
     @example(config='{"max_lr": Infinity}', loss_by_task=None)
+    @example(config=json.dumps({**TINY_TRAIN, "zipf_exponent": -1e300}), loss_by_task=None)
     def test_train(self, capsys, tmp_path_factory, config, loss_by_task):
         tmp_path = tmp_path_factory.mktemp("train")
         path = tmp_path / "config.json"
@@ -362,4 +364,21 @@ class TestTrainNeverExits3:
         argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]
         if loss_by_task is not None:
             argv += ["--loss-by-task", loss_by_task]
-        run(argv, capsys)
+        # a warning would reach the command's stderr; pytest would keep it from capsys
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(argv, capsys)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_overflowing_zipf_exponent_is_named_alone(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY_TRAIN, "zipf_exponent": -1e300}), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")])
+        assert code == EXIT_DATA
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: invalid training config: zipf_exponent -1e+300 overflows the token "
+            "weights of vocab_size 8\n"
+        )

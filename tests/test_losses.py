@@ -668,6 +668,28 @@ class TestLovaszWeightColumns:
             lovasz_grad_weights(np.ones((2, 2, 2)))
 
 
+# focal with gamma 0 is cross-entropy, which must take the shared softmax too
+ONE_SOFTMAX_CONFIGS = [
+    *(pytest.param(LossConfig(0.6, auxiliary_kind=kind), id=kind.value) for kind in AuxiliaryKind),
+    pytest.param(LossConfig(0.3, gamma=0.0, auxiliary_kind=AuxiliaryKind.FOCAL), id="fl-gamma0"),
+]
+
+
+@pytest.mark.parametrize("config", ONE_SOFTMAX_CONFIGS)
+def test_combined_loss_runs_one_softmax_for_both_branches(monkeypatch, config):
+    shapes = []
+
+    def counted(logits):
+        shapes.append(logits.shape)
+        return softmax(logits)
+
+    monkeypatch.setattr(losses, "softmax", counted)
+    batch = random_batch(4)
+    result = combined_loss(batch, config)
+    result.gradient
+    assert shapes == [batch.logits.shape]
+
+
 # Out-of-place oracles of the in-place loss code: a fresh array per
 # operation, the row selection by np.isin, and scatters into zero buffers.
 
@@ -853,7 +875,7 @@ def test_sparse_backward_matches_dense_oracles(batch, scale, roles, gamma):
 
 
 @pytest.mark.parametrize("kind", list(AuxiliaryKind))
-def test_combined_loss_peak_allocation_is_at_most_three_logit_arrays(kind):
+def test_combined_loss_peak_allocation_is_at_most_2_5_logit_arrays(kind):
     rng = np.random.default_rng(0)
     n, vocab = 128, 1024
     roles = np.repeat([int(Role.INSTRUCTION), int(Role.ANSWER)], n // 2)
@@ -866,4 +888,4 @@ def test_combined_loss_peak_allocation_is_at_most_three_logit_arrays(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * batch.logits.nbytes
+    assert peak <= 2.5 * batch.logits.nbytes

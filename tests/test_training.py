@@ -452,9 +452,11 @@ class TestBatchAssembly:
     def test_shapes_and_roles(self):
         corpus = quick_corpus(n=3)
         model = zero_model(corpus.vocab_size, 4, 2)
-        batch, windows = batch_for_samples(model, corpus.samples)
+        batch, acts = batch_for_samples(model, corpus.samples)
         total = sum(s.tokens.size for s in corpus.samples)
-        assert windows.shape == (total, 2)
+        assert acts.windows.shape == (total, 2)
+        assert acts.embedded.shape == (total, 2, 4)
+        assert acts.hidden.shape == (total, 4)
         assert batch.logits.shape == (total, corpus.vocab_size)
         assert np.array_equal(
             batch.role_mask, np.concatenate([s.roles for s in corpus.samples])
@@ -471,8 +473,8 @@ class TestBatchAssembly:
     def test_first_window_is_all_pad(self):
         corpus = quick_corpus(n=1)
         model = zero_model(corpus.vocab_size, 4, 3)
-        _, windows = batch_for_samples(model, corpus.samples)
-        assert windows[0].tolist() == [PAD_TOKEN_ID] * 3
+        _, acts = batch_for_samples(model, corpus.samples)
+        assert acts.windows[0].tolist() == [PAD_TOKEN_ID] * 3
 
 
 # Out-of-place oracles of the in-place step: windows cut one sample and one
@@ -581,9 +583,11 @@ class TestInPlaceStepOracles:
     @given(samples=mixed_samples(vocab=5), window=st.integers(1, 6))
     def test_windows_match_per_sample_oracle(self, samples, window):
         model = TinyModel.create(5, 3, window, rng=np.random.default_rng(0))
-        batch, windows = batch_for_samples(model, samples)
+        batch, acts = batch_for_samples(model, samples)
         expected = np.concatenate([windows_oracle(s.tokens, window) for s in samples])
-        assert_same_bits(windows, expected)
+        assert_same_bits(acts.windows, expected)
+        assert_same_bits(acts.embedded, model.embeddings[expected])
+        assert_same_bits(acts.hidden, np.einsum("w,nwd->nd", model.position_weights, acts.embedded))
         assert_same_bits(batch.logits, model.forward_windows(expected))
 
     @settings(max_examples=100, deadline=None)
@@ -598,10 +602,10 @@ class TestInPlaceStepOracles:
         model = TinyModel.create(5, 3, window, rank, rng=rng)
         if rank:
             model.adapter_b = rng.normal(size=model.adapter_b.shape)
-        _, windows = batch_for_samples(model, samples)
-        dlogits = rng.standard_normal((len(windows), 5))
-        grads = _backward(model, windows, dlogits)
-        expected = backward_oracle(model, windows, dlogits)
+        _, acts = batch_for_samples(model, samples)
+        dlogits = rng.standard_normal((len(acts.windows), 5))
+        grads = _backward(model, acts, dlogits)
+        expected = backward_oracle(model, acts.windows, dlogits)
         assert list(grads) == list(trainable_parameter_names(TrainConfig(adapter_rank=rank)))
         for name, grad in grads.items():
             assert_same_bits(grad, expected[name])
