@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import DataError, __version__
-from .gradcheck import LOSS_NAMES, check_named_loss
+from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, LOSS_NAMES, check_named_loss
 from .losses import (
     AuxiliaryKind,
     LogitBatch,
@@ -437,6 +438,12 @@ def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
         names = tuple(Path(p).stem for p in paths)
         if len(set(names)) != len(names):
             names = tuple(str(p) for p in paths)
+        # a report given twice still gets a row per argument, where a dict
+        # keyed by name would merge them
+        names = tuple(
+            f"{name}#{names[:i].count(name) + 1}" if name in names[:i] else name
+            for i, name in enumerate(names)
+        )
         scores = np.array([[float(rep["aggregate"][c]) for c in CSV_COLUMNS] for rep in reports])
         higher_is_better = tuple(c not in LOWER_IS_BETTER for c in CSV_COLUMNS)
         table = ScoreTable(names, CSV_COLUMNS, scores, higher_is_better)
@@ -462,6 +469,7 @@ def _cmd_stats(args, argv: list[str]) -> int:
 
 # the loss is built from mix, gamma and auxiliary
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "loss"}
+_CORPUS_DEFAULTS = inspect.signature(make_synthetic_corpus).parameters
 TRAIN_CONFIG_KEYS = {
     **_TRAIN_DEFAULTS,
     "mix": LossConfig.mix,
@@ -470,9 +478,9 @@ TRAIN_CONFIG_KEYS = {
     "vocab_size": 32,
     "zipf_exponent": 1.0,
     "samples": 256,
-    "template": "instruction_answer",
-    "instruction_len": 4,
-    "seq_len": 16,
+    "template": _CORPUS_DEFAULTS["template"].default.value,
+    "instruction_len": _CORPUS_DEFAULTS["instruction_len"].default,
+    "seq_len": _CORPUS_DEFAULTS["seq_len"].default,
     "val_samples": 64,
 }
 # The largest value of each integer key, far above the trainer's toy scale.
@@ -780,8 +788,8 @@ def build_parser() -> _Parser:
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--positions", type=int, default=8)
     p_grad.add_argument("--vocab", type=int, default=17)
-    p_grad.add_argument("--step", type=float, default=1e-5)
-    p_grad.add_argument("--tolerance", type=float, default=1e-4)
+    p_grad.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p_grad.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_grad.add_argument("--out", default=None, type=_output_path)
     p_grad.set_defaults(func=_cmd_grad_check)
 

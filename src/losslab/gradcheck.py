@@ -10,7 +10,7 @@ flip within the step are reported as skipped rather than failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .losses import (
@@ -20,7 +20,6 @@ from .losses import (
     LogitBatch,
     LossConfig,
     LossFn,
-    LossResult,
     ce_loss,
     combined_loss,
     dice_loss,
@@ -32,6 +31,9 @@ from .losses import (
 )
 
 DENOM_FLOOR = 1e-6
+# the central-difference step and the pass threshold of every check
+DEFAULT_STEP = 1e-5
+DEFAULT_TOLERANCE = 1e-4
 
 
 @dataclass
@@ -40,7 +42,7 @@ class GradCheckReport:
     worst_coordinate: tuple[int, int] | None
     skipped: list[tuple[int, int]] = field(default_factory=list)
     n_checked: int = 0
-    tolerance: float = 1e-4
+    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def passed(self) -> bool:
@@ -58,8 +60,8 @@ class GradCheckReport:
 def finite_difference_check(
     loss_fn: LossFn,
     batch: LogitBatch,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
+    step: float = DEFAULT_STEP,
+    tolerance: float = DEFAULT_TOLERANCE,
     skip_rows: set[int] | None = None,
 ) -> GradCheckReport:
     """Compare ``loss_fn``'s analytic gradient to central differences.
@@ -107,21 +109,21 @@ def finite_difference_check(
 
 TieFn = Callable[[LogitBatch, float], set[int]]
 
-# Name -> (loss of a batch under a config, tie-row detector or None). Each
-# entry looks its loss up by module-level name when called, so a loss rebound
-# on this module (for tracing, say) is the one the check runs.
-_NAMED_LOSSES: dict[str, tuple[Callable[[LogitBatch, LossConfig], LossResult], TieFn | None]] = {
-    "ce": (lambda b, c: ce_loss(b, FULL_CONTEXT), None),
-    "fl": (lambda b, c: focal_loss(b, c.gamma, FULL_CONTEXT), None),
-    "dl": (lambda b, c: dice_loss(b, FULL_CONTEXT), None),
-    "gdl": (lambda b, c: generalized_dice_loss(b, FULL_CONTEXT), None),
-    "sadl": (lambda b, c: self_adjusting_dice_loss(b, FULL_CONTEXT), None),
-    "ll": (
-        lambda b, c: lovasz_loss(b, FULL_CONTEXT),
-        lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h),
-    ),
+# the combined loss that grad-check runs: the default mix with the Lovász auxiliary
+_COMBINED = LossConfig(auxiliary_kind=AuxiliaryKind.LOVASZ)
+
+# Name -> (loss of a batch, tie-row detector or None). Each entry looks its
+# loss up by module-level name when called, so a loss rebound on this module
+# (for tracing, say) is the one the check runs.
+_NAMED_LOSSES: dict[str, tuple[LossFn, TieFn | None]] = {
+    "ce": (lambda b: ce_loss(b), None),
+    "fl": (lambda b: focal_loss(b), None),
+    "dl": (lambda b: dice_loss(b), None),
+    "gdl": (lambda b: generalized_dice_loss(b), None),
+    "sadl": (lambda b: self_adjusting_dice_loss(b), None),
+    "ll": (lambda b: lovasz_loss(b), lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h)),
     "combined": (
-        lambda b, c: combined_loss(b, c),
+        lambda b: combined_loss(b, _COMBINED),
         lambda b, h: lovasz_tie_rows(b, ANSWER_ONLY, h),
     ),
 }
@@ -129,32 +131,21 @@ _NAMED_LOSSES: dict[str, tuple[Callable[[LogitBatch, LossConfig], LossResult], T
 LOSS_NAMES = tuple(_NAMED_LOSSES)
 
 
-def build_loss_fn(name: str, config: LossConfig | None = None) -> tuple[LossFn, TieFn | None]:
-    """Named loss closure plus an optional tie-row detector for Lovász cases.
+def build_loss_fn(name: str) -> tuple[LossFn, TieFn | None]:
+    """Named loss closure plus its tie-row detector, for the Lovász cases.
 
-    Known names: ce, fl, dl, gdl, sadl, ll, combined. ``combined`` with no
-    auxiliary loss checks the Lovász auxiliary instead, and has a tie-row
-    detector only when its auxiliary is Lovász.
+    Known names: ce, fl, dl, gdl, sadl, ll, combined. Each loss runs over
+    instruction and answer positions with its default options; ``combined``
+    is the default mix with the Lovász auxiliary.
     """
     if name not in _NAMED_LOSSES:
         raise ValueError(f"unknown loss name {name!r}")
-    cfg = config or LossConfig()
-    loss, ties = _NAMED_LOSSES[name]
-    if name == "combined":
-        if cfg.auxiliary_kind is AuxiliaryKind.NONE:
-            cfg = replace(cfg, auxiliary_kind=AuxiliaryKind.LOVASZ)
-        if cfg.auxiliary_kind is not AuxiliaryKind.LOVASZ:
-            ties = None
-    return (lambda b: loss(b, cfg)), ties
+    return _NAMED_LOSSES[name]
 
 
 def check_named_loss(
-    name: str,
-    batch: LogitBatch,
-    config: LossConfig | None = None,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
+    name: str, batch: LogitBatch, step: float = DEFAULT_STEP, tolerance: float = DEFAULT_TOLERANCE
 ) -> GradCheckReport:
-    fn, tie_fn = build_loss_fn(name, config)
+    fn, tie_fn = build_loss_fn(name)
     skip = tie_fn(batch, step) if tie_fn else None
     return finite_difference_check(fn, batch, step, tolerance, skip)

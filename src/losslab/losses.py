@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -203,17 +203,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _shape_and_probs(
-    batch: LogitBatch, idx: np.ndarray, probs: np.ndarray | None
-) -> tuple[tuple[int, int] | None, np.ndarray]:
-    """The shape of the gradient a loss builds and the softmax of its rows
-    ``idx``: None (the rows only) and ``probs`` when the caller computed that
-    softmax, else the batch's shape and a fresh softmax, which reads the
-    logits in place when ``idx`` is every row."""
-    if probs is not None:
-        return None, probs
+def _softmax_rows(batch: LogitBatch, idx: np.ndarray) -> np.ndarray:
+    """Softmax of the batch's rows ``idx``, read in place when they are every row."""
     logits = batch.logits
-    return logits.shape, softmax(logits if idx.size == logits.shape[0] else logits[idx])
+    return softmax(logits if idx.size == logits.shape[0] else logits[idx])
 
 
 def _scatter(shape: tuple[int, int] | None, idx: np.ndarray, grad_sel: np.ndarray) -> np.ndarray:
@@ -230,30 +223,65 @@ def _scatter(shape: tuple[int, int] | None, idx: np.ndarray, grad_sel: np.ndarra
     return grad
 
 
-def ce_loss(
-    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT, *, probs: np.ndarray | None = None
+# A term maps the selected rows' (softmax, targets), or a region loss's (class
+# columns, one-hot targets), to the value and a function that builds the
+# gradient, or d(value)/dp, on first use.
+TermResult = tuple[float, Callable[[], np.ndarray]]
+Term = Callable[[np.ndarray, np.ndarray], TermResult]
+
+
+def _softmax_loss(
+    batch: LogitBatch, roles: Iterable[Role], probs: np.ndarray | None, term: Term
 ) -> LossResult:
-    """Cross-entropy -log p_target, averaged over the selected positions."""
+    """The path of every loss here: select the rows of ``roles``, take the
+    caller's softmax of them or run one, score them with ``term``, and
+    scatter their gradient unless the caller gave ``probs``."""
     idx = _selected(batch, roles)
-    shape, probs = _shape_and_probs(batch, idx, probs)
-    rows = np.arange(idx.size)
-    targets = batch.targets[idx]
+    shape = None
+    if probs is None:
+        shape, probs = batch.logits.shape, _softmax_rows(batch, idx)
+    value, backward = term(probs, batch.targets[idx])
+    return LossResult(value, lambda: _scatter(shape, idx, backward()))
+
+
+def _softmax_backward(
+    probs: np.ndarray, columns: tuple, p: np.ndarray, dp: np.ndarray
+) -> np.ndarray:
+    """The softmax backward p * (dp - inner), inner = sum(dp * p) per row, where
+    d(value)/dp is ``dp`` at ``probs[columns]`` (which hold ``p``, one row per
+    softmax row) and 0 elsewhere. So ``inner`` sums over those columns alone,
+    and ``probs`` becomes the gradient in place."""
+    inner = (dp * p).sum(axis=1, keepdims=True)
+    probs *= 0.0 - inner
+    probs[columns] = p * (dp - inner)
+    return probs
+
+
+def _ce_term(probs: np.ndarray, targets: np.ndarray) -> TermResult:
+    rows = np.arange(targets.size)
     p_t = probs[rows, targets]
     values = -np.log(np.clip(p_t, PROB_FLOOR, 1.0))
-    scale = 1.0 / idx.size
+    scale = 1.0 / targets.size
 
     def backward() -> np.ndarray:
         grad_sel = probs  # p_t above is a copy, so the softmax becomes the gradient
         grad_sel[rows, targets] -= 1.0
         grad_sel *= scale
-        return _scatter(shape, idx, grad_sel)
+        return grad_sel
 
-    return LossResult(float(values.sum() * scale), backward)
+    return float(values.sum() * scale), backward
+
+
+def ce_loss(
+    batch: LogitBatch, roles: Iterable[Role] = FULL_CONTEXT, *, probs: np.ndarray | None = None
+) -> LossResult:
+    """Cross-entropy -log p_target, averaged over the selected positions."""
+    return _softmax_loss(batch, roles, probs, _ce_term)
 
 
 def focal_loss(
     batch: LogitBatch,
-    gamma: float = 2.0,
+    gamma: float = LossConfig.gamma,
     roles: Iterable[Role] = FULL_CONTEXT,
     *,
     probs: np.ndarray | None = None,
@@ -262,85 +290,65 @@ def focal_loss(
 
     gamma = 0 falls through to :func:`ce_loss` so the reduction is exact to
     floating rounding, not merely close. Only the target column carries
-    d(value)/dp, so the softmax backward p * (dp - sum(dp * p)) sums that one
-    term, and the softmax buffer becomes the gradient in place.
+    d(value)/dp.
     """
     _check_gamma(gamma)
     if gamma == 0.0:
         return ce_loss(batch, roles, probs=probs)
-    idx = _selected(batch, roles)
-    shape, probs = _shape_and_probs(batch, idx, probs)
-    rows = np.arange(idx.size)
-    targets = batch.targets[idx]
-    p_t = probs[rows, targets]
-    p_c = np.clip(p_t, PROB_FLOOR, 1.0)
-    log_pt = np.log(p_c)
-    miss = 1.0 - p_t
-    values = -(miss**gamma) * log_pt
-    scale = 1.0 / idx.size
 
-    def backward() -> np.ndarray:
-        # d/dp of -(1-p)^g log p; the g*(1-p)^(g-1)*log p term tends to 0 as
-        # p -> 1 for every g > 0, so the miss == 0 branch is the exact limit.
-        dv_dp = np.zeros_like(p_t)
-        hit = miss > 0.0
-        dv_dp[hit] = (
-            gamma * miss[hit] ** (gamma - 1.0) * log_pt[hit] - (miss[hit] ** gamma) / p_c[hit]
-        )
-        dv_dp *= scale
-        inner = dv_dp * p_t
-        grad_sel = probs
-        grad_sel *= (0.0 - inner)[:, None]
-        grad_sel[rows, targets] = p_t * (dv_dp - inner)
-        return _scatter(shape, idx, grad_sel)
+    def term(probs: np.ndarray, targets: np.ndarray) -> TermResult:
+        rows = np.arange(targets.size)
+        p_t = probs[rows, targets]
+        p_c = np.clip(p_t, PROB_FLOOR, 1.0)
+        log_pt = np.log(p_c)
+        miss = 1.0 - p_t
+        values = -(miss**gamma) * log_pt
+        scale = 1.0 / targets.size
 
-    return LossResult(float(values.sum() * scale), backward)
+        def backward() -> np.ndarray:
+            # d/dp of -(1-p)^g log p; the g*(1-p)^(g-1)*log p term tends to 0 as
+            # p -> 1 for every g > 0, so the miss == 0 branch is the exact limit.
+            dv_dp = np.zeros_like(p_t)
+            hit = miss > 0.0
+            dv_dp[hit] = (
+                gamma * miss[hit] ** (gamma - 1.0) * log_pt[hit] - (miss[hit] ** gamma) / p_c[hit]
+            )
+            dv_dp *= scale
+            # as (n, 1) columns, one per softmax row
+            column = rows[:, None], targets[:, None]
+            return _softmax_backward(probs, column, p_t[:, None], dv_dp[:, None])
 
+        return float(values.sum() * scale), backward
 
-RegionTerm = Callable[[np.ndarray, np.ndarray], tuple[float, Callable[[], np.ndarray]]]
+    return _softmax_loss(batch, roles, probs, term)
 
 
-def _region_loss(
-    batch: LogitBatch, roles: Iterable[Role], term: RegionTerm, probs: np.ndarray | None
-) -> LossResult:
-    """Shared path of the region losses, which differ only in their per-class term.
+def _class_columns(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The classes present in ``targets``, ascending, their ``probs`` columns
+    and their one-hot targets."""
+    classes = np.bincount(targets).nonzero()[0]
+    return classes, probs[:, classes], (targets[:, None] == classes).astype(np.float64)
 
-    ``term(p, y)`` receives the positions x classes softmax columns ``p`` and
-    their one-hot targets ``y`` and returns the loss value and a function
-    that computes d(value)/dp.
-    The columns are the classes present in the selected targets. Only these
-    columns carry d(value)/dp, so the softmax backward p * (dp - inner) sums
-    ``inner`` over them alone and scales the softmax buffer's other columns
-    by -inner in place.
+
+def _region_term(term: Term, probs: np.ndarray, targets: np.ndarray) -> TermResult:
+    """A region loss's ``term(p, y)`` as the :data:`Term` of the selected rows.
+
+    ``p`` are the columns of the classes present in the targets, ``y`` their
+    one-hot targets; only these columns carry d(value)/dp.
     """
-    idx = _selected(batch, roles)
-    shape, probs = _shape_and_probs(batch, idx, probs)
-    targets = batch.targets[idx]
-    classes = np.bincount(targets, minlength=batch.vocab_size).nonzero()[0]
-    p = probs[:, classes]
-    value, term_backward = term(p, (targets[:, None] == classes).astype(np.float64))
-
-    def backward() -> np.ndarray:
-        dp = term_backward()
-        inner = (dp * p).sum(axis=1, keepdims=True)
-        grad_sel = probs
-        grad_sel *= 0.0 - inner
-        grad_sel[:, classes] = p * (dp - inner)
-        return _scatter(shape, idx, grad_sel)
-
-    return LossResult(float(value), backward)
+    classes, p, y = _class_columns(probs, targets)
+    value, dp = term(p, y)
+    return float(value), lambda: _softmax_backward(probs, (slice(None), classes), p, dp())
 
 
-def _dice_term(p: np.ndarray, y: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+def _dice_term(p: np.ndarray, y: np.ndarray) -> TermResult:
     num = 2.0 * (p * y).sum(axis=0)
     den = (p * p).sum(axis=0) + y.sum(axis=0)
     terms = 1.0 - num / den
     return terms.sum() / terms.size, lambda: -(2.0 * y * den - 2.0 * p * num) / den**2 / terms.size
 
 
-def _self_adjusting_dice_term(
-    p: np.ndarray, y: np.ndarray
-) -> tuple[float, Callable[[], np.ndarray]]:
+def _self_adjusting_dice_term(p: np.ndarray, y: np.ndarray) -> TermResult:
     w = (1.0 - p) * p
     num = 2.0 * (w * y).sum(axis=0)
     den = (w + y).sum(axis=0)
@@ -354,9 +362,7 @@ def _self_adjusting_dice_term(
     return terms.sum() / terms.size, backward
 
 
-def _generalized_dice_term(
-    p: np.ndarray, y: np.ndarray
-) -> tuple[float, Callable[[], np.ndarray]]:
+def _generalized_dice_term(p: np.ndarray, y: np.ndarray) -> TermResult:
     volume = y.sum(axis=0)
     weights = 1.0 / volume**2
     num = 2.0 * float((weights * (p * y).sum(axis=0)).sum())
@@ -364,9 +370,14 @@ def _generalized_dice_term(
     return 1.0 - num / den, lambda: -(2.0 * weights * y * den - num * weights) / den**2
 
 
-def _lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+def _lovasz_errors(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Lovász class errors: 1 - p where the target is the column's class, else p."""
+    return np.where(y > 0, 1.0 - p, p)
+
+
+def _lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> TermResult:
     """The per-class term of :func:`lovasz_loss`, averaged over the columns."""
-    errors = np.where(y > 0, 1.0 - p, p)
+    errors = _lovasz_errors(p, y)
     sort = (-errors).argsort(axis=0, kind="stable"), np.arange(errors.shape[1])
     weights = _jaccard_weights(y[sort])
     terms = (errors[sort] * weights).sum(axis=0)
@@ -386,7 +397,7 @@ def dice_loss(
 
     Each class column scores 1 - 2*sum(p*y) / (sum(p^2) + sum(y^2)).
     """
-    return _region_loss(batch, roles, _dice_term, probs)
+    return _softmax_loss(batch, roles, probs, partial(_region_term, _dice_term))
 
 
 def self_adjusting_dice_loss(
@@ -398,7 +409,7 @@ def self_adjusting_dice_loss(
     (1-p) factor suppresses easy examples, so a perfectly confident correct
     prediction still carries term 1.
     """
-    return _region_loss(batch, roles, _self_adjusting_dice_term, probs)
+    return _softmax_loss(batch, roles, probs, partial(_region_term, _self_adjusting_dice_term))
 
 
 def generalized_dice_loss(
@@ -408,7 +419,7 @@ def generalized_dice_loss(
 
     Classes with zero ground-truth volume are dropped from both sums.
     """
-    return _region_loss(batch, roles, _generalized_dice_term, probs)
+    return _softmax_loss(batch, roles, probs, partial(_region_term, _generalized_dice_term))
 
 
 def lovasz_grad_weights(sorted_gt: np.ndarray) -> np.ndarray:
@@ -450,7 +461,7 @@ def lovasz_loss(
     averages over classes present in the targets. The gradient holds the sort
     permutation fixed.
     """
-    return _region_loss(batch, roles, _lovasz_softmax_term, probs)
+    return _softmax_loss(batch, roles, probs, partial(_region_term, _lovasz_softmax_term))
 
 
 # Each entry looks its loss up by module-level name when called, so a loss
@@ -495,7 +506,7 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
         return LossResult(0.0, lambda shape=batch.logits.shape: np.zeros(shape))
 
     idx = _selected(batch, FULL_CONTEXT if with_ce else ANSWER_ONLY)
-    shape, probs = _shape_and_probs(batch, idx, None)
+    shape, probs = batch.logits.shape, _softmax_rows(batch, idx)
     value = 0.0
     ce = aux = None
     if with_ce:
@@ -537,11 +548,9 @@ def lovasz_tie_rows(batch: LogitBatch, roles: Iterable[Role], step: float) -> se
     the step size, so two errors can cross only if their gap is <= 2*step.
     """
     idx = _selected(batch, roles)
-    targets = batch.targets[idx]
+    _, p, y = _class_columns(_softmax_rows(batch, idx), batch.targets[idx])
+    errors = _lovasz_errors(p, y)
     window = 2.0 * step
-    classes = np.bincount(targets, minlength=batch.vocab_size).nonzero()[0]
-    p = softmax(batch.logits[idx])[:, classes]
-    errors = np.where(targets[:, None] == classes[None, :], 1.0 - p, p)
     # In sorted order the nearest other error of a column is a sorted
     # neighbour, and rounded subtraction is monotone, so checking neighbour
     # gaps finds every gap <= window that comparing all pairs would.

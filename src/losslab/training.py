@@ -125,6 +125,12 @@ def make_synthetic_corpus(
     return Corpus(vocab_size, samples)
 
 
+# The weight tensors of a TinyModel by name, in snapshot order. The adapter's
+# two come last and exist only when its rank is > 0; training then updates
+# them alone, else the three base tensors.
+TENSORS = ("embeddings", "position_weights", "projection", "adapter_b", "adapter_a")
+
+
 class Activations(NamedTuple):
     """One forward's context windows (n, window), their gathered embeddings
     (n, window, dim) and the position-weighted mix of those (n, dim)."""
@@ -190,18 +196,15 @@ class TinyModel:
             return self.projection + delta
         return self.projection
 
-    def base_parameter_count(self) -> int:
-        return self.embeddings.size + self.position_weights.size + self.projection.size
+    @property
+    def tensors(self) -> dict[str, np.ndarray]:
+        """The weight tensors by name, in snapshot order (:data:`TENSORS`)."""
+        return {name: getattr(self, name) for name in (TENSORS if self.rank > 0 else TENSORS[:3])}
 
-    def matrix_parameter_count(self) -> int:
-        """Embedding table plus output projection, the matrices an adapter
-        bypasses; the w mixer scalars are counted separately."""
-        return self.embeddings.size + self.projection.size
-
-    def adapter_parameter_count(self) -> int:
-        if self.rank > 0:
-            return self.adapter_b.size + self.adapter_a.size
-        return 0
+    @property
+    def trainable(self) -> tuple[str, ...]:
+        """The names of the tensors that training updates."""
+        return TENSORS[3:] if self.rank > 0 else TENSORS[:3]
 
     def activations(self, windows: np.ndarray) -> Activations:
         """What the forward of integer context windows (n, window) computes
@@ -238,15 +241,8 @@ def save_model(model: TinyModel, path: str) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in _model_arrays(model):
+        for arr in model.tensors.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _model_arrays(model: TinyModel) -> list[np.ndarray]:
-    arrays = [model.embeddings, model.position_weights, model.projection]
-    if model.rank > 0:
-        arrays += [model.adapter_b, model.adapter_a]
-    return arrays
 
 
 def load_model(path: str) -> TinyModel:
@@ -273,8 +269,7 @@ def load_model(path: str) -> TinyModel:
         offset = end
     if offset != len(raw):
         raise DataError("snapshot has trailing bytes")
-    b, a = (arrays[3], arrays[4]) if rank > 0 else (None, None)
-    return TinyModel(arrays[0], arrays[1], arrays[2], int(rank), float(scale), b, a)
+    return TinyModel(**dict(zip(TENSORS, arrays)), rank=int(rank), adapter_scale=float(scale))
 
 
 # AdamW's moment decay rates and denominator epsilon, fixed by the recipe
@@ -411,12 +406,6 @@ def _backward(
     return {"embeddings": d_emb, "position_weights": d_position, "projection": d_weff}
 
 
-def trainable_parameter_names(config: TrainConfig) -> tuple[str, ...]:
-    if config.adapter_rank > 0:
-        return ("adapter_b", "adapter_a")
-    return ("embeddings", "position_weights", "projection")
-
-
 def trainable_fraction(model: TinyModel, config: TrainConfig) -> float:
     """Trainable parameters over the frozen weight-matrix count.
 
@@ -427,7 +416,8 @@ def trainable_fraction(model: TinyModel, config: TrainConfig) -> float:
     in the trace header as their own count.
     """
     if config.adapter_rank > 0:
-        return model.adapter_parameter_count() / model.matrix_parameter_count()
+        trained = sum(getattr(model, name).size for name in model.trainable)
+        return trained / (model.embeddings.size + model.projection.size)
     return 1.0
 
 
@@ -496,7 +486,7 @@ def train(
         config.adapter_scale,
         rng,
     )
-    names = trainable_parameter_names(config)
+    names = model.trainable
     params = {name: getattr(model, name) for name in names}
     moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
     # per tensor, the step's gradient sum and the update's scratch buffer
@@ -568,7 +558,7 @@ def train(
         "auxiliary_kind": config.loss.auxiliary_kind.value,
         "adapter_rank": config.adapter_rank,
         "trainable_fraction": fraction,
-        "parameter_count": model.base_parameter_count() + model.adapter_parameter_count(),
+        "parameter_count": sum(t.size for t in model.tensors.values()),
         "mixer_parameter_count": int(model.position_weights.size),
     }
     return TrainingTrace(records, model, best_model, best_step, best_val, fraction, header)

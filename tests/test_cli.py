@@ -1,5 +1,6 @@
 import gc
 import importlib
+import inspect
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from losslab.cli import (
 )
 from losslab.losses import LossConfig
 from losslab.metrics import CSV_COLUMNS
-from losslab.training import TrainConfig, TrainingDiverged
+from losslab.training import TrainConfig, TrainingDiverged, make_synthetic_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MICRO5_GOLD = str(FIXTURES / "micro5_gold.jsonl")
@@ -597,6 +598,13 @@ class TestStatsCommand:
         values = list(payload["mean_rank"].values())
         assert values[0] == values[1] == 1.5
 
+    def test_meanrank_ranks_a_report_given_twice_once_per_argument(self, two_reports, capsys):
+        a, b = two_reports
+        assert run_main(["stats", "--test", "meanrank", a, b, a]) == EXIT_OK
+        ranks = json.loads(capsys.readouterr().out)["mean_rank"]
+        assert list(ranks) == [a, b, f"{a}#2"]
+        assert ranks[a] == ranks[f"{a}#2"] > ranks[b]
+
     def test_non_report_json_exits_2(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"hello": 1}\n')
@@ -856,6 +864,10 @@ class TestTrainCommand:
         for key in ("seed", "steps", "max_lr", "warmup_steps", "eval_interval"):
             assert TRAIN_CONFIG_KEYS[key] == getattr(config, key)
         assert TRAIN_CONFIG_KEYS["mix"] == LossConfig().mix
+        corpus = inspect.signature(make_synthetic_corpus).parameters
+        assert TRAIN_CONFIG_KEYS["template"] == corpus["template"].default.value
+        for key in ("instruction_len", "seq_len"):
+            assert TRAIN_CONFIG_KEYS[key] == corpus[key].default
         assert len(TRAIN_CONFIG_KEYS) == 22
 
     def test_every_loss_option_is_a_train_key(self):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from losslab import gradcheck
 from losslab.gradcheck import (
     LOSS_NAMES,
     GradCheckReport,
@@ -19,6 +20,7 @@ from losslab.losses import (
     LogitBatch,
     LossConfig,
     ce_loss,
+    combined_loss,
     lovasz_loss,
     lovasz_tie_rows,
     softmax,
@@ -124,7 +126,7 @@ class TestFiniteDifference:
     def test_batch_left_unchanged(self):
         batch = random_batch(2)
         before = batch.logits.copy()
-        check_named_loss("combined", batch, LossConfig(mix=0.6))
+        check_named_loss("combined", batch)
         assert np.array_equal(batch.logits, before)
 
 
@@ -213,19 +215,43 @@ class TestLossTables:
 
 class TestCombinedVariants:
     def test_combined_defaults_to_a_real_auxiliary(self):
-        # NONE would make the combined check degenerate to CE, so the builder
-        # substitutes a boundary-style auxiliary
-        fn, ties = build_loss_fn("combined", LossConfig(mix=0.5))
+        # NONE would make the combined check degenerate to CE, so the entry
+        # is the default mix with the Lovász auxiliary
+        fn, ties = build_loss_fn("combined")
         batch = random_batch(4)
-        result = fn(batch)
-        ce = ce_loss(batch)
-        assert result.value != ce.value
-        assert ties is not None
+        config = LossConfig(auxiliary_kind=AuxiliaryKind.LOVASZ)
+        assert fn(batch).value == combined_loss(batch, config).value != ce_loss(batch).value
+        assert ties(batch, 1e-5) == lovasz_tie_rows(batch, ANSWER_ONLY, 1e-5)
 
-    def test_combined_focal_has_no_tie_detector(self):
-        from losslab.losses import AuxiliaryKind
 
-        _, ties = build_loss_fn(
-            "combined", LossConfig(mix=0.5, auxiliary_kind=AuxiliaryKind.FOCAL)
-        )
-        assert ties is None
+# the attribute of losslab.gradcheck through which each named check calls its loss
+LOSS_ATTRIBUTES = {
+    "ce": "ce_loss",
+    "fl": "focal_loss",
+    "dl": "dice_loss",
+    "gdl": "generalized_dice_loss",
+    "sadl": "self_adjusting_dice_loss",
+    "ll": "lovasz_loss",
+    "combined": "combined_loss",
+}
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_checks_call_their_loss_by_module_name(name, monkeypatch):
+    # tracing rebinds these names on losslab.gradcheck, so a check must look
+    # each one up at call time, once per evaluation
+    calls = {"loss": 0, "ties": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    attribute = LOSS_ATTRIBUTES[name]
+    monkeypatch.setattr(gradcheck, attribute, counted("loss", getattr(gradcheck, attribute)))
+    monkeypatch.setattr(gradcheck, "lovasz_tie_rows", counted("ties", lovasz_tie_rows))
+    report = check_named_loss(name, random_batch(5, n=3, vocab=5))
+    assert calls["loss"] == 2 * report.n_checked + 1
+    assert calls["ties"] == (name in ("ll", "combined"))

@@ -13,6 +13,7 @@ from losslab.training import (
     ADAM_BETA2,
     ADAM_EPS,
     PAD_TOKEN_ID,
+    TENSORS,
     Corpus,
     CorpusTemplate,
     Sample,
@@ -28,7 +29,6 @@ from losslab.training import (
     save_model,
     train,
     trainable_fraction,
-    trainable_parameter_names,
     zipf_pmf,
     _adamw_update,
     _backward,
@@ -156,9 +156,18 @@ class TestTinyModel:
     def test_parameter_counts(self):
         rng = np.random.default_rng(11)
         model = TinyModel.create(512, 128, 4, rank=2, rng=rng)
-        assert model.matrix_parameter_count() == 2 * 128 * 512
-        assert model.base_parameter_count() == 2 * 128 * 512 + 4
-        assert model.adapter_parameter_count() == 2 * (128 + 512)
+        sizes = {name: t.size for name, t in model.tensors.items()}
+        assert sizes == {
+            "embeddings": 128 * 512,
+            "position_weights": 4,
+            "projection": 128 * 512,
+            "adapter_b": 2 * 128,
+            "adapter_a": 2 * 512,
+        }
+        assert list(sizes) == list(TENSORS)
+        assert model.trainable == ("adapter_b", "adapter_a")
+        base = zero_model(8, 4, 3)
+        assert list(base.tensors) == list(TENSORS[:3]) == list(base.trainable)
 
     def test_copy_is_deep(self):
         rng = np.random.default_rng(12)
@@ -419,8 +428,9 @@ class TestTrainLoop:
         assert header["mix"] == config.loss.mix
         assert header["adapter_rank"] == 2
         model = trace.final_model
-        assert header["parameter_count"] == (
-            model.base_parameter_count() + model.adapter_parameter_count()
+        assert header["parameter_count"] == sum(
+            getattr(model, name).size
+            for name in ("embeddings", "position_weights", "projection", "adapter_b", "adapter_a")
         )
         assert header["mixer_parameter_count"] == config.window
         assert header["trainable_fraction"] == trace.trainable_fraction
@@ -606,7 +616,7 @@ class TestInPlaceStepOracles:
         dlogits = rng.standard_normal((len(acts.windows), 5))
         grads = _backward(model, acts, dlogits)
         expected = backward_oracle(model, acts.windows, dlogits)
-        assert list(grads) == list(trainable_parameter_names(TrainConfig(adapter_rank=rank)))
+        assert list(grads) == list(model.trainable)
         for name, grad in grads.items():
             assert_same_bits(grad, expected[name])
 
