@@ -42,7 +42,6 @@ from .metrics import (
     step_overlap_metrics,
 )
 from .parsing import (
-    MissingFinalAnswer,
     PoisonedValue,
     Rationale,
     RationaleFormat,
@@ -74,7 +73,8 @@ EXIT_INTERNAL = 3
 
 MAX_TOKEN_SPAN = 2**20  # token_density takes O(G) memory and O(G^2) time over G ids
 
-EVAL_FORMATS = ("gsm8k", "mathqa", "qa_letter")
+PARSE_FORMATS = tuple(f.value for f in RationaleFormat)
+EVAL_FORMATS = (*PARSE_FORMATS, "qa_letter")  # a qa_letter completion is its answer
 
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
@@ -129,7 +129,7 @@ def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     records: list[dict] = []
-    seen_ids: set = set()
+    seen_ids: set = set()  # each id and its str(), the text stats aligns rows by
     # a CRLF line keeps its \r, which JSON reads as whitespace
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -147,9 +147,9 @@ def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
             rid = record["id"]
             if isinstance(rid, (list, dict)):
                 raise DataError(f"{path}:{lineno}: id {json.dumps(rid)} is an array or object")
-            if rid in seen_ids:
-                raise DataError(f"{path}:{lineno}: duplicate id {rid!r}")
-            seen_ids.add(rid)
+            if rid in seen_ids or str(rid) in seen_ids:
+                raise DataError(f"{path}:{lineno}: duplicate id {rid!r} (by value or text)")
+            seen_ids.update((rid, str(rid)))
         records.append(record)
     return records
 
@@ -185,25 +185,18 @@ def build_manifest(command: list[str], config: dict, inputs: list[str | Path], s
     }
 
 
-def _parse_completion(text: str, fmt: str) -> tuple[Rationale, list[str]]:
-    """Returns (rationale, extra diagnostics); degrades missing markers."""
+def _parse_completion(text: str, fmt: str) -> Rationale:
     if fmt == "qa_letter":
-        final = text.strip()
-        return Rationale((), final if final else None, None, ()), []
-    try:
-        return parse_rationale(text, RationaleFormat(fmt)), []
-    except MissingFinalAnswer as exc:
-        return exc.rationale, [str(exc)]
+        return Rationale((), text.strip() or None, None)
+    return parse_rationale(text, fmt)
 
 
-def score_record(record_id, gold_text: str, pred_text: str, fmt: str, commutative: bool) -> dict:
+def score_record(gold_text: str, pred_text: str, fmt: str, commutative: bool) -> dict:
     """All per-record metrics plus diagnostics for one prediction/gold pair."""
-    gold, gold_diag = _parse_completion(gold_text, fmt)
-    pred, pred_diag = _parse_completion(pred_text, fmt)
-    diagnostics = (
-        [f"gold: {d}" for d in (*gold.diagnostics, *gold_diag)]
-        + [f"prediction: {d}" for d in (*pred.diagnostics, *pred_diag)]
-    )
+    gold = _parse_completion(gold_text, fmt)
+    pred = _parse_completion(pred_text, fmt)
+    diagnostics = [f"gold: {d}" for d in gold.diagnostics]
+    diagnostics += [f"prediction: {d}" for d in pred.diagnostics]
 
     em = exact_match(pred.final_answer, gold.final_answer)
 
@@ -224,7 +217,6 @@ def score_record(record_id, gold_text: str, pred_text: str, fmt: str, commutativ
         typology.inverted_operands,
     )
     return {
-        "id": record_id,
         "metrics": sample,
         "diagnostics": diagnostics,
         "gold": gold,
@@ -268,24 +260,14 @@ def run_eval(
         record_fmt = gold_rec.get("format", fmt)
         if record_fmt not in EVAL_FORMATS:
             raise DataError(f"record {rid!r} has unknown format {record_fmt!r}")
-        scored = score_record(
-            rid,
-            str(gold_rec["gold"]),
-            str(pred_by_id[rid]["prediction"]),
-            record_fmt,
-            commutative,
-        )
+        pred_text = str(pred_by_id[rid]["prediction"])
+        scored = score_record(str(gold_rec["gold"]), pred_text, record_fmt, commutative)
         sample = scored["metrics"]
         samples.append(sample)
         per_sample.append({"id": rid, **sample.as_dict(), "diagnostics": scored["diagnostics"]})
         if dump is not None:
-            dump.append(
-                {
-                    "id": rid,
-                    "gold": scored["gold"].to_dict(),
-                    "prediction": scored["prediction"].to_dict(),
-                }
-            )
+            gold, pred = scored["gold"].to_dict(), scored["prediction"].to_dict()
+            dump.append({"id": rid, "gold": gold, "prediction": pred})
 
     report = {
         "aggregate": aggregate_report(samples),
@@ -734,9 +716,8 @@ def _cmd_tokens(args, argv: list[str]) -> int:
 
 
 def _cmd_parse(args, argv: list[str]) -> int:
-    rationale, extra_diagnostics = _parse_completion(args.text, args.format)
+    rationale = _parse_completion(args.text, args.format)
     payload = rationale.to_dict()
-    payload["diagnostics"] += extra_diagnostics
     if args.numbers is not None:
         try:
             numbers = [float(x) for x in args.numbers.split(",") if x.strip()]
@@ -803,7 +784,7 @@ def build_parser() -> _Parser:
 
     p_parse = sub.add_parser("parse", help="inspect one completion's parse")
     p_parse.add_argument("--text", required=True)
-    p_parse.add_argument("--format", choices=("gsm8k", "mathqa"), default="gsm8k")
+    p_parse.add_argument("--format", choices=PARSE_FORMATS, default="gsm8k")
     p_parse.add_argument("--numbers", default=None)
     p_parse.set_defaults(func=_cmd_parse)
     return parser

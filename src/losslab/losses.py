@@ -102,10 +102,6 @@ class LogitBatch:
         if not (self.role_mask != Role.PAD).any():
             raise DataError("batch must contain at least one non-PAD position")
 
-    @property
-    def vocab_size(self) -> int:
-        return self.logits.shape[1]
-
 
 @dataclass
 class LossConfig:

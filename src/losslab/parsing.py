@@ -1,7 +1,9 @@
 """Parsing of chain-of-thought completions into structured reasoning steps.
 
 A completion carries calculation spans wrapped in << >> plus a final answer
-after a #### marker. Two surface grammars are supported:
+after a #### marker. A defect in the text never raises: a malformed span and
+a missing marker each become a diagnostic on the parsed :class:`Rationale`.
+Two surface grammars are supported:
 
 * infix: binary arithmetic over + - * / with decimal literals, standard
   precedence (* and / bind tighter), left associativity, optional parentheses,
@@ -33,6 +35,7 @@ import numpy as np
 from . import DataError
 
 FINAL_MARKER = "####"
+NO_FINAL_MARKER = "completion has no final-answer marker"
 
 INFIX_OPERATORS = ("+", "-", "*", "/")
 COMMUTATIVE_OPERATORS = frozenset({"+", "*", "add", "multiply"})
@@ -54,18 +57,6 @@ class MalformedStep(DataError):
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class MissingFinalAnswer(DataError):
-    """Raised when a completion lacks the final-answer marker.
-
-    Carries the partially parsed rationale (steps and diagnostics) so callers
-    can degrade gracefully instead of discarding the record.
-    """
-
-    def __init__(self, message: str, rationale: "Rationale"):
-        super().__init__(message)
-        self.rationale = rationale
 
 
 @dataclass(frozen=True)
@@ -351,14 +342,19 @@ def _parse_program_step(span: str) -> ReasoningStep:
     return ReasoningStep(name, operands)
 
 
+# The step grammar of each format
+STEP_PARSERS = {
+    RationaleFormat.GSM8K: _parse_infix_step,
+    RationaleFormat.MATHQA: _parse_program_step,
+}
+
+
 def parse_step(span: str, fmt: RationaleFormat) -> ReasoningStep:
     """Parse the inside of one << >> span under the given surface grammar.
 
     ``fmt`` may be a :class:`RationaleFormat` member or its string value.
     """
-    if RationaleFormat(fmt) is RationaleFormat.GSM8K:
-        return _parse_infix_step(span)
-    return _parse_program_step(span)
+    return STEP_PARSERS[RationaleFormat(fmt)](span)
 
 
 def _spans(text: str):
@@ -382,11 +378,11 @@ def parse_rationale(text: str, fmt: RationaleFormat) -> Rationale:
     """Parse a full completion into steps plus the final answer.
 
     ``fmt`` may be a :class:`RationaleFormat` member or its string value.
-    Malformed spans degrade to diagnostics; a missing #### marker raises
-    :class:`MissingFinalAnswer` carrying the partial rationale.
+    It never raises on the text: each malformed span is a diagnostic, and a
+    missing #### marker is the last one, :data:`NO_FINAL_MARKER`, with the
+    steps kept and no final answer or value.
     """
-    gsm8k = RationaleFormat(fmt) is RationaleFormat.GSM8K
-    parse = _parse_infix_step if gsm8k else _parse_program_step
+    parse = STEP_PARSERS[RationaleFormat(fmt)]
     steps: list[ReasoningStep] = []
     diagnostics: list[str] = []
     for i, (start, span) in enumerate(_spans(text)):
@@ -396,8 +392,7 @@ def parse_rationale(text: str, fmt: RationaleFormat) -> Rationale:
             diagnostics.append(f"step {i} at char {start}: {exc}")
     marker = text.find(FINAL_MARKER)
     if marker < 0:
-        partial = Rationale(tuple(steps), None, None, tuple(diagnostics))
-        raise MissingFinalAnswer("completion has no final-answer marker", partial)
+        return Rationale(tuple(steps), None, None, (*diagnostics, NO_FINAL_MARKER))
     tail = text[marker + len(FINAL_MARKER) :].strip()
     final = tail.split()[0] if tail else ""
     value = normalize_final_answer(final)

@@ -131,6 +131,11 @@ def make_synthetic_corpus(
 TENSORS = ("embeddings", "position_weights", "projection", "adapter_b", "adapter_a")
 
 
+def tensor_names(rank: int) -> tuple[str, ...]:
+    """The tensors a model of adapter ``rank`` holds, in snapshot order."""
+    return TENSORS if rank > 0 else TENSORS[:3]
+
+
 class Activations(NamedTuple):
     """One forward's context windows (n, window), their gathered embeddings
     (n, window, dim) and the position-weighted mix of those (n, dim)."""
@@ -199,7 +204,7 @@ class TinyModel:
     @property
     def tensors(self) -> dict[str, np.ndarray]:
         """The weight tensors by name, in snapshot order (:data:`TENSORS`)."""
-        return {name: getattr(self, name) for name in (TENSORS if self.rank > 0 else TENSORS[:3])}
+        return {name: getattr(self, name) for name in tensor_names(self.rank)}
 
     @property
     def trainable(self) -> tuple[str, ...]:
@@ -255,21 +260,20 @@ def load_model(path: str) -> TinyModel:
         raise DataError(f"bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise DataError(f"unsupported snapshot version {version}")
-    shapes = [(vocab, dim), (window,), (dim, vocab)]
-    if rank > 0:
-        shapes += [(dim, rank), (rank, vocab)]
+    shapes = dict(embeddings=(vocab, dim), position_weights=(window,), projection=(dim, vocab),
+                  adapter_b=(dim, rank), adapter_a=(rank, vocab))
     offset = SNAPSHOT_HEADER.size
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        end = offset + count * 8
+    arrays = {}
+    for name in tensor_names(rank):
+        shape = shapes[name]
+        end = offset + int(np.prod(shape)) * 8
         if end > len(raw):
             raise DataError("snapshot truncated")
-        arrays.append(np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy())
+        arrays[name] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
         offset = end
     if offset != len(raw):
         raise DataError("snapshot has trailing bytes")
-    return TinyModel(**dict(zip(TENSORS, arrays)), rank=int(rank), adapter_scale=float(scale))
+    return TinyModel(**arrays, rank=int(rank), adapter_scale=float(scale))
 
 
 # AdamW's moment decay rates and denominator epsilon, fixed by the recipe

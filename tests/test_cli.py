@@ -122,6 +122,22 @@ class TestIngest:
         with pytest.raises(DataError, match="data.jsonl:2: duplicate id 1"):
             ingest_jsonl(path, required=("id", "gold"))
 
+    @pytest.mark.parametrize("first, second", [("1", '"1"'), ('"1"', "1"), ("NaN", "NaN")])
+    def test_ids_of_one_text_are_duplicates(self, tmp_path, first, second):
+        # stats aligns report rows by the text of their ids, so eval must not
+        # write two rows whose ids read alike
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": %s, "gold": "x"}\n{"id": %s, "gold": "y"}\n' % (first, second))
+        with pytest.raises(DataError, match=r"data.jsonl:2: duplicate id \S+ \(by value or text\)"):
+            ingest_jsonl(path, required=("id", "gold"))
+
+    def test_float_pred_id_still_matches_its_integer_gold_id(self, tmp_path):
+        pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+        pred.write_text('{"id": 1.0, "prediction": "#### 1"}\n')
+        gold.write_text('{"id": 1, "gold": "#### 1"}\n')
+        report, _ = run_eval(pred, gold, "gsm8k")
+        assert [row["id"] for row in report["per_sample"]] == [1]
+
     @pytest.mark.parametrize("rid", ["[1]", '{"a": 1}'])
     def test_array_or_object_id_exits_2(self, tmp_path, capsys, rid):
         gold = tmp_path / "gold.jsonl"
@@ -182,10 +198,10 @@ class TestRunEval:
         parse = cli._parse_completion
 
         def watched(text, fmt):
-            rationale, extra = parse(text, fmt)
+            rationale = parse(text, fmt)
             refs.append(weakref.ref(rationale))
             refs.extend(weakref.ref(step) for step in rationale.steps)
-            return rationale, extra
+            return rationale
 
         monkeypatch.setattr(cli, "_parse_completion", watched)
         gc.disable()
@@ -327,6 +343,13 @@ class TestEvalCommand:
         code = run_main(["eval", "--pred", str(bad), "--gold", MICRO3_GOLD])
         assert code == EXIT_DATA
         assert "error:" in capsys.readouterr().err
+
+    def test_ids_reading_alike_exit_2_before_stats_sees_them(self, tmp_path, capsys):
+        pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+        pred.write_text('{"id": 1, "prediction": "#### 1"}\n{"id": "1", "prediction": "#### 2"}\n')
+        gold.write_text('{"id": 1, "gold": "#### 1"}\n{"id": "1", "gold": "#### 2"}\n')
+        assert run_main(["eval", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+        assert f"{pred}:2: duplicate id '1'" in capsys.readouterr().err
 
     def test_duplicate_id_exits_2(self, tmp_path):
         bad = tmp_path / "pred.jsonl"
@@ -622,13 +645,17 @@ class TestStatsCommand:
         capsys.readouterr()
 
     def test_ids_equal_as_text_exit_2(self, tmp_path, capsys):
+        # eval refuses such ids, so the report is edited after it is written
         pred = tmp_path / "pred.jsonl"
         gold = tmp_path / "gold.jsonl"
-        pred.write_text('{"id": 1, "prediction": "#### 1"}\n{"id": "1", "prediction": "#### 2"}\n')
-        gold.write_text('{"id": 1, "gold": "#### 1"}\n{"id": "1", "gold": "#### 1"}\n')
+        pred.write_text('{"id": 1, "prediction": "#### 1"}\n{"id": 2, "prediction": "#### 2"}\n')
+        gold.write_text('{"id": 1, "gold": "#### 1"}\n{"id": 2, "gold": "#### 1"}\n')
         report = tmp_path / "report.json"
         argv = ["eval", "--pred", str(pred), "--gold", str(gold), "--out", str(report)]
         assert run_main(argv) == EXIT_OK
+        payload = json.loads(report.read_text())
+        payload["per_sample"][1]["id"] = "1"
+        report.write_text(json.dumps(payload))
         code = run_main(["stats", "--test", "mcnemar", str(report), str(report)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
@@ -1109,6 +1136,20 @@ class TestParseCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["final_answer"] is None
         assert payload["diagnostics"]
+
+    def test_missing_marker_reads_as_in_an_eval_dump(self, tmp_path, capsys):
+        text = "<<1+1=2>> <<1+x>> no marker"
+        assert run_main(["parse", "--text", text]) == EXIT_OK
+        parsed = json.loads(capsys.readouterr().out)
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"id": 1, "gold": text, "prediction": text}) + "\n")
+        dump = tmp_path / "dump.json"
+        argv = ["eval", "--pred", str(records), "--gold", str(records), "--dump-parse", str(dump)]
+        assert run_main(argv) == EXIT_OK
+        [entry] = json.loads(dump.read_text())
+        assert entry["gold"] == entry["prediction"] == parsed
+        assert parsed["diagnostics"][-1] == "completion has no final-answer marker"
+        assert len(parsed["diagnostics"]) == 2
 
     def test_program_with_numbers(self, capsys):
         code = run_main(

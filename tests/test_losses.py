@@ -528,7 +528,7 @@ class TestLazyGradient:
         result = loss(batch)
         rng = np.random.default_rng(8)
         batch.logits[:] = rng.standard_normal(batch.logits.shape)
-        batch.targets[:] = rng.integers(0, batch.vocab_size, len(batch.targets))
+        batch.targets[:] = rng.integers(0, batch.logits.shape[1], len(batch.targets))
         batch.role_mask[:] = batch.role_mask[::-1].copy()
         expected = loss(copy)
         assert result.value == expected.value

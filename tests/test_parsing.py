@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from losslab import DataError
 from losslab.parsing import (
+    FINAL_MARKER,
     MAX_NESTING,
+    NO_FINAL_MARKER,
     MalformedStep,
-    MissingFinalAnswer,
     Operand,
     OperandKind,
     PoisonedValue,
@@ -451,12 +452,26 @@ class TestParseRationale:
         with pytest.raises(ValueError, match="sumerian"):
             parse_step("1+1=2", "sumerian")
 
-    def test_missing_marker_raises_with_partial(self):
-        with pytest.raises(MissingFinalAnswer) as info:
-            parse_rationale("<<1+1=2>> no marker", GSM8K)
-        partial = info.value.rationale
-        assert len(partial.steps) == 1
-        assert partial.final_answer is None
+    def test_missing_marker_returns_the_partial_rationale(self):
+        r = parse_rationale("<<1+1=2>> <<2+x>> no marker", GSM8K)
+        assert r.steps == (parse_step("1+1=2", GSM8K),)
+        assert r.final_answer is None
+        assert r.final_value is None
+        assert len(r.diagnostics) == 2
+        assert r.diagnostics[-1] == NO_FINAL_MARKER
+
+    @given(text=st.text(st.sampled_from("<>#1+(=x ,n0a_d"), max_size=40) | st.text(max_size=40))
+    @example(text="<<1+1=2>> #### 2")
+    @example(text="<<1+1=2>> ### 2")
+    @pytest.mark.parametrize("fmt", [GSM8K, MATHQA])
+    def test_never_raises_and_flags_a_missing_marker_last(self, fmt, text):
+        r = parse_rationale(text, fmt)
+        assert isinstance(r, Rationale)
+        missing = FINAL_MARKER not in text
+        assert (r.diagnostics[-1:] == (NO_FINAL_MARKER,)) == missing
+        assert r.diagnostics.count(NO_FINAL_MARKER) == missing
+        if missing:
+            assert r.final_answer is None and r.final_value is None
 
     def test_malformed_span_degrades_to_diagnostic(self):
         r = parse_rationale("<<1+1=2>> <<syntax error>> #### 2", GSM8K)
