@@ -147,6 +147,8 @@ def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
             rid = record["id"]
             if isinstance(rid, (list, dict)):
                 raise DataError(f"{path}:{lineno}: id {json.dumps(rid)} is an array or object")
+            if isinstance(rid, float) and not math.isfinite(rid):  # NaN, Infinity: not JSON
+                raise DataError(f"{path}:{lineno}: id {json.dumps(rid)} is not a finite number")
             if rid in seen_ids or str(rid) in seen_ids:
                 raise DataError(f"{path}:{lineno}: duplicate id {rid!r} (by value or text)")
             seen_ids.update((rid, str(rid)))
@@ -185,16 +187,21 @@ def build_manifest(command: list[str], config: dict, inputs: list[str | Path], s
     }
 
 
-def _parse_completion(text: str, fmt: str) -> Rationale:
+def _parse_completion(text: str, fmt: str, memo: dict | None = None) -> Rationale:
     if fmt == "qa_letter":
         return Rationale((), text.strip() or None, None)
-    return parse_rationale(text, fmt)
+    return parse_rationale(text, fmt, memo)
 
 
 def score_record(gold_text: str, pred_text: str, fmt: str, commutative: bool) -> dict:
-    """All per-record metrics plus diagnostics for one prediction/gold pair."""
-    gold = _parse_completion(gold_text, fmt)
-    pred = _parse_completion(pred_text, fmt)
+    """All per-record metrics plus diagnostics for one prediction/gold pair.
+
+    The two parses share one span memo, so a predicted step that repeats a
+    gold span reuses its parse and its cached matching keys.
+    """
+    memo: dict = {}
+    gold = _parse_completion(gold_text, fmt, memo)
+    pred = _parse_completion(pred_text, fmt, memo)
     diagnostics = [f"gold: {d}" for d in gold.diagnostics]
     diagnostics += [f"prediction: {d}" for d in pred.diagnostics]
 
@@ -296,11 +303,44 @@ def _aggregate_row_markdown(aggregate: dict) -> str:
     return f"{header}\n{rule}\n{row}\n"
 
 
+# Writes a per-sample row's scalar columns at the depth the report nests them
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _row_json(row: dict) -> str:
+    """``row`` as ``json.dumps(report, indent=2)`` writes it inside
+    ``per_sample``, for a row of scalars whose last key is ``diagnostics``,
+    a list of scalars. One call of the C encoder writes the scalars; the
+    indentation and the diagnostics are added here."""
+    columns = dict(row)
+    lines = ",\n        ".join(map(json.dumps, columns.pop("diagnostics")))
+    diagnostics = f"[\n        {lines}\n      ]" if lines else "[]"
+    scalars = _ROW_ENCODER.encode(columns)[1:-1]
+    return f'    {{\n      {scalars},\n      "diagnostics": {diagnostics}\n    }}'
+
+
+def _report_json(report: dict) -> str:
+    """Exactly ``json.dumps(report, indent=2) + "\\n"`` for an eval report.
+
+    ``indent`` selects json's pure-Python encoder, so the rows of
+    ``per_sample`` are written by :func:`_row_json` instead; every other
+    top-level value keeps ``json.dumps``.
+    """
+    members = []
+    for key, value in report.items():
+        if key == "per_sample" and value:
+            text = "[\n" + ",\n".join(map(_row_json, value)) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        members.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}\n"
+
+
 def emit_report(report: dict, out_format: str, out_path: str | None) -> None:
     """Write a report as lossless JSON, a CSV aggregate row, or a markdown
     table. CSV and markdown files get a manifest sidecar next to them."""
     if out_format == "json":
-        text = _json_text(report)
+        text = _report_json(report)
     elif out_format == "csv":
         text = _aggregate_row_csv(report["aggregate"])
     elif out_format == "markdown":

@@ -27,7 +27,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +115,21 @@ class ReasoningStep:
     @property
     def is_commutative(self) -> bool:
         return self.operator in COMMUTATIVE_OPERATORS
+
+    @cached_property
+    def match_keys(self) -> tuple[str, str]:
+        """The plain and the commutative matching key, built on first use
+        from one rendering of each operand; see :func:`canonicalize_step`."""
+        rendered = [o.render() for o in self.operands]
+        plain = self._key(rendered)
+        if not self.is_commutative:
+            return plain, plain
+        return plain, self._key(sorted(rendered))
+
+    def _key(self, rendered: list[str]) -> str:
+        if self.is_named:
+            return f"{self.operator}({','.join(rendered)})"
+        return self.operator.join(rendered)
 
 
 @dataclass
@@ -374,22 +389,37 @@ def _spans(text: str):
         start = text.find("<<", end + 2)
 
 
-def parse_rationale(text: str, fmt: RationaleFormat) -> Rationale:
+def parse_rationale(
+    text: str, fmt: RationaleFormat, memo: dict[str, ReasoningStep] | None = None
+) -> Rationale:
     """Parse a full completion into steps plus the final answer.
 
     ``fmt`` may be a :class:`RationaleFormat` member or its string value.
     It never raises on the text: each malformed span is a diagnostic, and a
     missing #### marker is the last one, :data:`NO_FINAL_MARKER`, with the
     steps kept and no final answer or value.
+
+    Each well-formed span's step is stored in ``memo`` under the span's text,
+    and a span already there is not parsed again. Pass one dict to several
+    parses of one format to share their repeated spans; steps are frozen, so
+    sharing them is safe. A malformed span is never stored, so each
+    occurrence gets its own diagnostic. Without ``memo``, repeats within
+    ``text`` are shared.
     """
     parse = STEP_PARSERS[RationaleFormat(fmt)]
+    if memo is None:
+        memo = {}
     steps: list[ReasoningStep] = []
     diagnostics: list[str] = []
     for i, (start, span) in enumerate(_spans(text)):
-        try:
-            steps.append(parse(span))
-        except MalformedStep as exc:
-            diagnostics.append(f"step {i} at char {start}: {exc}")
+        step = memo.get(span)
+        if step is None:
+            try:
+                step = memo[span] = parse(span)
+            except MalformedStep as exc:
+                diagnostics.append(f"step {i} at char {start}: {exc}")
+                continue
+        steps.append(step)
     marker = text.find(FINAL_MARKER)
     if marker < 0:
         return Rationale(tuple(steps), None, None, (*diagnostics, NO_FINAL_MARKER))
@@ -517,18 +547,16 @@ def render_step(step: ReasoningStep) -> str:
 
 
 def canonicalize_step(step: ReasoningStep, commutative: bool = False) -> str:
-    """Deterministic matching key: operator plus normalized operands.
+    """Deterministic matching key: operator plus normalized operands, as
+    ``name(a,b)`` for a named operator and ``a+b`` for an infix one.
 
-    With ``commutative`` set and a commutative operator, operands sort
-    lexicographically so reordered forms share one key. The stated result
-    never participates.
+    With ``commutative`` set and a commutative operator, the rendered
+    operands sort lexicographically so reordered forms share one key
+    (``add(n1,n0)`` keys as ``add(n0,n1)``, ``3*2`` as ``2*3``). The stated
+    result never participates. Both keys are built together, once per step,
+    and cached on it as :attr:`ReasoningStep.match_keys`.
     """
-    rendered = [o.render() for o in step.operands]
-    if commutative and step.is_commutative:
-        rendered = sorted(rendered)
-    if step.is_named:
-        return f"{step.operator}({','.join(rendered)})"
-    return step.operator.join(rendered)
+    return step.match_keys[bool(commutative)]
 
 
 def normalize_final_answer(text: str) -> float | str:

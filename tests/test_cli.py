@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import losslab
-from losslab import DataError, cli
+from losslab import DataError, cli, parsing
 from losslab.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -35,6 +35,7 @@ from losslab.cli import (
 )
 from losslab.losses import LossConfig
 from losslab.metrics import CSV_COLUMNS
+from losslab.parsing import RationaleFormat
 from losslab.training import TrainConfig, TrainingDiverged, make_synthetic_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,13 +123,22 @@ class TestIngest:
         with pytest.raises(DataError, match="data.jsonl:2: duplicate id 1"):
             ingest_jsonl(path, required=("id", "gold"))
 
-    @pytest.mark.parametrize("first, second", [("1", '"1"'), ('"1"', "1"), ("NaN", "NaN")])
+    @pytest.mark.parametrize("first, second", [("1", '"1"'), ('"1"', "1")])
     def test_ids_of_one_text_are_duplicates(self, tmp_path, first, second):
         # stats aligns report rows by the text of their ids, so eval must not
         # write two rows whose ids read alike
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": %s, "gold": "x"}\n{"id": %s, "gold": "y"}\n' % (first, second))
         with pytest.raises(DataError, match=r"data.jsonl:2: duplicate id \S+ \(by value or text\)"):
+            ingest_jsonl(path, required=("id", "gold"))
+
+    @pytest.mark.parametrize("rid", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_id_is_rejected_at_its_line(self, tmp_path, rid):
+        # json.loads reads these constants, but a report holding one is not
+        # JSON to a strict reader
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": %s, "gold": "x"}\n{"id": %s, "gold": "y"}\n' % (rid, rid))
+        with pytest.raises(DataError, match=f"data.jsonl:1: id {rid} is not a finite number"):
             ingest_jsonl(path, required=("id", "gold"))
 
     def test_float_pred_id_still_matches_its_integer_gold_id(self, tmp_path):
@@ -197,8 +207,8 @@ class TestRunEval:
         refs = []
         parse = cli._parse_completion
 
-        def watched(text, fmt):
-            rationale = parse(text, fmt)
+        def watched(text, fmt, *memo):
+            rationale = parse(text, fmt, *memo)
             refs.append(weakref.ref(rationale))
             refs.extend(weakref.ref(step) for step in rationale.steps)
             return rationale
@@ -213,6 +223,33 @@ class TestRunEval:
         assert parses is None
         assert len(refs) > 2 * len(report["per_sample"])  # two rationales a record, and steps
         assert alive == []
+
+    def test_each_distinct_span_of_a_record_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = parsing.STEP_PARSERS[RationaleFormat.GSM8K]
+
+        def counted(span):
+            calls.append(span)
+            return parse(span)
+
+        monkeypatch.setitem(parsing.STEP_PARSERS, RationaleFormat.GSM8K, counted)
+        run_eval(MICRO5_PRED, MICRO5_GOLD, "gsm8k")
+        # the distinct spans of each record in turn: s1's prediction repeats
+        # both gold spans, s4's and s5's one each, and those are not parsed again
+        assert calls == [
+            "2+3=5", "5*4=20",
+            "7*5=35", "5*7=35",
+            "10+3=13", "10-3=7",
+            "10-3=7", "7*2=14", "3-10",
+            "8/2=4", "4+1=5",
+        ]
+
+    def test_a_malformed_span_in_both_texts_is_reported_for_each(self):
+        scored = cli.score_record("<<2+x>> <<1+1=2>> #### 2", "<<2+x>> #### 2", "gsm8k", True)
+        assert scored["diagnostics"] == [
+            "gold: step 0 at char 0: expected a number, found 'x' (offset 2)",
+            "prediction: step 0 at char 0: expected a number, found 'x' (offset 2)",
+        ]
 
     def test_per_sample_rows_sorted_by_id(self):
         report, _ = run_eval(MICRO5_PRED, MICRO5_GOLD, "gsm8k")
@@ -390,6 +427,73 @@ class TestEvalCommand:
     def test_unreadable_input_exits_2(self, tmp_path):
         missing = str(tmp_path / "nope.jsonl")
         assert run_main(["eval", "--pred", missing, "--gold", MICRO3_GOLD]) == EXIT_DATA
+
+
+# JSON scalars as eval rows hold them: text with quotes, backslashes, control
+# characters and non-ASCII; integers past 64 bits; floats at the extremes
+json_text = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1f\u2028'))
+extreme_floats = st.floats() | st.sampled_from([5e-324, 1.7976931348623157e308, -0.0])
+row_ids = json_text | st.integers(-(2**70), 2**70) | extreme_floats
+report_rows = st.builds(
+    lambda rid, em, rates, diagnostics: {
+        "id": rid, "em": em, **dict(zip(CSV_COLUMNS[1:], rates)), "diagnostics": diagnostics
+    },
+    row_ids,
+    st.booleans(),
+    st.lists(extreme_floats, min_size=len(CSV_COLUMNS) - 1, max_size=len(CSV_COLUMNS) - 1),
+    st.lists(json_text, max_size=3),
+)
+reports = st.builds(
+    lambda manifest, aggregate, rows, flag: {
+        **({} if manifest is None else {"manifest": manifest}),
+        "aggregate": {**dict(zip(CSV_COLUMNS, aggregate)), "n_samples": len(rows)},
+        "per_sample": rows,
+        "conventions": {"commutative_matching": flag, "em_numeric_tolerance": 1e-6},
+    },
+    st.none() | st.fixed_dictionaries(
+        {
+            "command": st.lists(json_text, max_size=3),
+            "config": st.dictionaries(json_text, st.booleans() | json_text, max_size=2),
+            "seed": st.none(),
+        }
+    ),
+    st.lists(extreme_floats, min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)),
+    st.lists(report_rows, max_size=4),
+    st.booleans(),
+)
+
+
+class TestReportWriter:
+    """``emit_report`` writes a JSON report row by row with json's C encoder;
+    its bytes must be those of ``json.dumps(report, indent=2)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(report=reports)
+    def test_json_is_byte_identical_to_indented_dumps(self, tmp_path_factory, report):
+        out = tmp_path_factory.mktemp("report") / "report.json"
+        cli.emit_report(report, "json", str(out))
+        assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("pred, gold", [(MICRO5_PRED, MICRO5_GOLD), (MICRO3_PRED, MICRO3_GOLD)])
+    @pytest.mark.parametrize("flag", [[], ["--no-commutative"]])
+    def test_micro_reports_are_byte_identical(self, tmp_path, pred, gold, flag):
+        out = tmp_path / "report.json"
+        assert run_main(["eval", "--pred", pred, "--gold", gold, "--out", str(out), *flag]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert any(row["diagnostics"] for row in json.loads(text)["per_sample"]) == (
+            pred == MICRO3_PRED
+        )
+
+    def test_non_finite_id_exits_2_and_writes_no_report(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"id": 1, "gold": "#### 1", "prediction": "#### 1"}\n'
+                        '{"id": NaN, "gold": "#### 1", "prediction": "#### 1"}\n')
+        out = tmp_path / "report.json"
+        code = run_main(["eval", "--pred", str(data), "--gold", str(data), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert f"{data}:2: id NaN is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsageErrors:

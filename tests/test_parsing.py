@@ -426,6 +426,13 @@ class TestProgramSteps:
             parse_step("add(n0,foo)", MATHQA)
 
 
+# Well-formed and malformed spans of each grammar, drawn with repeats
+MEMO_SPANS = {
+    GSM8K: ["1+2", "3*4=12", " 3 * 4 ", "10-3=7", "1+", "2+x", "1/(2-2)+1", "(1", "7"],
+    MATHQA: ["add(n0,n1)", "add(n1,n0)", "multiply(#0,const_100)", "add(", "f()", "g(n0,)", "x"],
+}
+
+
 class TestParseRationale:
     def test_gsm8k_worked_example(self):
         r = parse_rationale("<<10*.5=5>> <<5*7=35>> #### 35", GSM8K)
@@ -472,6 +479,23 @@ class TestParseRationale:
         assert r.diagnostics.count(NO_FINAL_MARKER) == missing
         if missing:
             assert r.final_answer is None and r.final_value is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("fmt", [GSM8K, MATHQA])
+    def test_a_shared_memo_changes_no_parse(self, fmt, data):
+        pool = MEMO_SPANS[fmt]
+        text = st.builds(
+            lambda spans, tail: " so ".join(f"<<{span}>>" for span in spans) + tail,
+            st.lists(st.sampled_from(pool), max_size=6),
+            st.sampled_from(["", " #### 5", " #### x", " ####"]),
+        )
+        first, second = data.draw(text), data.draw(text)
+        memo = {}
+        assert parse_rationale(first, fmt, memo) == parse_rationale(first, fmt)
+        assert parse_rationale(second, fmt, memo) == parse_rationale(second, fmt)
+        # only well-formed spans are kept, each under its own text
+        assert all(parse_step(span, fmt) == step for span, step in memo.items())
 
     def test_malformed_span_degrades_to_diagnostic(self):
         r = parse_rationale("<<1+1=2>> <<syntax error>> #### 2", GSM8K)
@@ -612,7 +636,38 @@ class TestConstants:
             resolve_constant("tau")
 
 
+def canonical_key_oracle(step, commutative=False):
+    """Reference key, rendering the operands on every call: the operator
+    name with its operands in parentheses, or the infix operator between
+    them; sorted as text for a commutative operator under ``commutative``."""
+    rendered = [o.render() for o in step.operands]
+    if commutative and step.is_commutative:
+        rendered = sorted(rendered)
+    if step.is_named:
+        return f"{step.operator}({','.join(rendered)})"
+    return step.operator.join(rendered)
+
+
 class TestCanonicalization:
+    @pytest.mark.parametrize(
+        "span, fmt, plain, commutative",
+        [
+            ("add(n1,n0)", MATHQA, "add(n1,n0)", "add(n0,n1)"),
+            ("3*2", GSM8K, "3*2", "2*3"),
+            ("9+10", GSM8K, "9+10", "10+9"),  # text order, not numeric
+            ("subtract(n1,n0)", MATHQA, "subtract(n1,n0)", "subtract(n1,n0)"),
+            ("5-3", GSM8K, "5-3", "5-3"),
+            ("multiply(const_100,#1)", MATHQA, "multiply(const_100,#1)", "multiply(#1,const_100)"),
+            ("add(n2,#0,const_3_6)", MATHQA, "add(n2,#0,const_3_6)", "add(#0,const_3_6,n2)"),
+            ("divide(#1,const_pi)", MATHQA, "divide(#1,const_pi)", "divide(#1,const_pi)"),
+        ],
+    )
+    def test_exact_keys(self, span, fmt, plain, commutative):
+        step = parse_step(span, fmt)
+        assert canonicalize_step(step) == canonicalize_step(step, False) == plain
+        assert canonicalize_step(step, True) == commutative
+        assert step.match_keys == (plain, commutative)
+
     def test_commutative_multiplication(self):
         a = parse_step("5*7", GSM8K)
         b = parse_step("7*5", GSM8K)
@@ -721,6 +776,15 @@ program_steps = st.builds(
         max_size=4,
     ).map(tuple),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=st.one_of(infix_steps, program_steps), commutative=st.booleans())
+def test_cached_keys_match_the_oracle(step, commutative):
+    key = canonical_key_oracle(step, commutative)
+    assert canonicalize_step(step, commutative) == key
+    assert canonicalize_step(step, commutative) == key  # read from the cache
+    assert step.match_keys == (canonical_key_oracle(step), canonical_key_oracle(step, True))
 
 
 class TestRoundTrip:
