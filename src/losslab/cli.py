@@ -197,7 +197,7 @@ def score_record(gold_text: str, pred_text: str, fmt: str, commutative: bool) ->
     """All per-record metrics plus diagnostics for one prediction/gold pair.
 
     The two parses share one span memo, so a predicted step that repeats a
-    gold span reuses its parse and its cached matching keys.
+    gold span reuses its parse and its matching keys.
     """
     memo: dict = {}
     gold = _parse_completion(gold_text, fmt, memo)
@@ -307,14 +307,22 @@ def _aggregate_row_markdown(aggregate: dict) -> str:
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
+def _indented_list(items: list[str], indent: int) -> str:
+    """Items already written as json, as ``json.dumps(indent=2)`` lays out
+    a list whose items sit ``indent`` spaces deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return f"[{pad}" + f",{pad}".join(items) + f"\n{' ' * (indent - 2)}]"
+
+
 def _row_json(row: dict) -> str:
     """``row`` as ``json.dumps(report, indent=2)`` writes it inside
     ``per_sample``, for a row of scalars whose last key is ``diagnostics``,
     a list of scalars. One call of the C encoder writes the scalars; the
     indentation and the diagnostics are added here."""
     columns = dict(row)
-    lines = ",\n        ".join(map(json.dumps, columns.pop("diagnostics")))
-    diagnostics = f"[\n        {lines}\n      ]" if lines else "[]"
+    diagnostics = _indented_list(list(map(json.dumps, columns.pop("diagnostics"))), 8)
     scalars = _ROW_ENCODER.encode(columns)[1:-1]
     return f'    {{\n      {scalars},\n      "diagnostics": {diagnostics}\n    }}'
 
@@ -334,6 +342,52 @@ def _report_json(report: dict) -> str:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         members.append(f"  {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(members) + "\n}\n"
+
+
+# Writes a list of JSON scalars one to a line: no scalar's text holds a raw
+# newline, so the texts split apart on it
+_SCALAR_LINES_ENCODER = json.JSONEncoder(separators=("\n", ": "))
+# A dumped operand as indented json, with %s for each of its two scalars
+_OPERAND_LAYOUT = '{\n              "kind": %s,\n              "value": %s\n            }'
+
+
+def _entry_json(entry: dict) -> str:
+    """A parse-dump entry as ``json.dumps(dump, indent=2)`` writes it. One
+    walk lists its scalars and lays the entry out with %s in their places;
+    one call of the C encoder then writes all the scalars."""
+    scalars = [entry["id"]]
+    layout = ['  {\n    "id": %s']
+    for side in ("gold", "prediction"):
+        rationale = entry[side]
+        steps = []
+        for step in rationale["steps"]:
+            operands = step["operands"]
+            scalars.append(step["operator"])
+            for operand in operands:
+                scalars += (operand["kind"], operand["value"])
+            scalars.append(step["stated_result"])
+            operand_layouts = _indented_list([_OPERAND_LAYOUT] * len(operands), 12)
+            steps.append(
+                f'{{\n          "operator": %s,\n          "operands": {operand_layouts},\n'
+                f'          "stated_result": %s\n        }}'
+            )
+        diagnostics = rationale["diagnostics"]
+        scalars += (rationale["final_answer"], rationale["final_value"], *diagnostics)
+        layout.append(
+            f',\n    "{side}": {{\n      "steps": {_indented_list(steps, 8)},\n'
+            f'      "final_answer": %s,\n      "final_value": %s,\n'
+            f'      "diagnostics": {_indented_list(["%s"] * len(diagnostics), 8)}\n    }}'
+        )
+    layout.append("\n  }")
+    texts = _SCALAR_LINES_ENCODER.encode(scalars)[1:-1].split("\n")
+    return "".join(layout) % tuple(texts)
+
+
+def _dump_json(dump: list[dict]) -> str:
+    """Exactly ``json.dumps(dump, indent=2) + "\\n"`` for the parse dump
+    that ``run_eval`` returns. ``indent`` selects json's pure-Python
+    encoder, so each entry is written by :func:`_entry_json` instead."""
+    return "[\n" + ",\n".join(map(_entry_json, dump)) + "\n]\n" if dump else "[]\n"
 
 
 def emit_report(report: dict, out_format: str, out_path: str | None) -> None:
@@ -368,7 +422,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
     )
     report = {"manifest": manifest, **report}
     if args.dump_parse:
-        _write(_json_text(dump), args.dump_parse)
+        _write(_dump_json(dump), args.dump_parse)
     emit_report(report, args.out_format, args.out)
     return EXIT_OK
 

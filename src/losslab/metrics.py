@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from . import DataError
-from .parsing import ReasoningStep, canonicalize_step, normalize_final_answer
+from .parsing import ReasoningStep, normalize_final_answer
 
 NUMERIC_TOLERANCE = 1e-6
 
@@ -37,21 +37,35 @@ def exact_match(prediction: str | None, gold: str | None) -> bool:
     return p == g
 
 
+class KeyCounts(dict):
+    """A multiset of step keys: each key's count, and 0 for an absent key."""
+
+    def __missing__(self, key) -> int:
+        return 0
+
+
 @dataclass
 class StepSet:
     """Canonical step keys, as a multiset and (``step_keys``) in step order,
     remembering the flag that built them."""
 
-    keys: Counter
+    keys: KeyCounts
     step_keys: tuple[str, ...]
     steps: tuple[ReasoningStep, ...]
     commutative: bool
 
     @classmethod
     def from_steps(cls, steps: Sequence[ReasoningStep], commutative: bool) -> "StepSet":
+        """Read each step's key (see :func:`canonicalize_step`) and count it."""
         steps = tuple(steps)
-        step_keys = tuple(canonicalize_step(s, commutative) for s in steps)
-        return cls(Counter(step_keys), step_keys, steps, commutative)
+        which = 1 if commutative else 0
+        keys = KeyCounts()
+        step_keys = []
+        for step in steps:
+            key = step.match_keys[which]
+            step_keys.append(key)
+            keys[key] = keys.get(key, 0) + 1
+        return cls(keys, tuple(step_keys), steps, commutative)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -74,12 +88,17 @@ def step_overlap_metrics(ps: StepSet, gts: StepSet, commutative: bool) -> Overla
     """
     if ps.commutative != commutative or gts.commutative != commutative:
         raise ValueError("step sets were built with a different canonicalization flag")
-    if len(ps) == 0 and len(gts) == 0:
+    n_pred, n_gold = len(ps.steps), len(gts.steps)
+    if n_pred == 0 and n_gold == 0:
         return OverlapMetrics(1.0, 1.0, 1.0, 1.0)
-    if len(ps) == 0 or len(gts) == 0:
+    if n_pred == 0 or n_gold == 0:
         return OverlapMetrics(0.0, 0.0, 0.0, 0.0)
-    tp = sum((ps.keys & gts.keys).values())
-    fp, fn = len(ps) - tp, len(gts) - tp
+    gold_keys = gts.keys
+    tp = 0  # the size of the multiset intersection
+    for key, count in ps.keys.items():
+        gold_count = gold_keys.get(key, 0)
+        tp += count if count < gold_count else gold_count
+    fp, fn = n_pred - tp, n_gold - tp
     return OverlapMetrics(
         iou=tp / (tp + fp + fn),
         precision=tp / (tp + fp),
@@ -94,11 +113,13 @@ def _residual_steps(own: StepSet, other: StepSet) -> list[ReasoningStep]:
     For each key the first occurrences up to the other side's count are
     treated as matched; later occurrences are residual.
     """
-    seen: Counter = Counter()
+    unmatched = dict(other.keys)  # each key's matches left on the other side
     residual: list[ReasoningStep] = []
     for step, key in zip(own.steps, own.step_keys):
-        seen[key] += 1
-        if seen[key] > other.keys.get(key, 0):
+        left = unmatched.get(key, 0)
+        if left:
+            unmatched[key] = left - 1
+        else:
             residual.append(step)
     return residual
 
@@ -140,8 +161,9 @@ def error_typology(ps: StepSet, gts: StepSet) -> ErrorReport:
         raise ValueError("step sets were built with different canonicalization flags")
     errors = _residual_steps(ps, gts)
     missing = _residual_steps(gts, ps)
-    extra_rate = len(errors) / len(ps) if len(ps) else 0.0
-    missing_rate = len(missing) / len(gts) if len(gts) else 0.0
+    n_pred, n_gold = len(ps.steps), len(gts.steps)
+    extra_rate = len(errors) / n_pred if n_pred else 0.0
+    missing_rate = len(missing) / n_gold if n_gold else 0.0
 
     consumed = [False] * len(missing)
     wrong_operator = 0

@@ -27,7 +27,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -103,10 +103,17 @@ class ReasoningStep:
     operator: str
     operands: tuple[Operand, ...]
     stated_result: float | None = None
+    # The plain and the commutative matching key, built with the step from
+    # one rendering of each operand; see :func:`canonicalize_step`.
+    match_keys: tuple[str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.operands:
             raise MalformedStep("step must have at least one operand")
+        rendered = [o.render() for o in self.operands]
+        plain = self._key(rendered)
+        keys = (plain, self._key(sorted(rendered)) if self.is_commutative else plain)
+        object.__setattr__(self, "match_keys", keys)
 
     @property
     def is_named(self) -> bool:
@@ -115,16 +122,6 @@ class ReasoningStep:
     @property
     def is_commutative(self) -> bool:
         return self.operator in COMMUTATIVE_OPERATORS
-
-    @cached_property
-    def match_keys(self) -> tuple[str, str]:
-        """The plain and the commutative matching key, built on first use
-        from one rendering of each operand; see :func:`canonicalize_step`."""
-        rendered = [o.render() for o in self.operands]
-        plain = self._key(rendered)
-        if not self.is_commutative:
-            return plain, plain
-        return plain, self._key(sorted(rendered))
 
     def _key(self, rendered: list[str]) -> str:
         if self.is_named:
@@ -364,12 +361,24 @@ STEP_PARSERS = {
 }
 
 
+# Each format's member, by itself and by its value
+_FORMATS = {key: f for f in RationaleFormat for key in (f, f.value)}
+
+
+def _format(fmt) -> RationaleFormat:
+    """The member ``fmt`` names; anything else raises as ``RationaleFormat(fmt)``."""
+    try:
+        return _FORMATS[fmt]
+    except (KeyError, TypeError):
+        return RationaleFormat(fmt)
+
+
 def parse_step(span: str, fmt: RationaleFormat) -> ReasoningStep:
     """Parse the inside of one << >> span under the given surface grammar.
 
     ``fmt`` may be a :class:`RationaleFormat` member or its string value.
     """
-    return STEP_PARSERS[RationaleFormat(fmt)](span)
+    return STEP_PARSERS[_format(fmt)](span)
 
 
 def _spans(text: str):
@@ -406,7 +415,7 @@ def parse_rationale(
     occurrence gets its own diagnostic. Without ``memo``, repeats within
     ``text`` are shared.
     """
-    parse = STEP_PARSERS[RationaleFormat(fmt)]
+    parse = STEP_PARSERS[_format(fmt)]
     if memo is None:
         memo = {}
     steps: list[ReasoningStep] = []
@@ -553,8 +562,8 @@ def canonicalize_step(step: ReasoningStep, commutative: bool = False) -> str:
     With ``commutative`` set and a commutative operator, the rendered
     operands sort lexicographically so reordered forms share one key
     (``add(n1,n0)`` keys as ``add(n0,n1)``, ``3*2`` as ``2*3``). The stated
-    result never participates. Both keys are built together, once per step,
-    and cached on it as :attr:`ReasoningStep.match_keys`.
+    result never participates. Both keys are built together when the step
+    is made, and kept on it as :attr:`ReasoningStep.match_keys`.
     """
     return step.match_keys[bool(commutative)]
 

@@ -35,7 +35,7 @@ from losslab.cli import (
 )
 from losslab.losses import LossConfig
 from losslab.metrics import CSV_COLUMNS
-from losslab.parsing import RationaleFormat
+from losslab.parsing import Operand, Rationale, RationaleFormat, ReasoningStep
 from losslab.training import TrainConfig, TrainingDiverged, make_synthetic_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -494,6 +494,96 @@ class TestReportWriter:
         assert code == EXIT_DATA
         assert f"{data}:2: id NaN is not a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Parsed rationales as a dump holds them: operands of every kind, numbers
+# that are not finite (written as null), empty step lists, diagnostics, and
+# a missing final answer
+dump_operands = st.one_of(
+    st.floats().map(Operand.literal),
+    st.integers(0, 10**6).map(Operand.problem_ref),
+    st.integers(0, 10**6).map(Operand.step_ref),
+    json_text.map(Operand.const),
+)
+dump_steps = st.builds(
+    ReasoningStep,
+    st.sampled_from(["+", "-", "*", "/", "add", "divide"]) | json_text.filter(bool),
+    st.lists(dump_operands, min_size=1, max_size=3).map(tuple),
+    st.none() | st.floats(),
+)
+dump_rationales = st.builds(
+    Rationale,
+    st.lists(dump_steps, max_size=3).map(tuple),
+    st.none() | json_text,
+    st.none() | extreme_floats,
+    st.lists(json_text, max_size=3).map(tuple),
+)
+dumps = st.lists(
+    st.builds(
+        lambda rid, gold, pred: {"id": rid, "gold": gold.to_dict(), "prediction": pred.to_dict()},
+        row_ids,
+        dump_rationales,
+        dump_rationales,
+    ),
+    max_size=3,
+)
+
+
+class TestDumpWriter:
+    """``eval --dump-parse`` writes each entry's scalars with json's C
+    encoder; its bytes must be those of ``json.dumps(dump, indent=2)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dump=dumps)
+    def test_dump_is_byte_identical_to_indented_dumps(self, dump):
+        assert cli._dump_json(dump) == json.dumps(dump, indent=2) + "\n"
+
+    def test_non_finite_numbers_are_written_as_null(self):
+        step = ReasoningStep("+", (Operand.literal(math.inf), Operand.literal(math.nan)), math.inf)
+        rationale = Rationale((step,), None, None, ("step 1 at char 9: x",))
+        text = cli._dump_json([{"id": 'q"\\\u00e9', "gold": rationale.to_dict(),
+                                "prediction": Rationale((), None, None).to_dict()}])
+        assert "NaN" not in text and "Infinity" not in text
+        entry = json.loads(text)[0]
+        assert entry["id"] == 'q"\\\u00e9'
+        assert [o["value"] for o in entry["gold"]["steps"][0]["operands"]] == [None, None]
+        assert entry["gold"]["steps"][0]["stated_result"] is None
+        assert entry["prediction"] == {
+            "steps": [], "final_answer": None, "final_value": None, "diagnostics": []
+        }
+
+
+MIXED500_ARGV = ["eval", "--pred", "mixed500_pred.jsonl", "--gold", "mixed500_gold.jsonl"]
+
+
+class TestMixed500:
+    """Reports of ``tests/fixtures/mixed500_*.jsonl`` (see make_mixed500.py):
+    500 gsm8k and mathqa records with every perturbation the scorer
+    classifies, and malformed spans on both sides. The expected files were
+    written by the scorer before its step multisets became dicts; the
+    manifests in them hold the relative paths of a run from the fixtures
+    directory."""
+
+    @pytest.mark.parametrize("out_format, suffix", [("json", "json"), ("csv", "csv"),
+                                                    ("markdown", "md")])
+    @pytest.mark.parametrize("flag", [[], ["--no-commutative"]])
+    def test_reports_are_byte_identical(self, monkeypatch, capsys, out_format, suffix, flag):
+        monkeypatch.chdir(FIXTURES)
+        assert run_main([*MIXED500_ARGV, "--out-format", out_format, *flag]) == EXIT_OK
+        expected = FIXTURES / f"mixed500_report{'_nc' if flag else ''}.{suffix}"
+        assert capsys.readouterr().out.encode() == expected.read_bytes()
+
+    def test_dump_is_indented_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(FIXTURES)
+        dump = tmp_path / "dump.json"
+        assert run_main([*MIXED500_ARGV, "--dump-parse", str(dump)]) == EXIT_OK
+        capsys.readouterr()
+        text = dump.read_text(encoding="utf-8")
+        entries = json.loads(text)
+        assert text == json.dumps(entries, indent=2) + "\n"
+        assert len(entries) == 500
+        assert any(not e["prediction"]["steps"] for e in entries)
+        assert any(e["gold"]["diagnostics"] for e in entries)
 
 
 class TestUsageErrors:

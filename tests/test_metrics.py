@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losslab import DataError
+from losslab import DataError, metrics
 from losslab.metrics import (
     CSV_COLUMNS,
     LOWER_IS_BETTER,
+    OverlapMetrics,
     SampleMetrics,
     StepSet,
     aggregate_report,
@@ -203,6 +204,84 @@ def test_ciou_bounds_iou_and_dice_follows_iou(raw_a, raw_b):
     assert comm.iou >= plain.iou
     for m in overlaps:
         assert abs(m.dice - 2 * m.iou / (1 + m.iou)) <= 1e-12
+
+
+def overlap_oracle(ps, gts, commutative):
+    """``step_overlap_metrics`` on ``collections.Counter`` multisets: the
+    intersection's size is the total of the ``&`` of the two sides' keys."""
+    if ps.commutative != commutative or gts.commutative != commutative:
+        raise ValueError("step sets were built with a different canonicalization flag")
+    if len(ps) == 0 and len(gts) == 0:
+        return OverlapMetrics(1.0, 1.0, 1.0, 1.0)
+    if len(ps) == 0 or len(gts) == 0:
+        return OverlapMetrics(0.0, 0.0, 0.0, 0.0)
+    tp = sum((Counter(ps.step_keys) & Counter(gts.step_keys)).values())
+    fp, fn = len(ps) - tp, len(gts) - tp
+    return OverlapMetrics(
+        iou=tp / (tp + fp + fn),
+        precision=tp / (tp + fp),
+        recall=tp / (tp + fn),
+        dice=2.0 * tp / (2.0 * tp + fp + fn),
+    )
+
+
+def residual_oracle(own, other):
+    """``_residual_steps`` on ``collections.Counter`` multisets: a step is
+    residual once its key has been seen more often than the other side has it."""
+    other_keys = Counter(other.step_keys)
+    seen = Counter()
+    residual = []
+    for step, key in zip(own.steps, own.step_keys):
+        seen[key] += 1
+        if seen[key] > other_keys.get(key, 0):
+            residual.append(step)
+    return residual
+
+
+# Infix and named steps over few operands, so that equal steps, and steps
+# equal only up to the order of a commutative operator's operands, are common
+multiset_steps = st.one_of(
+    st.builds(
+        lambda op, a, b: ReasoningStep(op, (Operand.literal(a), Operand.literal(b))),
+        st.sampled_from(["+", "-", "*", "/"]),
+        st.integers(1, 3).map(float),
+        st.integers(1, 3).map(float),
+    ),
+    st.builds(
+        lambda op, args: ReasoningStep(op, tuple(args)),
+        st.sampled_from(["add", "subtract", "multiply", "max"]),
+        st.lists(
+            st.sampled_from(
+                [Operand.problem_ref(0), Operand.problem_ref(1), Operand.step_ref(0),
+                 Operand.const("2")]
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), commutative=st.booleans())
+def test_multiset_walks_match_the_counter_oracles(data, commutative):
+    # both sides draw from one pool, so a step object can repeat on a side
+    # and appear on both
+    pool = data.draw(st.lists(multiset_steps, min_size=1, max_size=5))
+    sides = st.lists(st.sampled_from(pool), max_size=6)
+    ps = StepSet.from_steps(data.draw(sides), commutative)
+    gts = StepSet.from_steps(data.draw(sides), commutative)
+    for side in (ps, gts):
+        assert isinstance(side.keys, dict) and side.keys == Counter(side.step_keys)
+        assert side.keys["no such key"] == 0 and "no such key" not in side.keys
+    assert step_overlap_metrics(ps, gts, commutative) == overlap_oracle(ps, gts, commutative)
+    for own, other in ((ps, gts), (gts, ps)):
+        residual = metrics._residual_steps(own, other)
+        assert list(map(id, residual)) == list(map(id, residual_oracle(own, other)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_residual_steps", residual_oracle)
+        expected = error_typology(ps, gts)
+    assert error_typology(ps, gts) == expected
 
 
 class TestTypology:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -783,8 +784,34 @@ program_steps = st.builds(
 def test_cached_keys_match_the_oracle(step, commutative):
     key = canonical_key_oracle(step, commutative)
     assert canonicalize_step(step, commutative) == key
-    assert canonicalize_step(step, commutative) == key  # read from the cache
+    assert canonicalize_step(step, commutative) == key  # read again, from the step
     assert step.match_keys == (canonical_key_oracle(step), canonical_key_oracle(step, True))
+
+
+def oracle_keys(step):
+    return canonical_key_oracle(step), canonical_key_oracle(step, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=st.one_of(infix_steps, program_steps), other=st.one_of(infix_steps, program_steps))
+def test_match_keys_are_built_with_the_step_outside_equality_hash_and_repr(step, other):
+    flags = {f.name: (f.init, f.compare, f.repr) for f in dataclasses.fields(ReasoningStep)}
+    assert flags["match_keys"] == (False, False, False)
+    assert step.match_keys == oracle_keys(step)
+    # replace builds a new step, whose keys follow its own operator and operands
+    moved = dataclasses.replace(step, operator=other.operator, operands=other.operands)
+    assert moved.match_keys == oracle_keys(moved) == other.match_keys
+    restated = dataclasses.replace(step, stated_result=other.stated_result)
+    assert restated.match_keys == step.match_keys
+    # the keys take no part in equality, hashing or repr
+    forged = dataclasses.replace(step)
+    object.__setattr__(forged, "match_keys", ("x", "y"))
+    assert forged == step and hash(forged) == hash(step)
+    assert hash(step) == hash((step.operator, step.operands, step.stated_result))
+    assert repr(step) == (
+        f"ReasoningStep(operator={step.operator!r}, operands={step.operands!r}, "
+        f"stated_result={step.stated_result!r})"
+    )
 
 
 class TestRoundTrip:
