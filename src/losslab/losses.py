@@ -374,19 +374,85 @@ def _lovasz_errors(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(y > 0, 1.0 - p, p)
 
 
+# A Lovász matrix of at most this many entries sorts its whole columns: below
+# about 700 entries that is faster than finding each column's prefix first.
+_LOVASZ_FULL_SORT_MAX = 768
+
+
 def _lovasz_softmax_term(p: np.ndarray, y: np.ndarray) -> TermResult:
-    """The per-class term of :func:`lovasz_loss`, averaged over the columns."""
-    errors = _lovasz_errors(p, y)
-    sort = (-errors).argsort(axis=0, kind="stable"), np.arange(errors.shape[1])
-    weights = _jaccard_weights(y[sort])
-    terms = (errors[sort] * weights).sum(axis=0)
+    """The per-class term of :func:`lovasz_loss`, averaged over the columns.
+
+    A large matrix sorts only each column's prefix that can carry weight
+    (:func:`_lovasz_prefix`), a small one its whole columns. Both give the
+    same bits: past the prefix every weight is exactly 0.
+    """
+    n, k = p.shape
+    if n * k > _LOVASZ_FULL_SORT_MAX:
+        terms, entries, weights, gt = _lovasz_prefix(p, y)
+    else:
+        errors = _lovasz_errors(p, y)
+        entries = (-errors).argsort(axis=0, kind="stable"), np.arange(k)
+        gt = y[entries]
+        weights = _jaccard_weights(gt)
+        terms = (errors[entries] * weights).sum(axis=0)
 
     def backward() -> np.ndarray:
-        derr = np.empty_like(errors)
-        derr[sort] = weights
-        return derr * (1.0 - 2.0 * y) / terms.size
+        dp = np.zeros((n, k))
+        dp[entries] = weights * (1.0 - 2.0 * gt) / k
+        return dp
 
-    return terms.sum() / terms.size, backward
+    return terms.sum() / k, backward
+
+
+def _lovasz_prefix(p: np.ndarray, y: np.ndarray) -> tuple:
+    """The Lovász column sums from each column's sorted prefix alone.
+
+    Past a column's last foreground entry the Jaccard weights are exactly
+    0, so only the entries whose error is at least the column's smallest
+    foreground error t_c can carry weight. Those with error t_c that sort
+    after the last foreground entry get weight 0 as well, so taking them
+    all keeps the prefix and its stable order. Every column must hold a
+    foreground entry, as each present class's does. Returns the sums, then
+    the (rows, columns) of the prefix entries in sorted order, their
+    weights and their targets.
+    """
+    n, k = p.shape
+    rows = np.arange(n)
+    fg = y.argmax(axis=1)  # each row's one foreground column
+    t = np.full(k, np.inf)
+    np.minimum.at(t, fg, 1.0 - p[rows, fg])
+    # Class-major, so that the entries come grouped by class and in row
+    # order. A background error is p itself, and every foreground entry
+    # is in its prefix.
+    active = p.T >= t[:, None]
+    active[fg, rows] = True
+    cols, rows = np.divmod(active.ravel().nonzero()[0], n)
+    errors = p[rows, cols]
+    gt = fg[rows] == cols
+    errors[gt] = 1.0 - errors[gt]
+    order = np.lexsort((-errors, cols))  # stable, so ties keep row order
+    rows, cols, errors, gt = rows[order], cols[order], errors[order], gt[order]
+    # Per class: each entry's rank and the foreground entries up to it.
+    # They are whole numbers, so this is _jaccard_weights's arithmetic bit
+    # for bit, with each class's first weight its Jaccard value.
+    counts = np.bincount(cols, minlength=k)
+    starts = counts.cumsum() - counts
+    rank = np.arange(cols.size) - starts[cols]
+    fg_seen = gt.cumsum()
+    fg_seen -= (fg_seen - gt)[starts][cols]  # less those of earlier classes
+    bg_seen = rank + 1 - fg_seen
+    total = np.bincount(fg, minlength=k)[cols]
+    jaccard = 1.0 - (total - fg_seen) / (total + bg_seen)
+    weights = jaccard.copy()
+    weights[1:] -= jaccard[:-1]
+    weights[starts] = jaccard[starts]
+    # Column c holds class c's products in sorted order, then zeros. NumPy
+    # sums two or more columns row by row, and a zero adds an exact +0, so
+    # these are the sums of the whole sorted columns. A lone column is all
+    # foreground, so it is its whole sorted column already.
+    block = np.zeros((counts.max(), k))
+    block[rank, cols] = errors * weights
+    return block.sum(axis=0), (rows, cols), weights, gt
 
 
 def dice_loss(
@@ -459,6 +525,14 @@ def lovasz_loss(
     position index and dotted with the Jaccard-extension weights; the loss
     averages over classes present in the targets. The gradient holds the sort
     permutation fixed.
+
+    Past a column's last target position the weights are exactly 0, so only
+    the entries whose error is at least the column's smallest target-position
+    error are sorted: one lexsort of those few entries by (class, -error,
+    position), which keeps the tie order, instead of a sort of every column.
+    The value and gradient are the full sort's bit for bit. A matrix of at
+    most 768 positions x classes sorts its whole columns, which is faster at
+    that size.
     """
     return _softmax_loss(batch, roles, probs, partial(_region_term, _lovasz_softmax_term))
 

@@ -493,8 +493,7 @@ def train(
     names = model.trainable
     params = {name: getattr(model, name) for name in names}
     moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
-    # per tensor, the step's gradient sum and the update's scratch buffer
-    grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
+    # per tensor, the update's scratch buffer
     scratch = {name: np.empty_like(p) for name, p in params.items()}
 
     records: list[TraceRecord] = []
@@ -514,23 +513,26 @@ def train(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(config.steps):
             lr = learning_rate(step, config)
-            for total in grad_sum.values():
-                total.fill(0.0)
+            grads = None
             loss_sum = 0.0
             for _ in range(config.accum_steps):
                 picks = rng.integers(0, len(corpus.samples), size=config.batch_size)
                 batch_samples = [corpus.samples[int(i)] for i in picks]
                 batch, acts = forward(batch_samples)
                 result = combined_loss(batch, config.loss)
-                grads = _backward(model, acts, result.gradient)
-                for name in names:
-                    grad_sum[name] += grads[name]
+                micro = _backward(model, acts, result.gradient)
+                if grads is None:
+                    grads = micro
+                else:  # later micro-batches add into the first one's gradients
+                    for name in names:
+                        grads[name] += micro[name]
                 loss_sum += result.value
             adam_t += 1
             for name in names:
-                grad_sum[name] /= config.accum_steps
+                if config.accum_steps > 1:
+                    grads[name] /= config.accum_steps
                 m, v = moments[name]
-                _adamw_update(params[name], grad_sum[name], m, v, scratch[name], lr, adam_t, config)
+                _adamw_update(params[name], grads[name], m, v, scratch[name], lr, adam_t, config)
             loss = loss_sum / config.accum_steps
             if not (np.isfinite(loss) and all(np.isfinite(w).all() for w in params.values())):
                 raise _diverged(step, "the loss or the updated parameters", records)

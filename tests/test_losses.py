@@ -33,6 +33,7 @@ from losslab.losses import (
     _selected,
     _self_adjusting_dice_term,
 )
+from losslab.training import TrainConfig, make_synthetic_corpus, train
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -820,6 +821,94 @@ def lovasz_term_oracle(p, y):
     np.put_along_axis(derr, perm, weights, axis=0)
     terms = np.sum(np.take_along_axis(errors, perm, axis=0) * weights, axis=0)
     return terms.mean(), derr * (1.0 - 2.0 * y) / terms.size
+
+
+@st.composite
+def lovasz_columns(draw, prefix):
+    """(p, y) as the region path hands them to the Lovász term: the columns
+    of the classes present in a softmax, and their one-hot targets. With
+    ``prefix``, n * k is above the full-sort size, else not. Rows are
+    duplicated, and some background entries are set to the column's
+    smallest foreground error, just before and just after the last
+    foreground row that has it."""
+    if prefix:
+        n = draw(st.integers(28, 1024))
+        k = draw(st.integers(losses._LOVASZ_FULL_SORT_MAX // n + 1, min(n, 300)))
+    else:
+        n = draw(st.integers(1, losses._LOVASZ_FULL_SORT_MAX))
+        k = draw(st.integers(1, min(n, losses._LOVASZ_FULL_SORT_MAX // n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab = k + draw(st.integers(0, 64))
+    logits = rng.standard_normal((n, vocab)) * draw(st.sampled_from([1.0, 30.0, 1e3]))
+    present = np.sort(rng.choice(vocab, k, replace=False))
+    # every class appears, then any of them, on a Zipf-like skew
+    slots = np.concatenate([rng.permutation(k), rng.zipf(1.5, n - k) % k])
+    # the first k rows keep one of each class
+    for _ in range(draw(st.integers(0, (n - k) // 2))):
+        src, dst = rng.integers(0, n), rng.integers(k, n)
+        logits[dst], slots[dst] = logits[src], slots[src]
+    targets = present[slots]
+    p = softmax(logits)[:, present]
+    y = (targets[:, None] == present).astype(np.float64)
+    for c in rng.choice(k, draw(st.integers(0, min(k, 8))), replace=False):
+        fg = y[:, c].nonzero()[0]
+        errors = 1.0 - p[fg, c]
+        last = fg[errors == errors.min()].max()
+        bg = (y[:, c] == 0).nonzero()[0]
+        p[bg[bg < last][-1:], c] = errors.min()
+        p[bg[bg > last][:1], c] = errors.min()
+    return p, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), prefix=st.booleans())
+def test_lovasz_term_matches_the_dense_oracle(data, prefix):
+    p, y = data.draw(lovasz_columns(prefix))
+    n, k = p.shape
+    assert (n * k > losses._LOVASZ_FULL_SORT_MAX) == prefix
+    value, backward = losses._lovasz_softmax_term(p, y)
+    oracle_value, oracle_dp = lovasz_term_oracle(p, y)
+    assert_same_bits(value, oracle_value)
+    assert_same_bits(backward(), oracle_dp)
+
+
+# One class makes every row foreground, so its prefix is the whole column,
+# which NumPy sums pairwise rather than row by row.
+def test_lovasz_term_of_one_large_class_matches_the_dense_oracle():
+    p = np.random.default_rng(0).random((1000, 1))
+    value, backward = losses._lovasz_softmax_term(p, np.ones((1000, 1)))
+    oracle_value, oracle_dp = lovasz_term_oracle(p, np.ones((1000, 1)))
+    assert_same_bits(value, oracle_value)
+    assert_same_bits(backward(), oracle_dp)
+
+
+@pytest.mark.parametrize("rank", [0, 2])
+def test_train_with_the_lovasz_term_matches_the_dense_oracle(monkeypatch, rank):
+    config = TrainConfig(
+        steps=12, batch_size=8, warmup_steps=3, eval_interval=4, adapter_rank=rank,
+        loss=LossConfig(mix=0.6, auxiliary_kind=AuxiliaryKind.LOVASZ),
+    )
+    corpus = make_synthetic_corpus(0, 256, 1.0, 32, instruction_len=8)
+    val_corpus = make_synthetic_corpus(1, 256, 1.0, 16, instruction_len=8)
+    runs = [train(config, corpus, val_corpus)]
+    shapes = []
+
+    def dense(p, y):
+        shapes.append(p.shape)
+        value, dp = lovasz_term_oracle(p, y)
+        return value, lambda: dp
+
+    monkeypatch.setattr(losses, "_lovasz_softmax_term", dense)
+    runs.append(train(config, corpus, val_corpus))
+    # the training steps and the validation passes both take the prefix path
+    assert all(n * k > losses._LOVASZ_FULL_SORT_MAX for n, k in shapes)
+    assert {n for n, _ in shapes} == {64, 128}
+    new, old = runs
+    assert new.records == old.records
+    assert (new.best_step, new.best_val_loss) == (old.best_step, old.best_val_loss)
+    for name in new.final_model.trainable:
+        assert_same_bits(getattr(new.final_model, name), getattr(old.final_model, name))
+        assert_same_bits(getattr(new.best_model, name), getattr(old.best_model, name))
 
 
 def region_oracle(batch, roles, term):
