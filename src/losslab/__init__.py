@@ -2,8 +2,9 @@
 
 The package has six layers:
 
-* :mod:`losslab.losses` -- region and boundary losses over logit batches,
-  with analytic gradients and a mixed training objective;
+* :mod:`losslab.losses` -- token losses (cross-entropy, focal) and region
+  losses (soft, generalized and self-adjusting Dice, Lovász-Softmax) over
+  logit batches, with analytic gradients and a mixed training objective;
 * :mod:`losslab.gradcheck` -- finite-difference verification of those
   gradients, aware of non-differentiable points;
 * :mod:`losslab.parsing` -- chain-of-thought completions parsed into flat

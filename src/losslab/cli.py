@@ -447,14 +447,19 @@ def _check_columns(row, kinds: dict, where: str) -> None:
             )
 
 
-def _load_report(path: str) -> dict:
-    """An eval JSON report whose columns have the types SampleMetrics declares."""
+def _read_json(path: str):
+    """The one JSON value in a file; an unreadable file or bad JSON is a DataError."""
     try:
-        report = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except JSON_ERRORS as exc:
         raise DataError(f"{path}: not valid JSON ({_json_error(exc)})") from exc
+
+
+def _load_report(path: str) -> dict:
+    """An eval JSON report whose columns have the types SampleMetrics declares."""
+    report = _read_json(path)
     if not isinstance(report, dict) or "per_sample" not in report or "aggregate" not in report:
         raise DataError(f"{path}: not an evaluation report")
     # the aggregate em is a percentage, so every aggregate column is a number
@@ -610,12 +615,7 @@ def _check_array_sizes(config: dict, path: str) -> None:
 
 def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
     """Flat JSON config; unknown keys and ill-typed values are rejected by name."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except JSON_ERRORS as exc:
-        raise DataError(f"{path}: not valid JSON ({_json_error(exc)})") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(TRAIN_CONFIG_KEYS))
@@ -636,7 +636,8 @@ def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
     return config
 
 
-def run_train(config: dict, out_dir: str | Path, argv: list[str], config_path: str) -> int:
+def _cmd_train(args, argv: list[str]) -> int:
+    config = load_train_config(args.config, args.loss_by_task)
     # an integer in a float key reaches the trainer, and its trace, as a float
     typed = {k: float(v) if type(TRAIN_CONFIG_KEYS[k]) is float else v for k, v in config.items()}
     try:
@@ -657,23 +658,18 @@ def run_train(config: dict, out_dir: str | Path, argv: list[str], config_path: s
         raise DataError(f"invalid training config: {exc}") from exc
     trace = train(train_cfg, corpus, val_corpus)
 
-    out = Path(out_dir)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace.to_jsonl(out / "trace.jsonl")
     save_model(trace.final_model, out / "model.sltm")
     if trace.best_model is not None:
         save_model(trace.best_model, out / "model_best.sltm")
-    manifest = build_manifest(argv, config, [config_path], seed=config["seed"])
+    manifest = build_manifest(argv, config, [args.config], seed=config["seed"])
     manifest["best_step"] = trace.best_step
     manifest["best_val_loss"] = trace.best_val_loss
-    manifest["trainable_fraction"] = trace.trainable_fraction
+    manifest["trainable_fraction"] = trace.header["trainable_fraction"]
     _write(_json_text(manifest), out / "manifest.json")
     return EXIT_OK
-
-
-def _cmd_train(args, argv: list[str]) -> int:
-    config = load_train_config(args.config, args.loss_by_task)
-    return run_train(config, args.out_dir, argv, args.config)
 
 
 # positions * vocab of the grad-check batch. Its arrays stay below 1 MiB, but
@@ -784,7 +780,10 @@ def _cmd_tokens(args, argv: list[str]) -> int:
             raise DataError(
                 f"--bandwidth must be 'scott' or a positive finite number, got {args.bandwidth!r}"
             )
-    density = token_density(stream, bandwidth)
+    try:
+        density = token_density(stream, bandwidth)
+    except DataError as exc:  # the stream is nonempty, so the bandwidth is at fault
+        raise DataError(f"--bandwidth {args.bandwidth}: {exc}") from exc
     lines = ["id,density"]
     for i, d in zip(density.ids, density.density):
         lines.append(f"{int(i)},{float(d)!r}")

@@ -37,20 +37,12 @@ def exact_match(prediction: str | None, gold: str | None) -> bool:
     return p == g
 
 
-class KeyCounts(dict):
-    """A multiset of step keys: each key's count, and 0 for an absent key."""
-
-    def __missing__(self, key) -> int:
-        return 0
-
-
 @dataclass
 class StepSet:
-    """Canonical step keys, as a multiset and (``step_keys``) in step order,
-    remembering the flag that built them."""
+    """Canonical step keys as a multiset (each key's count), remembering the
+    steps and the flag that built them."""
 
-    keys: KeyCounts
-    step_keys: tuple[str, ...]
+    keys: dict[str, int]
     steps: tuple[ReasoningStep, ...]
     commutative: bool
 
@@ -59,16 +51,11 @@ class StepSet:
         """Read each step's key (see :func:`canonicalize_step`) and count it."""
         steps = tuple(steps)
         which = 1 if commutative else 0
-        keys = KeyCounts()
-        step_keys = []
+        keys: dict[str, int] = {}
         for step in steps:
             key = step.match_keys[which]
-            step_keys.append(key)
             keys[key] = keys.get(key, 0) + 1
-        return cls(keys, tuple(step_keys), steps, commutative)
-
-    def __len__(self) -> int:
-        return len(self.steps)
+        return cls(keys, steps, commutative)
 
 
 @dataclass
@@ -113,9 +100,11 @@ def _residual_steps(own: StepSet, other: StepSet) -> list[ReasoningStep]:
     For each key the first occurrences up to the other side's count are
     treated as matched; later occurrences are residual.
     """
+    which = 1 if own.commutative else 0
     unmatched = dict(other.keys)  # each key's matches left on the other side
     residual: list[ReasoningStep] = []
-    for step, key in zip(own.steps, own.step_keys):
+    for step in own.steps:
+        key = step.match_keys[which]
         left = unmatched.get(key, 0)
         if left:
             unmatched[key] = left - 1
@@ -166,30 +155,28 @@ def error_typology(ps: StepSet, gts: StepSet) -> ErrorReport:
     missing_rate = len(missing) / n_gold if n_gold else 0.0
 
     consumed = [False] * len(missing)
+
+    def consume(accepts) -> bool:
+        """Consume the first unconsumed gold leftover that ``accepts`` takes."""
+        for j, gold in enumerate(missing):
+            if not consumed[j] and accepts(gold):
+                consumed[j] = True
+                return True
+        return False
+
     wrong_operator = 0
     inverted = 0
     for err in errors:
         err_multiset = _operand_multiset(err)
         err_tuple = _operand_tuple(err)
-        matched = False
-        for j, gold in enumerate(missing):
-            if consumed[j] or gold.operator == err.operator:
-                continue
-            if _operand_multiset(gold) == err_multiset:
-                consumed[j] = True
-                wrong_operator += 1
-                matched = True
-                break
-        if matched:
-            continue
-        for j, gold in enumerate(missing):
-            if consumed[j] or gold.operator != err.operator or err.is_commutative:
-                continue
-            gold_tuple = _operand_tuple(gold)
-            if gold_tuple != err_tuple and Counter(gold_tuple) == err_multiset:
-                consumed[j] = True
-                inverted += 1
-                break
+        if consume(lambda g: g.operator != err.operator and _operand_multiset(g) == err_multiset):
+            wrong_operator += 1
+        elif not err.is_commutative and consume(
+            lambda g: g.operator == err.operator
+            and _operand_tuple(g) != err_tuple
+            and _operand_multiset(g) == err_multiset
+        ):
+            inverted += 1
     n_errors = len(errors)
     wo_rate = wrong_operator / n_errors if n_errors else 0.0
     io_rate = inverted / n_errors if n_errors else 0.0

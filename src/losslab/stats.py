@@ -243,6 +243,10 @@ def token_density(
     result renormalized so its trapezoid integral over the grid is exactly 1.
     Bandwidth follows Scott's rule (std * n^(-1/5)) unless a positive finite
     number is given; a degenerate single-id stream falls back to bandwidth 1.
+    At the float extremes of the bandwidth the kernel's 1 / (n h sqrt(2 pi))
+    scale over- or underflows; it cancels in the renormalization, so the
+    density is still finite, but a single id's density is that scale, and a
+    bandwidth too small for it to be finite is a DataError.
     The mass reflected at ``lo - 0.5`` and ``hi + 0.5`` is the histogram
     mirrored past each edge, so the sum is one direct convolution of the
     kernel with the mirrored histogram: O(G) memory and O(G^2) time over G
@@ -268,15 +272,21 @@ def token_density(
 
     # mirrored[p] sits at offset p - g; output a takes kernel(a + g - p)
     mirrored = np.concatenate([offset_counts[::-1], offset_counts, offset_counts[::-1]])
-    z = np.arange(-(2 * g - 1), 2 * g, dtype=np.float64) / h
-    with np.errstate(over="ignore"):  # a tiny bandwidth squares to inf: a kernel of exactly 0
+    # An extreme bandwidth overflows: a tiny one makes z, and so z^2, inf (a
+    # kernel of exactly 0 off the centre) and the density inf; a huge one
+    # makes n h sqrt(2 pi) inf and the density 0.
+    with np.errstate(over="ignore"):
+        z = np.arange(-(2 * g - 1), 2 * g, dtype=np.float64) / h
         kernel = np.exp(-0.5 * z * z)
-    total = np.convolve(kernel, mirrored, mode="valid")
-    density = total / (n * h * math.sqrt(2.0 * math.pi))
-    if g > 1:
-        mass = float(0.5 * np.sum(density[1:] + density[:-1]))
-        if mass > 0.0:
+        total = np.convolve(kernel, mirrored, mode="valid")
+        density = total / (n * h * math.sqrt(2.0 * math.pi))
+        if g > 1:
+            mass = float(0.5 * np.sum(density[1:] + density[:-1]))
+            if not 0.0 < mass < math.inf:  # the scale over- or underflowed; it cancels here
+                density, mass = total, float(0.5 * np.sum(total[1:] + total[:-1]))
             density = density / mass
+    if not math.isfinite(density[0]):  # one id, whose density 1 / (h sqrt(2 pi)) overflows
+        raise DataError(f"bandwidth {h!r} is too small for a finite density at one id")
     log_density = np.log(np.clip(density, _TINY, None))
     grid = np.arange(lo, hi + 1, dtype=np.int64)
     return TokenDensity(grid, density, log_density, offset_counts, h, n)

@@ -318,6 +318,8 @@ class TrainConfig:
             raise ValueError("warmup_steps must lie in [0, steps]")
         if self.max_lr <= 0:
             raise ValueError("max_lr must be positive")
+        if self.weight_decay < 0:  # decoupled decay below 0 grows every weight
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 def learning_rate(step: int, config: TrainConfig) -> float:
@@ -344,7 +346,6 @@ class TrainingTrace:
     best_model: TinyModel | None
     best_step: int | None
     best_val_loss: float | None
-    trainable_fraction: float
     header: dict
 
     def losses(self) -> np.ndarray:
@@ -546,7 +547,6 @@ def train(
                     best_step = step
                     best_model = model.copy()
 
-    fraction = trainable_fraction(model, config)
     header = {
         "optimizer": "adamw",
         "beta1": ADAM_BETA1,
@@ -563,11 +563,11 @@ def train(
         "gamma": config.loss.gamma,
         "auxiliary_kind": config.loss.auxiliary_kind.value,
         "adapter_rank": config.adapter_rank,
-        "trainable_fraction": fraction,
+        "trainable_fraction": trainable_fraction(model, config),
         "parameter_count": sum(t.size for t in model.tensors.values()),
         "mixer_parameter_count": int(model.position_weights.size),
     }
-    return TrainingTrace(records, model, best_model, best_step, best_val, fraction, header)
+    return TrainingTrace(records, model, best_model, best_step, best_val, header)
 
 
 @dataclass

@@ -1003,6 +1003,7 @@ class TestTrainCommand:
             ("steps", 200.0),
             ("mix", "0.5"),
             ("max_lr", float("nan")),
+            ("weight_decay", -0.5),
             ("gamma", 10**400),
             ("adapter_scale", True),
             ("embed_dim", 4_000_000_000),
@@ -1272,6 +1273,17 @@ class TestTokensCommand:
         )
         assert code == EXIT_DATA
         assert "--bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_id_with_too_small_a_bandwidth_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "one.jsonl"
+        src.write_text('{"tokens": [5]}\n')
+        out = tmp_path / "d.csv"
+        code = run_main(
+            ["tokens", "--input", str(src), "--out", str(out), "--bandwidth", "1e-310"]
+        )
+        assert code == EXIT_DATA
+        assert "--bandwidth 1e-310" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

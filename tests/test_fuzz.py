@@ -241,15 +241,22 @@ class TestTokensNeverExits3:
     @example(lines=['{"tokens": [5]}'], bandwidth="1e-300", exclude=None)
     @example(lines=['{"tokens": [0, 40]}'], bandwidth="1e300", exclude=None)
     @example(lines=['{"tokens": [1, 1, 1]}'], bandwidth="scott", exclude="9" * 5000)
+    # bandwidths whose density's scale over- or underflows
+    @example(lines=['{"tokens": [1, 2, 3, 3, 4, 5, 5, 5, 9]}'], bandwidth="1e-320", exclude=None)
+    @example(lines=['{"tokens": [1, 2, 3, 3, 4, 5, 5, 5, 9]}'], bandwidth="1e308", exclude=None)
+    @example(lines=['{"tokens": [5]}'], bandwidth="1e-310", exclude=None)
     def test_tokens(self, capsys, tmp_path_factory, lines, bandwidth, exclude):
         tmp_path = tmp_path_factory.mktemp("tokens")
         src = tmp_path / "tokens.jsonl"
         src.write_text("\n".join(lines), encoding="utf-8")
-        argv = ["tokens", "--input", str(src), "--out", str(tmp_path / "density.csv"),
+        out = tmp_path / "density.csv"
+        argv = ["tokens", "--input", str(src), "--out", str(out),
                 "--json-out", str(tmp_path / "density.json"), "--bandwidth", bandwidth]
         if exclude is not None:
             argv += ["--exclude-ids", exclude]
-        run(argv, capsys)
+        if run(argv, capsys) == EXIT_OK:
+            rows = out.read_text(encoding="utf-8").splitlines()[1:]
+            assert all(math.isfinite(float(row.split(",")[1])) for row in rows), rows
 
 
 # JSON values of the wrong type or outside every column's range

@@ -10,6 +10,7 @@ from losslab import DataError, metrics
 from losslab.metrics import (
     CSV_COLUMNS,
     LOWER_IS_BETTER,
+    ErrorReport,
     OverlapMetrics,
     SampleMetrics,
     StepSet,
@@ -197,8 +198,7 @@ def test_ciou_bounds_iou_and_dice_follows_iou(raw_a, raw_b):
     for commutative in (False, True):
         a = StepSet.from_steps(raw_a, commutative=commutative)
         b = StepSet.from_steps(raw_b, commutative=commutative)
-        assert a.step_keys == tuple(canonicalize_step(s, commutative) for s in raw_a)
-        assert a.keys == Counter(a.step_keys)
+        assert a.keys == Counter(canonicalize_step(s, commutative) for s in raw_a)
         overlaps.append(step_overlap_metrics(a, b, commutative=commutative))
     plain, comm = overlaps
     assert comm.iou >= plain.iou
@@ -206,17 +206,23 @@ def test_ciou_bounds_iou_and_dice_follows_iou(raw_a, raw_b):
         assert abs(m.dice - 2 * m.iou / (1 + m.iou)) <= 1e-12
 
 
+def step_keys(side):
+    """Each step's canonical key, in step order."""
+    return [canonicalize_step(step, side.commutative) for step in side.steps]
+
+
 def overlap_oracle(ps, gts, commutative):
     """``step_overlap_metrics`` on ``collections.Counter`` multisets: the
     intersection's size is the total of the ``&`` of the two sides' keys."""
     if ps.commutative != commutative or gts.commutative != commutative:
         raise ValueError("step sets were built with a different canonicalization flag")
-    if len(ps) == 0 and len(gts) == 0:
+    n_pred, n_gold = len(ps.steps), len(gts.steps)
+    if n_pred == 0 and n_gold == 0:
         return OverlapMetrics(1.0, 1.0, 1.0, 1.0)
-    if len(ps) == 0 or len(gts) == 0:
+    if n_pred == 0 or n_gold == 0:
         return OverlapMetrics(0.0, 0.0, 0.0, 0.0)
-    tp = sum((Counter(ps.step_keys) & Counter(gts.step_keys)).values())
-    fp, fn = len(ps) - tp, len(gts) - tp
+    tp = sum((Counter(step_keys(ps)) & Counter(step_keys(gts))).values())
+    fp, fn = n_pred - tp, n_gold - tp
     return OverlapMetrics(
         iou=tp / (tp + fp + fn),
         precision=tp / (tp + fp),
@@ -228,10 +234,10 @@ def overlap_oracle(ps, gts, commutative):
 def residual_oracle(own, other):
     """``_residual_steps`` on ``collections.Counter`` multisets: a step is
     residual once its key has been seen more often than the other side has it."""
-    other_keys = Counter(other.step_keys)
+    other_keys = Counter(step_keys(other))
     seen = Counter()
     residual = []
-    for step, key in zip(own.steps, own.step_keys):
+    for step, key in zip(own.steps, step_keys(own)):
         seen[key] += 1
         if seen[key] > other_keys.get(key, 0):
             residual.append(step)
@@ -272,8 +278,7 @@ def test_multiset_walks_match_the_counter_oracles(data, commutative):
     ps = StepSet.from_steps(data.draw(sides), commutative)
     gts = StepSet.from_steps(data.draw(sides), commutative)
     for side in (ps, gts):
-        assert isinstance(side.keys, dict) and side.keys == Counter(side.step_keys)
-        assert side.keys["no such key"] == 0 and "no such key" not in side.keys
+        assert isinstance(side.keys, dict) and side.keys == Counter(step_keys(side))
     assert step_overlap_metrics(ps, gts, commutative) == overlap_oracle(ps, gts, commutative)
     for own, other in ((ps, gts), (gts, ps)):
         residual = metrics._residual_steps(own, other)
@@ -282,6 +287,67 @@ def test_multiset_walks_match_the_counter_oracles(data, commutative):
         patch.setattr(metrics, "_residual_steps", residual_oracle)
         expected = error_typology(ps, gts)
     assert error_typology(ps, gts) == expected
+
+
+def typology_oracle(ps, gts):
+    """``error_typology`` over ``residual_oracle``'s leftovers, each error
+    classified by two scans of the gold leftovers: one for a wrong operator,
+    then one for inverted operands."""
+    errors = residual_oracle(ps, gts)
+    missing = residual_oracle(gts, ps)
+    n_pred, n_gold = len(ps.steps), len(gts.steps)
+    extra_rate = len(errors) / n_pred if n_pred else 0.0
+    missing_rate = len(missing) / n_gold if n_gold else 0.0
+    consumed = [False] * len(missing)
+    wrong_operator = 0
+    inverted = 0
+    for err in errors:
+        err_tuple = tuple(o.render() for o in err.operands)
+        err_multiset = Counter(err_tuple)
+        matched = False
+        for j, gold in enumerate(missing):
+            if consumed[j] or gold.operator == err.operator:
+                continue
+            if Counter(o.render() for o in gold.operands) == err_multiset:
+                consumed[j] = True
+                wrong_operator += 1
+                matched = True
+                break
+        if matched:
+            continue
+        for j, gold in enumerate(missing):
+            if consumed[j] or gold.operator != err.operator or err.is_commutative:
+                continue
+            gold_tuple = tuple(o.render() for o in gold.operands)
+            if gold_tuple != err_tuple and Counter(gold_tuple) == err_multiset:
+                consumed[j] = True
+                inverted += 1
+                break
+    n_errors = len(errors)
+    wo_rate = wrong_operator / n_errors if n_errors else 0.0
+    io_rate = inverted / n_errors if n_errors else 0.0
+    return ErrorReport(extra_rate, missing_rate, wo_rate, io_rate, n_errors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_typology_matches_the_two_scan_oracle(data):
+    # each drawn step joins the pool with its operands reversed and under two
+    # more operators, so that wrong-operator and inverted-operand pairs are
+    # common and compete for the same gold leftovers
+    base = data.draw(st.lists(multiset_steps, min_size=1, max_size=3))
+    operators = st.sampled_from(["+", "-", "*", "/", "add", "subtract", "max"])
+    pool = list(base)
+    for step in base:
+        pool.append(ReasoningStep(step.operator, step.operands[::-1]))
+        for operator in data.draw(st.lists(operators, min_size=2, max_size=2)):
+            pool.append(ReasoningStep(operator, step.operands))
+    sides = st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+    pred, gold = data.draw(sides), data.draw(sides)
+    for commutative in (False, True):
+        ps = StepSet.from_steps(pred, commutative)
+        gts = StepSet.from_steps(gold, commutative)
+        assert error_typology(ps, gts) == typology_oracle(ps, gts)
 
 
 class TestTypology:
@@ -327,13 +393,20 @@ class TestTypology:
         assert t.error_set_size == 2
         assert t.wrong_operator == pytest.approx(0.5)
 
+    def test_first_unconsumed_gold_leftover_is_taken(self):
+        # 1*2 takes 1-2, the first leftover of its operands, as a wrong
+        # operator; 2-1 then has no inverted partner left and takes 1+2
+        ps, gts = sets_for("<<1*2>> <<2-1>>", "<<1-2>> <<1+2>>", True)
+        t = error_typology(ps, gts)
+        assert (t.wrong_operator, t.inverted_operands) == (1.0, 0.0)
+
     def test_es_zero_iff_subset(self):
         rng = np.random.default_rng(25)
         for _ in range(200):
             a = StepSet.from_steps(random_step_multiset(rng), commutative=True)
             b = StepSet.from_steps(random_step_multiset(rng), commutative=True)
             t = error_typology(a, b)
-            is_subset = all(a.keys[k] <= b.keys[k] for k in a.keys)
+            is_subset = all(count <= b.keys.get(k, 0) for k, count in a.keys.items())
             assert (t.extra_rate == 0.0) == is_subset
 
 

@@ -321,6 +321,24 @@ class TestTokenDensity:
             profile = token_density([0, 1, 1, 5], bandwidth=1e-300)
         assert profile.density.tolist() == [1 / 3, 2 / 3, 0.0, 0.0, 0.0, 1 / 3]
 
+    @pytest.mark.parametrize(
+        "bandwidth", [5e-324, 1e-320, 1e-308, 1e306, 1e308, 1.7976931348623157e308]
+    )
+    def test_extreme_bandwidth_gives_finite_densities_of_mass_1(self, bandwidth):
+        # the density's scale 1 / (n h sqrt(2 pi)) over- or underflows here
+        ids = np.random.default_rng(38).integers(0, 8000, size=20_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            density = token_density(ids, bandwidth).density
+        assert np.isfinite(density).all()
+        assert 0.5 * np.sum(density[1:] + density[:-1]) == pytest.approx(1.0)
+
+    def test_single_id_with_too_small_a_bandwidth_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="bandwidth 1e-310 is too small"):
+                token_density([5], 1e-310)
+
     def test_empty_stream_rejected(self):
         with pytest.raises(DataError, match="token stream is empty"):
             token_density([])

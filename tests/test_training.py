@@ -365,7 +365,7 @@ class TestTrainLoop:
         assert np.array_equal(final.projection, init.projection)
         assert np.array_equal(final.position_weights, init.position_weights)
         assert not np.array_equal(final.adapter_b, init.adapter_b)
-        assert trace.trainable_fraction < 1.0
+        assert trace.header["trainable_fraction"] < 1.0
 
     def test_best_model_tracking(self):
         config = quick_config()
@@ -433,7 +433,7 @@ class TestTrainLoop:
             for name in ("embeddings", "position_weights", "projection", "adapter_b", "adapter_a")
         )
         assert header["mixer_parameter_count"] == config.window
-        assert header["trainable_fraction"] == trace.trainable_fraction
+        assert header["trainable_fraction"] == trainable_fraction(model, config)
 
     def test_to_jsonl_format(self, tmp_path):
         trace = train(quick_config(steps=5, warmup_steps=2), quick_corpus(n=8))
