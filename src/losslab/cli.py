@@ -451,7 +451,7 @@ def _read_json(path: str):
     """The one JSON value in a file; an unreadable file or bad JSON is a DataError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # the latter is a ValueError, as JSON's are
         raise DataError(f"cannot read {path}: {exc}") from exc
     except JSON_ERRORS as exc:
         raise DataError(f"{path}: not valid JSON ({_json_error(exc)})") from exc

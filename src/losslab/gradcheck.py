@@ -134,7 +134,7 @@ LOSS_NAMES = tuple(_NAMED_LOSSES)
 def build_loss_fn(name: str) -> tuple[LossFn, TieFn | None]:
     """Named loss closure plus its tie-row detector, for the Lovász cases.
 
-    Known names: ce, fl, dl, gdl, sadl, ll, combined. Each loss runs over
+    Known names are those of :data:`LOSS_NAMES`. Each loss runs over
     instruction and answer positions with its default options; ``combined``
     is the default mix with the Lovász auxiliary.
     """

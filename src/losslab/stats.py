@@ -245,8 +245,9 @@ def token_density(
     number is given; a degenerate single-id stream falls back to bandwidth 1.
     At the float extremes of the bandwidth the kernel's 1 / (n h sqrt(2 pi))
     scale over- or underflows; it cancels in the renormalization, so the
-    density is still finite, but a single id's density is that scale, and a
-    bandwidth too small for it to be finite is a DataError.
+    density is still finite, but a single id's density is that scale: it
+    stays positive at any bandwidth, and a bandwidth too small for it to be
+    finite is a DataError.
     The mass reflected at ``lo - 0.5`` and ``hi + 0.5`` is the histogram
     mirrored past each edge, so the sum is one direct convolution of the
     kernel with the mirrored histogram: O(G) memory and O(G^2) time over G
@@ -274,7 +275,8 @@ def token_density(
     mirrored = np.concatenate([offset_counts[::-1], offset_counts, offset_counts[::-1]])
     # An extreme bandwidth overflows: a tiny one makes z, and so z^2, inf (a
     # kernel of exactly 0 off the centre) and the density inf; a huge one
-    # makes n h sqrt(2 pi) inf and the density 0.
+    # makes n h sqrt(2 pi) inf and the density 0, which one id, having no
+    # renormalization, divides out one factor at a time instead.
     with np.errstate(over="ignore"):
         z = np.arange(-(2 * g - 1), 2 * g, dtype=np.float64) / h
         kernel = np.exp(-0.5 * z * z)
@@ -285,6 +287,8 @@ def token_density(
             if not 0.0 < mass < math.inf:  # the scale over- or underflowed; it cancels here
                 density, mass = total, float(0.5 * np.sum(total[1:] + total[:-1]))
             density = density / mass
+        elif density[0] == 0.0:
+            density = total / n / math.sqrt(2.0 * math.pi) / h
     if not math.isfinite(density[0]):  # one id, whose density 1 / (h sqrt(2 pi)) overflows
         raise DataError(f"bandwidth {h!r} is too small for a finite density at one id")
     log_density = np.log(np.clip(density, _TINY, None))

@@ -100,29 +100,25 @@ def make_synthetic_corpus(
     for name, value in lengths.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    # A generator hands out the same values whether it draws each sample's
+    # segment in turn or every sample's at once, so each segment is one draw
+    # of index rows (id - 1), and each sample holds a row of the arrays.
     rng = np.random.default_rng(seed)
-    ids = np.arange(1, vocab_size)
     pmf = zipf_pmf(vocab_size, zipf_exponent)
-    samples: list[Sample] = []
     if template is CorpusTemplate.PLAIN:
-        for _ in range(n_samples):
-            tokens = rng.choice(ids, size=seq_len, p=pmf)
-            roles = np.full(seq_len, int(Role.ANSWER), dtype=np.intp)
-            samples.append(Sample(tokens.astype(np.intp), roles))
+        tokens = rng.choice(vocab_size - 1, size=(n_samples, seq_len), p=pmf)
+        tokens += 1
+        roles = np.full_like(tokens, int(Role.ANSWER))
     else:
-        mapping = rng.permutation(ids)
-        for _ in range(n_samples):
-            instr = rng.choice(ids, size=instruction_len, p=pmf)
-            answer = mapping[instr - 1]
-            tokens = np.concatenate([instr, answer]).astype(np.intp)
-            roles = np.concatenate(
-                [
-                    np.full(instruction_len, int(Role.INSTRUCTION), dtype=np.intp),
-                    np.full(instruction_len, int(Role.ANSWER), dtype=np.intp),
-                ]
-            )
-            samples.append(Sample(tokens, roles))
-    return Corpus(vocab_size, samples)
+        mapping = rng.permutation(np.arange(1, vocab_size))
+        index = rng.choice(vocab_size - 1, size=(n_samples, instruction_len), p=pmf)
+        tokens = np.empty((n_samples, 2 * instruction_len), dtype=np.intp)
+        np.add(index, 1, out=tokens[:, :instruction_len])
+        np.take(mapping, index, out=tokens[:, instruction_len:])
+        del index  # so the indices and the roles are never held at once
+        roles = np.full_like(tokens, int(Role.ANSWER))
+        roles[:, :instruction_len] = int(Role.INSTRUCTION)
+    return Corpus(vocab_size, [Sample(t, r) for t, r in zip(tokens, roles)])
 
 
 # The weight tensors of a TinyModel by name, in snapshot order. The adapter's
@@ -493,15 +489,14 @@ def train(
     )
     names = model.trainable
     params = {name: getattr(model, name) for name in names}
-    moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
-    # per tensor, the update's scratch buffer
-    scratch = {name: np.empty_like(p) for name, p in params.items()}
+    # per tensor, AdamW's two moments and the update's scratch buffer
+    adam = {name: (np.zeros_like(p), np.zeros_like(p), np.empty_like(p))
+            for name, p in params.items()}
 
     records: list[TraceRecord] = []
     best_model: TinyModel | None = None
     best_step: int | None = None
     best_val: float | None = None
-    adam_t = 0
 
     def forward(samples: Sequence[Sample]) -> tuple[LogitBatch, Activations]:
         try:
@@ -528,12 +523,10 @@ def train(
                     for name in names:
                         grads[name] += micro[name]
                 loss_sum += result.value
-            adam_t += 1
             for name in names:
                 if config.accum_steps > 1:
                     grads[name] /= config.accum_steps
-                m, v = moments[name]
-                _adamw_update(params[name], grads[name], m, v, scratch[name], lr, adam_t, config)
+                _adamw_update(params[name], grads[name], *adam[name], lr, step + 1, config)
             loss = loss_sum / config.accum_steps
             if not (np.isfinite(loss) and all(np.isfinite(w).all() for w in params.values())):
                 raise _diverged(step, "the loss or the updated parameters", records)

@@ -829,6 +829,15 @@ class TestStatsCommand:
         assert code == EXIT_DATA
         capsys.readouterr()
 
+    def test_non_utf8_report_exits_2_as_unreadable(self, tmp_path, capsys):
+        bogus = tmp_path / "latin1.json"
+        bogus.write_bytes(b'{"steps": 2, "x": "\xff"}\n')
+        code = run_main(["stats", "--test", "mcnemar", str(bogus), str(bogus)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"cannot read {bogus}" in err
+        assert "not valid JSON" not in err
+
     def test_mismatched_ids_exit_2(self, two_reports, tmp_path, capsys):
         a, _ = two_reports
         report = json.loads(Path(a).read_text())
@@ -976,6 +985,15 @@ class TestTrainCommand:
         code = run_main(["train", "--config", config, "--out-dir", str(tmp_path / "x")])
         assert code == EXIT_DATA
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2_as_unreadable(self, tmp_path, capsys):
+        config = tmp_path / "latin1.json"
+        config.write_bytes(b'{"steps": 2, "x": "\xff"}\n')
+        code = run_main(["train", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"cannot read {config}" in err
+        assert "not valid JSON" not in err
 
     def test_invalid_config_value_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, extra={"auxiliary": "made-up"})

@@ -245,6 +245,8 @@ class TestTokensNeverExits3:
     @example(lines=['{"tokens": [1, 2, 3, 3, 4, 5, 5, 5, 9]}'], bandwidth="1e-320", exclude=None)
     @example(lines=['{"tokens": [1, 2, 3, 3, 4, 5, 5, 5, 9]}'], bandwidth="1e308", exclude=None)
     @example(lines=['{"tokens": [5]}'], bandwidth="1e-310", exclude=None)
+    @example(lines=['{"tokens": [5]}'], bandwidth="1e308", exclude=None)
+    @example(lines=['{"tokens": [5, 5]}'], bandwidth="1.7e308", exclude=None)
     def test_tokens(self, capsys, tmp_path_factory, lines, bandwidth, exclude):
         tmp_path = tmp_path_factory.mktemp("tokens")
         src = tmp_path / "tokens.jsonl"
@@ -256,7 +258,10 @@ class TestTokensNeverExits3:
             argv += ["--exclude-ids", exclude]
         if run(argv, capsys) == EXIT_OK:
             rows = out.read_text(encoding="utf-8").splitlines()[1:]
-            assert all(math.isfinite(float(row.split(",")[1])) for row in rows), rows
+            densities = [float(row.split(",")[1]) for row in rows]
+            assert all(math.isfinite(d) for d in densities), rows
+            # the grid ends at the stream's smallest and largest ids, which it holds
+            assert densities[0] > 0.0 and densities[-1] > 0.0, rows
 
 
 # JSON values of the wrong type or outside every column's range

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -332,6 +333,24 @@ class TestTokenDensity:
             density = token_density(ids, bandwidth).density
         assert np.isfinite(density).all()
         assert 0.5 * np.sum(density[1:] + density[:-1]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("ids", [[5], [5, 5]])
+    @pytest.mark.parametrize("bandwidth", [7.2e307, 1e308, 1.7e308, sys.float_info.max])
+    def test_single_id_keeps_its_density_at_a_huge_bandwidth(self, ids, bandwidth):
+        # n h sqrt(2 pi) overflows here, though the density 3 / (h sqrt(2 pi))
+        # of one id (its own kernel and both mirrors) is a positive float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = token_density(ids, bandwidth)
+        expected = 3.0 / math.sqrt(2.0 * math.pi) / bandwidth
+        assert profile.density.tolist() == [expected]
+        assert expected > 0.0
+        assert np.isfinite(profile.log_density).all()
+
+    @pytest.mark.parametrize("n, bandwidth", [(1, 1e10), (1, 7.1e307), (2, 1e300), (2, 3.5e307)])
+    def test_single_id_density_below_the_overflow_is_one_quotient(self, n, bandwidth):
+        density = token_density([5] * n, bandwidth).density
+        assert density.tolist() == [3.0 * n / (n * bandwidth * math.sqrt(2.0 * math.pi))]
 
     def test_single_id_with_too_small_a_bandwidth_rejected(self):
         with warnings.catch_warnings():

@@ -3,11 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from losslab import DataError, training
-from losslab.losses import AuxiliaryKind, LogitBatch, LossConfig, Role, combined_loss
+from losslab.losses import (
+    PROB_FLOOR,
+    AuxiliaryKind,
+    LogitBatch,
+    LossConfig,
+    Role,
+    combined_loss,
+)
 from losslab.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -40,7 +47,68 @@ def zero_model(vocab_size, dim, window):
     return TinyModel(np.zeros((vocab_size, dim)), np.zeros(window), np.zeros((dim, vocab_size)))
 
 
+def corpus_oracle(seed, vocab_size, zipf_exponent, n_samples, template, instruction_len, seq_len):
+    """make_synthetic_corpus drawing one sample at a time, each into fresh arrays."""
+    rng = np.random.default_rng(seed)
+    ids = np.arange(1, vocab_size)
+    pmf = zipf_pmf(vocab_size, zipf_exponent)
+    samples = []
+    if template is CorpusTemplate.PLAIN:
+        for _ in range(n_samples):
+            tokens = rng.choice(ids, size=seq_len, p=pmf)
+            roles = np.full(seq_len, int(Role.ANSWER), dtype=np.intp)
+            samples.append(Sample(tokens.astype(np.intp), roles))
+    else:
+        mapping = rng.permutation(ids)
+        for _ in range(n_samples):
+            instr = rng.choice(ids, size=instruction_len, p=pmf)
+            answer = mapping[instr - 1]
+            tokens = np.concatenate([instr, answer]).astype(np.intp)
+            roles = np.concatenate(
+                [
+                    np.full(instruction_len, int(Role.INSTRUCTION), dtype=np.intp),
+                    np.full(instruction_len, int(Role.ANSWER), dtype=np.intp),
+                ]
+            )
+            samples.append(Sample(tokens, roles))
+    return Corpus(vocab_size, samples)
+
+
 class TestCorpus:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(4, 1024),
+        zipf_exponent=st.floats(-0.5, 2.5),
+        n_samples=st.integers(1, 12),
+        template=st.sampled_from(list(CorpusTemplate)),
+        instruction_len=st.integers(1, 9),
+        seq_len=st.integers(1, 17),
+    )
+    @example(0, 4, 0.0, 1, CorpusTemplate.PLAIN, 1, 1)
+    @example(0, 4, 0.0, 1, CorpusTemplate.INSTRUCTION_ANSWER, 1, 1)
+    @example(7, 1024, -0.5, 1, CorpusTemplate.INSTRUCTION_ANSWER, 8, 1)
+    @example(7, 1024, -0.5, 3, CorpusTemplate.PLAIN, 1, 1)
+    @example(2, 5, 0.0, 12, CorpusTemplate.INSTRUCTION_ANSWER, 1, 1)
+    def test_matches_per_sample_oracle(
+        self, seed, vocab_size, zipf_exponent, n_samples, template, instruction_len, seq_len
+    ):
+        args = (seed, vocab_size, zipf_exponent, n_samples, template, instruction_len, seq_len)
+        corpus = make_synthetic_corpus(*args)
+        expected = corpus_oracle(*args)
+        assert corpus.vocab_size == vocab_size
+        assert len(corpus.samples) == n_samples
+        arrays = []
+        for got, want in zip(corpus.samples, expected.samples):
+            for new, old in ((got.tokens, want.tokens), (got.roles, want.roles)):
+                assert_same_bits(new, old)
+                assert new.flags.writeable
+                arrays.append(new)
+        # no two arrays of the corpus share a byte, so writing one sample's
+        # tokens or roles changes no other array
+        for i, a in enumerate(arrays):
+            assert not any(np.may_share_memory(a, b) for b in arrays[i + 1 :])
+
     def test_deterministic(self):
         a = make_synthetic_corpus(5, 32, 1.0, 20)
         b = make_synthetic_corpus(5, 32, 1.0, 20)
@@ -660,6 +728,64 @@ class TestInPlaceStepOracles:
         names += ["adapter_b", "adapter_a"] if rank else []
         for name in names:
             assert_same_bits(getattr(trace.final_model, name), getattr(model, name))
+
+
+def gradient_check_model(rank):
+    """A 12-id model whose weights, the adapter's included, are ten times
+    their initial scale, so every loss has a gradient well above rounding."""
+    rng = np.random.default_rng(rank)
+    model = TinyModel.create(12, 5, 3, rank, 1.0, rng)
+    if rank:
+        model.adapter_b = rng.normal(0.0, 0.02, size=model.adapter_b.shape)
+    for name, tensor in model.tensors.items():
+        setattr(model, name, 10.0 * tensor)
+    return model
+
+
+class TestModelGradient:
+    """The backward of the model and the combined loss against central
+    differences of the loss along random directions in each trainable tensor."""
+
+    CORPUS = make_synthetic_corpus(0, 12, 1.0, 6, CorpusTemplate.INSTRUCTION_ANSWER, 3, 16)
+    EPS = 1e-6
+    DIRECTIONS = 6
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    @pytest.mark.parametrize(
+        "kind, mix",
+        [(AuxiliaryKind.NONE, 1.0)]
+        + [(kind, mix) for kind in AuxiliaryKind if kind is not AuxiliaryKind.NONE
+           for mix in (0.6, 0.0)],
+    )
+    def test_matches_directional_differences(self, rank, kind, mix):
+        model = gradient_check_model(rank)
+        config = LossConfig(mix=mix, auxiliary_kind=kind)
+
+        def loss_at(model):
+            return combined_loss(batch_for_samples(model, self.CORPUS.samples)[0], config)
+
+        batch, acts = batch_for_samples(model, self.CORPUS.samples)
+        # the clamp of p_t at PROB_FLOOR would make the loss flat where its
+        # gradient is not; these weights keep every row above it
+        logits = batch.logits - batch.logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        assert probs[np.arange(batch.targets.size), batch.targets].min() > PROB_FLOOR
+        grads = _backward(model, acts, combined_loss(batch, config).gradient)
+        rng = np.random.default_rng(99)
+        for name in model.trainable:
+            weights = getattr(model, name)
+            for _ in range(self.DIRECTIONS):
+                direction = rng.standard_normal(weights.shape)
+                direction /= np.linalg.norm(direction)
+                shifted = []
+                for sign in (1.0, -1.0):
+                    probe = model.copy()
+                    setattr(probe, name, weights + sign * self.EPS * direction)
+                    shifted.append(loss_at(probe).value)
+                numeric = (shifted[0] - shifted[1]) / (2.0 * self.EPS)
+                analytic = float(np.sum(grads[name] * direction))
+                error = abs(numeric - analytic) / max(abs(numeric), abs(analytic))
+                assert error <= 1e-5, (name, numeric, analytic)
 
 
 def lookup_model(corpus, mapping):
