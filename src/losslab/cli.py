@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .parsing import (
     RationaleFormat,
     evaluate_program,
     parse_rationale,
+    step_spans,
 )
 from .stats import (
     PairedOutcomes,
@@ -168,12 +169,15 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write(text: str, path: str | Path | None) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout when ``path`` is None."""
+def _write(text: str | Iterable[str], path: str | Path | None) -> None:
+    """Write ``text``, a string or its chunks in order, to the file at
+    ``path``, or to stdout when ``path`` is None."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def build_manifest(command: list[str], config: dict, inputs: list[str | Path], seed=None) -> dict:
@@ -193,13 +197,18 @@ def _parse_completion(text: str, fmt: str, memo: dict | None = None) -> Rational
     return parse_rationale(text, fmt, memo)
 
 
-def score_record(gold_text: str, pred_text: str, fmt: str, commutative: bool) -> dict:
+def score_record(
+    gold_text: str, pred_text: str, fmt: str, commutative: bool, memo: dict | None = None
+) -> dict:
     """All per-record metrics plus diagnostics for one prediction/gold pair.
 
     The two parses share one span memo, so a predicted step that repeats a
-    gold span reuses its parse and its matching keys.
+    gold span reuses its parse and its matching keys. ``memo`` is that memo
+    when given: a caller passes one dict to all records of one format to
+    parse each distinct span once. Without it each call has its own.
     """
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     gold = _parse_completion(gold_text, fmt, memo)
     pred = _parse_completion(pred_text, fmt, memo)
     diagnostics = [f"gold: {d}" for d in gold.diagnostics]
@@ -231,6 +240,25 @@ def score_record(gold_text: str, pred_text: str, fmt: str, commutative: bool) ->
     }
 
 
+def _spans_held_last(
+    ids: list, formats: list[str], gold_by_id: dict, pred_by_id: dict
+) -> dict[int, list[str]]:
+    """For the ``i``-th record of ``ids``, under key ``i``, the spans it
+    holds that no later record of its format holds."""
+    last_record: dict[str, dict[str, int]] = {f: {} for f in PARSE_FORMATS}
+    for i, (rid, record_fmt) in enumerate(zip(ids, formats)):
+        last = last_record.get(record_fmt)  # None for qa_letter, which has no spans
+        if last is not None:
+            for text in (gold_by_id[rid]["gold"], pred_by_id[rid]["prediction"]):
+                for _, span in step_spans(str(text)):
+                    last[span] = i
+    expiring: dict[int, list[str]] = {}
+    for last in last_record.values():
+        for span, i in last.items():
+            expiring.setdefault(i, []).append(span)
+    return expiring
+
+
 def run_eval(
     pred_path: str | Path,
     gold_path: str | Path,
@@ -241,14 +269,19 @@ def run_eval(
     """Score a prediction file against a gold file; ids must align 1:1.
 
     Each record is scored straight into its per-sample report row, so eval
-    holds one row per record and frees each record's parsed rationales once
-    it is scored. Only ``keep_parses`` (``--dump-parse``) keeps the parses,
-    as the dump entries returned second; without it that value is None.
+    holds one row per record and frees each record, and its parsed
+    rationales, once it is scored. Only ``keep_parses`` (``--dump-parse``)
+    keeps the parses, as the dump entries returned second; without it that
+    value is None.
+
+    Each format has one span memo for the whole run, so a span is parsed
+    once however many records hold it. A first pass over the records finds
+    the last record that holds each span, and the memo drops the span's
+    step once that record is scored: the memo holds only steps that a
+    record still to come will reuse.
     """
-    preds = ingest_jsonl(pred_path, required=("id", "prediction"))
-    golds = ingest_jsonl(gold_path, required=("id", "gold"))
-    pred_by_id = {r["id"]: r for r in preds}
-    gold_by_id = {r["id"]: r for r in golds}
+    pred_by_id = {r["id"]: r for r in ingest_jsonl(pred_path, required=("id", "prediction"))}
+    gold_by_id = {r["id"]: r for r in ingest_jsonl(gold_path, required=("id", "gold"))}
     if set(pred_by_id) != set(gold_by_id):
         only_pred = sorted(set(pred_by_id) - set(gold_by_id), key=str)[:5]
         only_gold = sorted(set(gold_by_id) - set(pred_by_id), key=str)[:5]
@@ -259,16 +292,25 @@ def run_eval(
     if not gold_by_id:
         raise DataError(f"{pred_path} and {gold_path} hold no records")
 
+    ids = sorted(gold_by_id, key=str)
+    formats = [gold_by_id[rid].get("format", fmt) for rid in ids]
+    for rid, record_fmt in zip(ids, formats):
+        if record_fmt not in EVAL_FORMATS:
+            raise DataError(f"record {rid!r} has unknown format {record_fmt!r}")
+    expiring = _spans_held_last(ids, formats, gold_by_id, pred_by_id)
+    # a span valid in one format's grammar may not be in another's
+    memos: dict[str, dict] = {f: {} for f in EVAL_FORMATS}
+
     samples: list[SampleMetrics] = []
     per_sample: list[dict] = []
     dump: list[dict] | None = [] if keep_parses else None
-    for rid in sorted(gold_by_id, key=str):
-        gold_rec = gold_by_id[rid]
-        record_fmt = gold_rec.get("format", fmt)
-        if record_fmt not in EVAL_FORMATS:
-            raise DataError(f"record {rid!r} has unknown format {record_fmt!r}")
-        pred_text = str(pred_by_id[rid]["prediction"])
-        scored = score_record(str(gold_rec["gold"]), pred_text, record_fmt, commutative)
+    for i, (rid, record_fmt) in enumerate(zip(ids, formats)):
+        gold_text = str(gold_by_id.pop(rid)["gold"])
+        pred_text = str(pred_by_id.pop(rid)["prediction"])
+        memo = memos[record_fmt]
+        scored = score_record(gold_text, pred_text, record_fmt, commutative, memo)
+        for span in expiring.pop(i, ()):
+            memo.pop(span, None)  # a malformed span is never stored
         sample = scored["metrics"]
         samples.append(sample)
         per_sample.append({"id": rid, **sample.as_dict(), "diagnostics": scored["diagnostics"]})
@@ -327,21 +369,28 @@ def _row_json(row: dict) -> str:
     return f'    {{\n      {scalars},\n      "diagnostics": {diagnostics}\n    }}'
 
 
-def _report_json(report: dict) -> str:
-    """Exactly ``json.dumps(report, indent=2) + "\\n"`` for an eval report.
+def _report_json(report: dict) -> Iterator[str]:
+    """Exactly ``json.dumps(report, indent=2) + "\\n"`` for an eval report,
+    in chunks of one top-level member or one per-sample row, so the whole
+    text is never held at once.
 
     ``indent`` selects json's pure-Python encoder, so the rows of
     ``per_sample`` are written by :func:`_row_json` instead; every other
     top-level value keeps ``json.dumps``.
     """
-    members = []
+    separator = "{\n"
     for key, value in report.items():
+        yield f"{separator}  {json.dumps(key)}: "
+        separator = ",\n"
         if key == "per_sample" and value:
-            text = "[\n" + ",\n".join(map(_row_json, value)) + "\n  ]"
+            rows = map(_row_json, value)
+            yield "[\n" + next(rows)
+            for row in rows:
+                yield ",\n" + row
+            yield "\n  ]"
         else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        members.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(members) + "\n}\n"
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 # Writes a list of JSON scalars one to a line: no scalar's text holds a raw
@@ -383,11 +432,16 @@ def _entry_json(entry: dict) -> str:
     return "".join(layout) % tuple(texts)
 
 
-def _dump_json(dump: list[dict]) -> str:
+def _dump_json(dump: list[dict]) -> Iterator[str]:
     """Exactly ``json.dumps(dump, indent=2) + "\\n"`` for the parse dump
-    that ``run_eval`` returns. ``indent`` selects json's pure-Python
-    encoder, so each entry is written by :func:`_entry_json` instead."""
-    return "[\n" + ",\n".join(map(_entry_json, dump)) + "\n]\n" if dump else "[]\n"
+    that ``run_eval`` returns, one chunk an entry. ``indent`` selects json's
+    pure-Python encoder, so each entry is written by :func:`_entry_json`
+    instead."""
+    separator = "[\n"
+    for entry in dump:
+        yield separator + _entry_json(entry)
+        separator = ",\n"
+    yield "\n]\n" if dump else "[]\n"
 
 
 def emit_report(report: dict, out_format: str, out_path: str | None) -> None:

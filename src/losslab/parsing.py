@@ -381,8 +381,9 @@ def parse_step(span: str, fmt: RationaleFormat) -> ReasoningStep:
     return STEP_PARSERS[_format(fmt)](span)
 
 
-def _spans(text: str):
-    """(start, body) of each << >> span, left to right.
+def step_spans(text: str):
+    """(start, body) of each << >> span, left to right, as
+    :func:`parse_rationale` reads them.
 
     A span ends at the first >> after its <<, as the lazy pattern
     ``<<(.*?)>>`` would match it; ``str.find`` stops at the first << with no
@@ -420,7 +421,7 @@ def parse_rationale(
         memo = {}
     steps: list[ReasoningStep] = []
     diagnostics: list[str] = []
-    for i, (start, span) in enumerate(_spans(text)):
+    for i, (start, span) in enumerate(step_spans(text)):
         step = memo.get(span)
         if step is None:
             try:

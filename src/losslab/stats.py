@@ -291,6 +291,8 @@ def token_density(
             density = total / n / math.sqrt(2.0 * math.pi) / h
     if not math.isfinite(density[0]):  # one id, whose density 1 / (h sqrt(2 pi)) overflows
         raise DataError(f"bandwidth {h!r} is too small for a finite density at one id")
-    log_density = np.log(np.clip(density, _TINY, None))
+    # the exact log of every positive density, subnormal ones too; only a
+    # density that underflowed to 0 reads log(1e-300)
+    log_density = np.log(np.where(density > 0.0, density, _TINY))
     grid = np.arange(lo, hi + 1, dtype=np.int64)
     return TokenDensity(grid, density, log_density, offset_counts, h, n)

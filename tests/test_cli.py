@@ -224,7 +224,7 @@ class TestRunEval:
         assert len(refs) > 2 * len(report["per_sample"])  # two rationales a record, and steps
         assert alive == []
 
-    def test_each_distinct_span_of_a_record_is_parsed_once(self, monkeypatch):
+    def test_each_distinct_span_of_a_run_is_parsed_once(self, monkeypatch):
         calls = []
         parse = parsing.STEP_PARSERS[RationaleFormat.GSM8K]
 
@@ -234,14 +234,44 @@ class TestRunEval:
 
         monkeypatch.setitem(parsing.STEP_PARSERS, RationaleFormat.GSM8K, counted)
         run_eval(MICRO5_PRED, MICRO5_GOLD, "gsm8k")
-        # the distinct spans of each record in turn: s1's prediction repeats
-        # both gold spans, s4's and s5's one each, and those are not parsed again
+        # the spans of each record in turn that no earlier record or side
+        # held: s1's prediction repeats both gold spans, s4's gold the 10-3=7
+        # of s3's prediction, and s4's and s5's predictions one gold span
+        # each. The malformed 3-10 is parsed at each occurrence (it has one).
         assert calls == [
             "2+3=5", "5*4=20",
             "7*5=35", "5*7=35",
             "10+3=13", "10-3=7",
-            "10-3=7", "7*2=14", "3-10",
+            "7*2=14", "3-10",
             "8/2=4", "4+1=5",
+        ]
+
+    def test_the_memo_holds_only_spans_a_later_record_holds(self, monkeypatch):
+        held = []
+        score = cli.score_record
+
+        def watched(gold_text, pred_text, fmt, commutative, memo):
+            held.append(sorted(memo))
+            return score(gold_text, pred_text, fmt, commutative, memo)
+
+        monkeypatch.setattr(cli, "score_record", watched)
+        run_eval(MICRO5_PRED, MICRO5_GOLD, "gsm8k")
+        # only s3's 10-3=7 recurs in a later record, s4's gold
+        assert held == [[], [], [], ["10-3=7"], []]
+
+    def test_a_span_is_parsed_again_for_another_format(self, tmp_path):
+        # add(1,2) is a mathqa step but a malformed gsm8k span; the mathqa
+        # memo keeps its step from a to c, and must not lend it to b
+        gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        gold.write_text('{"id": "a", "gold": "<<add(1,2)>> #### 3", "format": "mathqa"}\n'
+                        '{"id": "b", "gold": "<<add(1,2)>> #### 3"}\n'
+                        '{"id": "c", "gold": "<<add(1,2)>> #### 3", "format": "mathqa"}\n')
+        pred.write_text("".join(f'{{"id": "{rid}", "prediction": "<<add(1,2)>> #### 3"}}\n'
+                                for rid in "abc"))
+        report, _ = run_eval(pred, gold, "gsm8k")
+        malformed = "step 0 at char 0: expected a number, found 'a' (offset 0)"
+        assert [row["diagnostics"] for row in report["per_sample"]] == [
+            [], [f"gold: {malformed}", f"prediction: {malformed}"], []
         ]
 
     def test_a_malformed_span_in_both_texts_is_reported_for_each(self):
@@ -485,6 +515,22 @@ class TestReportWriter:
             pred == MICRO3_PRED
         )
 
+    @pytest.mark.parametrize("out_format", ["json", "csv", "markdown"])
+    def test_stdout_gets_the_bytes_of_the_out_file(self, tmp_path, capsys, out_format):
+        argv = ["eval", "--pred", MICRO3_PRED, "--gold", MICRO3_GOLD, "--out-format", out_format]
+        out = tmp_path / "report"
+        assert run_main([*argv, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert run_main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        if out_format == "json":  # the manifest's command is the one part that differs
+            def command(args):
+                return json.dumps(args, indent=2).replace("\n", "\n    ")
+
+            assert printed.count(command(argv)) == 1
+            printed = printed.replace(command(argv), command([*argv, "--out", str(out)]))
+        assert out.read_bytes() == printed.encode()
+
     def test_non_finite_id_exits_2_and_writes_no_report(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         data.write_text('{"id": 1, "gold": "#### 1", "prediction": "#### 1"}\n'
@@ -536,13 +582,13 @@ class TestDumpWriter:
     @settings(max_examples=100, deadline=None)
     @given(dump=dumps)
     def test_dump_is_byte_identical_to_indented_dumps(self, dump):
-        assert cli._dump_json(dump) == json.dumps(dump, indent=2) + "\n"
+        assert "".join(cli._dump_json(dump)) == json.dumps(dump, indent=2) + "\n"
 
     def test_non_finite_numbers_are_written_as_null(self):
         step = ReasoningStep("+", (Operand.literal(math.inf), Operand.literal(math.nan)), math.inf)
         rationale = Rationale((step,), None, None, ("step 1 at char 9: x",))
-        text = cli._dump_json([{"id": 'q"\\\u00e9', "gold": rationale.to_dict(),
-                                "prediction": Rationale((), None, None).to_dict()}])
+        text = "".join(cli._dump_json([{"id": 'q"\\\u00e9', "gold": rationale.to_dict(),
+                                "prediction": Rationale((), None, None).to_dict()}]))
         assert "NaN" not in text and "Infinity" not in text
         entry = json.loads(text)[0]
         assert entry["id"] == 'q"\\\u00e9'

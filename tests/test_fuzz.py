@@ -6,6 +6,7 @@ Every command maps a bad file, line, field, flag or span to exit 1 (usage) or
 is a bug in the program, not in its input.
 """
 
+import copy
 import json
 import math
 import warnings
@@ -264,11 +265,12 @@ class TestTokensNeverExits3:
             assert densities[0] > 0.0 and densities[-1] > 0.0, rows
 
 
-# JSON values of the wrong type or outside every column's range
+# JSON values of the wrong type or outside every column's range, each drawn
+# as a fresh copy: a report that holds a drawn list or dict may be mutated again
 junk = st.sampled_from(
     [None, "x", "", True, False, -1, 0, 2, 0.5, 1e308, 10**400, math.nan, math.inf, -math.inf,
      [], [1], {}, {"a": 1}]
-)
+).map(copy.deepcopy)
 rates = st.sampled_from([0.0, 0.25, 0.5, 1.0, 0, 1])
 COLUMN_KINDS = get_type_hints(SampleMetrics)
 

@@ -30,7 +30,7 @@ from losslab.parsing import (
     render_step,
     resolve_constant,
 )
-from losslab.parsing import _NUMBER_RE, _InfixParser, _spans
+from losslab.parsing import _NUMBER_RE, _InfixParser, step_spans
 
 GSM8K = RationaleFormat.GSM8K
 MATHQA = RationaleFormat.MATHQA
@@ -345,7 +345,7 @@ class TestOnePassMatchesTree:
 @given(st.text("<>a\n", max_size=16))
 def test_spans_match_the_lazy_pattern(text):
     pattern = re.compile(r"<<(.*?)>>", re.DOTALL)
-    assert list(_spans(text)) == [(m.start(), m.group(1)) for m in pattern.finditer(text)]
+    assert list(step_spans(text)) == [(m.start(), m.group(1)) for m in pattern.finditer(text)]
 
 
 def test_unclosed_spans_are_scanned_once():

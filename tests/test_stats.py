@@ -309,6 +309,17 @@ class TestTokenDensity:
         profile = token_density(np.repeat(np.arange(8), 5))
         assert np.allclose(profile.log_density, np.log(profile.density))
 
+    @pytest.mark.parametrize("ids, bandwidth", [([5], 1e308), ([5, 5], 1.7e308), ([0, 100], 1.0)])
+    def test_log_density_is_exact_where_the_density_is_positive(self, ids, bandwidth):
+        # each case holds subnormal densities; [0, 100] also holds zeros
+        profile = token_density(ids, bandwidth)
+        positive = profile.density > 0.0
+        assert (profile.density[positive] < sys.float_info.min).any()
+        np.testing.assert_allclose(
+            np.exp(profile.log_density[positive]), profile.density[positive], rtol=1e-12, atol=0
+        )
+        assert (profile.log_density[~positive] == math.log(1e-300)).all()
+
     def test_explicit_bandwidth(self):
         profile = token_density([1, 2, 3, 4], bandwidth=2.5)
         assert profile.bandwidth == 2.5
