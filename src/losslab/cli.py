@@ -19,12 +19,19 @@ import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable, Iterator, get_type_hints
+from typing import Iterable, Iterator, NoReturn, get_type_hints
 
 import numpy as np
 
 from . import DataError, __version__
-from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, LOSS_NAMES, check_named_loss
+from .gradcheck import (
+    DEFAULT_STEP,
+    DEFAULT_TOLERANCE,
+    LOSS_NAMES,
+    GradCheckReport,
+    check_named_loss,
+    merge_reports,
+)
 from .losses import (
     AuxiliaryKind,
     LogitBatch,
@@ -46,6 +53,7 @@ from .parsing import (
     Rationale,
     RationaleFormat,
     evaluate_program,
+    normalize_final_answer,
     parse_rationale,
     step_spans,
 )
@@ -119,11 +127,19 @@ def _json_error(exc: Exception) -> str:
     return exc.msg if isinstance(exc, json.JSONDecodeError) else f"{type(exc).__name__}: {exc}"
 
 
-def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
+# the JSON type of a value that is neither a string nor a number
+_NOT_TEXT = {type(None): "null", bool: "a boolean", list: "an array", dict: "an object"}
+
+
+def ingest_jsonl(
+    path: str | Path, required: tuple[str, ...], text_fields: tuple[str, ...] = ()
+) -> list[dict]:
     """Load JSON-lines records, validating required fields and unique ids.
 
-    Lines end at LF or CRLF only, so a U+2028 inside a string stays in its
-    record; blank lines are skipped. Unknown fields are preserved.
+    Each of the ``text_fields``, all of them required, must hold a string
+    or a number, whose text is read. Lines end at LF or CRLF only, so a
+    U+2028 inside a string stays in its record; blank lines are skipped.
+    Unknown fields are preserved.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -144,6 +160,12 @@ def ingest_jsonl(path: str | Path, required: tuple[str, ...]) -> list[dict]:
         for field in required:
             if field not in record:
                 raise DataError(f"{path}:{lineno}: missing field {field!r}")
+        for field in text_fields:
+            kind = _NOT_TEXT.get(type(record[field]))
+            if kind:
+                raise DataError(
+                    f"{path}:{lineno}: field {field!r} must be a string or a number, got {kind}"
+                )
         if "id" in required:
             rid = record["id"]
             if isinstance(rid, (list, dict)):
@@ -193,7 +215,9 @@ def build_manifest(command: list[str], config: dict, inputs: list[str | Path], s
 
 def _parse_completion(text: str, fmt: str, memo: dict | None = None) -> Rationale:
     if fmt == "qa_letter":
-        return Rationale((), text.strip() or None, None)
+        answer = text.strip() or None
+        key = None if answer is None else normalize_final_answer(answer)
+        return Rationale((), answer, None, (), key)
     return parse_rationale(text, fmt, memo)
 
 
@@ -214,7 +238,7 @@ def score_record(
     diagnostics = [f"gold: {d}" for d in gold.diagnostics]
     diagnostics += [f"prediction: {d}" for d in pred.diagnostics]
 
-    em = exact_match(pred.final_answer, gold.final_answer)
+    em = exact_match(pred.answer_key, gold.answer_key, normalized=True)
 
     plain_pred = StepSet.from_steps(pred.steps, commutative=False)
     plain_gold = StepSet.from_steps(gold.steps, commutative=False)
@@ -280,8 +304,10 @@ def run_eval(
     step once that record is scored: the memo holds only steps that a
     record still to come will reuse.
     """
-    pred_by_id = {r["id"]: r for r in ingest_jsonl(pred_path, required=("id", "prediction"))}
-    gold_by_id = {r["id"]: r for r in ingest_jsonl(gold_path, required=("id", "gold"))}
+    pred_by_id = {
+        r["id"]: r for r in ingest_jsonl(pred_path, ("id", "prediction"), ("prediction",))
+    }
+    gold_by_id = {r["id"]: r for r in ingest_jsonl(gold_path, ("id", "gold"), ("gold",))}
     if set(pred_by_id) != set(gold_by_id):
         only_pred = sorted(set(pred_by_id) - set(gold_by_id), key=str)[:5]
         only_gold = sorted(set(gold_by_id) - set(pred_by_id), key=str)[:5]
@@ -762,25 +788,141 @@ def _gradcheck_batch(seed: int, positions: int, vocab: int) -> LogitBatch:
     return LogitBatch(logits, targets, roles)
 
 
+# Coordinates (two loss calls each) that each process of a grad-check must
+# have to probe before a worker is forked. A worker costs 40-50 ms of CPU time
+# (the fork, and its copies of the pages either process writes), and on two
+# CPUs it broke even near 500 coordinates a process; at twice that, the
+# default 8 x 17 batch and the 4 x 64 batch of every loss stay serial.
+_MIN_PROBES_PER_PROCESS = 1024
+
+
+def _row_blocks(positions: int, probes: int) -> list[range]:
+    """The consecutive row blocks that grad-check splits each loss's rows
+    into: one per CPU this process may run on, but no more than there are
+    rows, and few enough that each block has _MIN_PROBES_PER_PROCESS of the
+    ``probes`` coordinates the command checks over all its losses."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    parts = max(1, min(cpus, positions, probes // _MIN_PROBES_PER_PROCESS))
+    bounds = [positions * j // parts for j in range(parts + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+class _GradCheckWorker:
+    """A forked process that checks one row block of each named loss and
+    sends each report, in name order, through a pipe as soon as it has it.
+
+    The parent reads every report, then reads the pipe to its end and reaps
+    the worker with :meth:`join`; :meth:`stop` kills and reaps a worker the
+    parent gives up on.
+    """
+
+    def __init__(self, names, batch, step, tolerance, rows: range, siblings) -> None:
+        self.rows = rows
+        read_fd, write_fd = os.pipe()
+        sys.stdout.flush()  # so no buffered text is written twice
+        sys.stderr.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            self.pid = os.getpid()
+            os.close(read_fd)
+            for sibling in siblings:
+                sibling.reader.close()
+            self._run(names, batch, step, tolerance, write_fd)
+        os.close(write_fd)
+        self.reader = os.fdopen(read_fd, "rb")
+
+    def __str__(self) -> str:
+        return f"grad-check worker {self.pid} (rows {self.rows.start}-{self.rows.stop - 1})"
+
+    def _run(self, names, batch, step, tolerance, write_fd: int) -> NoReturn:
+        """The worker's whole life; it leaves by ``os._exit``, so no handler,
+        buffer or exit hook inherited from the parent runs twice."""
+        import marshal  # imported here, as only a run that forks needs it
+
+        status = 1
+        try:
+            with os.fdopen(write_fd, "wb") as pipe:
+                for name in names:
+                    r = check_named_loss(name, batch, step, tolerance, self.rows)
+                    # marshal writes a NumPy float64 as its raw bytes, so the
+                    # error goes as a float
+                    fields = (float(r.max_rel_error), r.worst_coordinate, r.skipped, r.n_checked)
+                    marshal.dump(fields, pipe)
+                    pipe.flush()
+            status = 0
+        except Exception as exc:  # noqa: BLE001 - reported by the parent's exit 3
+            print(f"{self}: {type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
+        finally:
+            os._exit(status)
+
+    def report(self, tolerance: float) -> GradCheckReport:
+        import marshal
+
+        try:
+            max_rel, worst, skipped, n_checked = marshal.load(self.reader)
+        except (EOFError, ValueError):  # it died before it sent this report
+            self.join()
+            raise RuntimeError(f"{self} sent a truncated report") from None
+        return GradCheckReport(max_rel, worst, skipped, n_checked, tolerance)
+
+    def join(self) -> None:
+        """Read the pipe to its end, reap the worker and raise if it failed."""
+        extra = self.reader.read()
+        self.reader.close()
+        _, status = os.waitpid(self.pid, 0)
+        code, self.pid = os.waitstatus_to_exitcode(status), 0
+        if code or extra:
+            raise RuntimeError(f"{self} failed with exit code {code}")
+
+    def stop(self) -> None:
+        import signal
+
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        self.reader.close()
+
+
 def _cmd_grad_check(args, argv: list[str]) -> int:
+    """Each loss's rows are split into consecutive blocks (:func:`_row_blocks`):
+    this process checks the first and a forked worker each other one, and
+    the merged reports equal those of one serial scan."""
     _check_grad_check_args(args)
     names = list(LOSS_NAMES) if args.loss == "all" else [args.loss]
     batch = _gradcheck_batch(args.seed, args.positions, args.vocab)
+    blocks = _row_blocks(args.positions, len(names) * args.positions * args.vocab)
     results = {}
     all_passed = True
-    for name in names:
-        report = check_named_loss(name, batch, step=args.step, tolerance=args.tolerance)
-        results[name] = {
-            "max_rel_error": float(report.max_rel_error),
-            "worst_coordinate": [int(c) for c in report.worst_coordinate]
-            if report.worst_coordinate
-            else None,
-            "n_checked": int(report.n_checked),
-            "n_skipped": len(report.skipped),
-            "passed": bool(report.passed),
-        }
-        all_passed &= report.passed
-        print(f"{name}: {report.summary()}")
+    workers: list[_GradCheckWorker] = []
+    try:
+        for rows in blocks[1:]:
+            workers.append(
+                _GradCheckWorker(names, batch, args.step, args.tolerance, rows, workers)
+            )
+        for name in names:
+            report = check_named_loss(name, batch, args.step, args.tolerance, blocks[0])
+            for worker in workers:
+                report = merge_reports(report, worker.report(args.tolerance))
+            results[name] = {
+                "max_rel_error": float(report.max_rel_error),
+                "worst_coordinate": [int(c) for c in report.worst_coordinate]
+                if report.worst_coordinate
+                else None,
+                "n_checked": int(report.n_checked),
+                "n_skipped": len(report.skipped),
+                "passed": bool(report.passed),
+            }
+            all_passed &= report.passed
+            print(f"{name}: {report.summary()}")
+        for worker in workers:
+            worker.join()
+    finally:
+        for worker in workers:
+            worker.stop()
     if args.out:
         manifest = build_manifest(
             argv,

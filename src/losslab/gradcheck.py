@@ -46,7 +46,10 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return math.isfinite(self.max_rel_error) and self.max_rel_error <= self.tolerance
+        """At least one coordinate was probed, and the largest relative
+        error is finite and within the tolerance."""
+        error = self.max_rel_error
+        return self.n_checked >= 1 and math.isfinite(error) and error <= self.tolerance
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -63,6 +66,7 @@ def finite_difference_check(
     step: float = DEFAULT_STEP,
     tolerance: float = DEFAULT_TOLERANCE,
     skip_rows: set[int] | None = None,
+    rows: range | None = None,
 ) -> GradCheckReport:
     """Compare ``loss_fn``'s analytic gradient to central differences.
 
@@ -71,9 +75,19 @@ def finite_difference_check(
     near a Lovász sort tie, where the fixed-permutation subgradient and the
     numeric slope legitimately disagree). A NaN relative error is the worst
     there is: it becomes the report's maximum, and the check fails.
+
+    ``rows`` is the rows to probe, consecutive rows of the batch in order
+    (all of them by default). The report covers those rows only, and
+    :func:`merge_reports` joins the reports of adjacent ranges into the one
+    report of both.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be a positive finite number, got {step!r}")
+    n, vocab = batch.logits.shape
+    if rows is None:
+        rows = range(n)
+    elif rows.step != 1 or not 0 <= rows.start <= rows.stop <= n:
+        raise ValueError(f"rows must be consecutive rows of the batch's {n}, got {rows!r}")
     base = loss_fn(batch)
     analytic = base.gradient
     if analytic.shape != batch.logits.shape:
@@ -81,12 +95,11 @@ def finite_difference_check(
     skip_rows = skip_rows or set()
 
     work = LogitBatch(batch.logits.copy(), batch.targets.copy(), batch.role_mask.copy())
-    n, vocab = work.logits.shape
     max_rel = 0.0
     worst: tuple[int, int] | None = None
     skipped: list[tuple[int, int]] = []
     checked = 0
-    for i in range(n):
+    for i in rows:
         if i in skip_rows:
             skipped.extend((i, k) for k in range(vocab))
             continue
@@ -101,10 +114,34 @@ def finite_difference_check(
             a = analytic[i, k]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), DENOM_FLOOR)
             checked += 1
-            if rel > max_rel or (math.isnan(rel) and not math.isnan(max_rel)):
+            if _worse(rel, max_rel):
                 max_rel = rel
                 worst = (i, k)
     return GradCheckReport(max_rel, worst, skipped, checked, tolerance)
+
+
+def _worse(rel: float, max_rel: float) -> bool:
+    """Whether ``rel`` replaces ``max_rel`` as a scan's maximum: a strictly
+    larger error does, so the first of equal maxima stays, and the first NaN
+    does and then stays."""
+    return rel > max_rel or (math.isnan(rel) and not math.isnan(max_rel))
+
+
+def merge_reports(first: GradCheckReport, second: GradCheckReport) -> GradCheckReport:
+    """The report of ``first``'s rows followed by ``second``'s adjacent rows.
+
+    It equals the report of one scan over both ranges: the scan's maximum
+    rule (:func:`_worse`) picks between the two maxima, the skipped lists
+    join in row order and the checked counts add.
+    """
+    top = second if _worse(second.max_rel_error, first.max_rel_error) else first
+    return GradCheckReport(
+        top.max_rel_error,
+        top.worst_coordinate,
+        first.skipped + second.skipped,
+        first.n_checked + second.n_checked,
+        first.tolerance,
+    )
 
 
 TieFn = Callable[[LogitBatch, float], set[int]]
@@ -144,8 +181,14 @@ def build_loss_fn(name: str) -> tuple[LossFn, TieFn | None]:
 
 
 def check_named_loss(
-    name: str, batch: LogitBatch, step: float = DEFAULT_STEP, tolerance: float = DEFAULT_TOLERANCE
+    name: str,
+    batch: LogitBatch,
+    step: float = DEFAULT_STEP,
+    tolerance: float = DEFAULT_TOLERANCE,
+    rows: range | None = None,
 ) -> GradCheckReport:
+    """:func:`finite_difference_check` of the named loss over ``rows``,
+    skipping the tie rows its detector finds in the whole batch."""
     fn, tie_fn = build_loss_fn(name)
     skip = tie_fn(batch, step) if tie_fn else None
-    return finite_difference_check(fn, batch, step, tolerance, skip)
+    return finite_difference_check(fn, batch, step, tolerance, skip, rows)

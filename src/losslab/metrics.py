@@ -19,17 +19,23 @@ from .parsing import ReasoningStep, normalize_final_answer
 NUMERIC_TOLERANCE = 1e-6
 
 
-def exact_match(prediction: str | None, gold: str | None) -> bool:
+def exact_match(
+    prediction: float | str | None, gold: float | str | None, normalized: bool = False
+) -> bool:
     """Compare two final answers after normalization.
 
     Numeric answers match within 1e-6 absolute tolerance; everything else is
     compared as trimmed lowercase text (single-letter answers therefore match
-    case-insensitively). A missing side never matches.
+    case-insensitively). A missing side never matches. With ``normalized``
+    set, both sides are already :func:`normalize_final_answer` results, such
+    as two parses' ``answer_key``.
     """
     if prediction is None or gold is None:
         return False
-    p = normalize_final_answer(prediction)
-    g = normalize_final_answer(gold)
+    if normalized:
+        p, g = prediction, gold
+    else:
+        p, g = normalize_final_answer(prediction), normalize_final_answer(gold)
     if isinstance(p, float) and isinstance(g, float):
         return abs(p - g) <= NUMERIC_TOLERANCE
     if isinstance(p, float) or isinstance(g, float):

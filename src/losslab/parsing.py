@@ -131,12 +131,18 @@ class ReasoningStep:
 
 @dataclass
 class Rationale:
-    """Parsed completion: ordered steps, final answer, parse diagnostics."""
+    """Parsed completion: ordered steps, final answer, parse diagnostics.
+
+    ``answer_key`` is the final answer's :func:`normalize_final_answer` form,
+    the one exact match compares (None without an answer); it is not part of
+    :meth:`to_dict`.
+    """
 
     steps: tuple[ReasoningStep, ...]
     final_answer: str | None
     final_value: float | None
     diagnostics: tuple[str, ...] = ()
+    answer_key: float | str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -441,6 +447,7 @@ def parse_rationale(
         final,
         value if isinstance(value, float) else None,
         tuple(diagnostics),
+        value,
     )
 
 

@@ -1,4 +1,18 @@
+import os
 import sys
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (reaped: {pid or 'none, still running'})")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -7,17 +7,19 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import losslab
-from losslab import DataError, cli, parsing
+from losslab import DataError, cli, metrics, parsing
 from losslab.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -33,6 +35,7 @@ from losslab.cli import (
     run_eval,
     run_stats,
 )
+from losslab.gradcheck import GradCheckReport
 from losslab.losses import LossConfig
 from losslab.metrics import CSV_COLUMNS
 from losslab.parsing import Operand, Rationale, RationaleFormat, ReasoningStep
@@ -157,6 +160,34 @@ class TestIngest:
         assert code == EXIT_DATA
         assert f"{gold}:2: id {rid} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value, kind",
+        [("null", "null"), ("true", "a boolean"), ('["#### 3"]', "an array"),
+         ('{"text": "<<1+2=3>> #### 3"}', "an object")],
+    )
+    @pytest.mark.parametrize("field", ["prediction", "gold"])
+    def test_completion_that_is_not_text_exits_2(self, tmp_path, capsys, field, value, kind):
+        # its Python repr used to be scored: a null prediction matched the
+        # qa_letter gold "None"
+        gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        bad = {"gold": gold, "prediction": pred}[field]
+        gold.write_text('{"id": 0, "gold": "None", "format": "qa_letter"}\n')
+        pred.write_text('{"id": 0, "prediction": "None"}\n')
+        bad.write_text(bad.read_text() + '{"id": 1, "%s": %s}\n' % (field, value))
+        assert run_main(["eval", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}:2: field {field!r} must be a string or a number, got {kind}" in err
+
+    def test_numeric_completions_are_read_as_their_text(self, tmp_path):
+        pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+        pred.write_text('{"id": 1, "prediction": 3}\n{"id": 2, "prediction": 2.5}\n')
+        gold.write_text(
+            '{"id": 1, "gold": 3, "format": "qa_letter"}\n'
+            '{"id": 2, "gold": "2.50", "format": "qa_letter"}\n'
+        )
+        report, _ = run_eval(pred, gold, "gsm8k")
+        assert [row["em"] for row in report["per_sample"]] == [1, 1]
+
 
 class TestManifest:
     def test_shape(self, tmp_path):
@@ -273,6 +304,20 @@ class TestRunEval:
         assert [row["diagnostics"] for row in report["per_sample"]] == [
             [], [f"gold: {malformed}", f"prediction: {malformed}"], []
         ]
+
+    def test_each_final_answer_is_normalized_once(self, monkeypatch):
+        calls = []
+        normalize = parsing.normalize_final_answer
+
+        def counted(text):
+            calls.append(text)
+            return normalize(text)
+
+        for module in (parsing, cli, metrics):
+            monkeypatch.setattr(module, "normalize_final_answer", counted)
+        report, _ = run_eval(MICRO5_PRED, MICRO5_GOLD, "gsm8k")
+        assert report["aggregate"]["em"] == pytest.approx(60.0)
+        assert len(calls) == 2 * 5  # one per parse; each micro5 text has its answer
 
     def test_a_malformed_span_in_both_texts_is_reported_for_each(self):
         scored = cli.score_record("<<2+x>> <<1+1=2>> #### 2", "<<2+x>> #### 2", "gsm8k", True)
@@ -1255,6 +1300,133 @@ class TestGradCheckCommand:
         assert payload["results"]["ce"]["passed"] is True
         assert payload["results"]["ce"]["max_rel_error"] < 1e-4
         assert payload["manifest"]["seed"] == 0
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestGradCheckSplit:
+    """grad-check with its rows split between this process and forked workers."""
+
+    ARGV = ["grad-check", "--positions", "6", "--vocab", "9", "--seed", "3"]
+
+    def run(self, monkeypatch, capsys, tmp_path, cpus, extra=()):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / "g.json"
+        code = run_main([*self.ARGV, *extra, "--out", str(out)])
+        return code, capsys.readouterr().out, out.read_bytes()
+
+    def counted_forks(self, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            (),
+            ("--loss", "ll"),
+            ("--loss", "combined"),
+            ("--tolerance", "1e-12"),
+            # every error is 1 or NaN, so the worst is the first of equal maxima
+            ("--step", "1e308"),
+        ],
+    )
+    def test_output_is_that_of_one_process(self, monkeypatch, capsys, tmp_path, extra):
+        monkeypatch.setattr(cli, "_MIN_PROBES_PER_PROCESS", 1)
+        forks = self.counted_forks(monkeypatch)
+        serial = self.run(monkeypatch, capsys, tmp_path, 1, extra)
+        assert forks == []
+        for cpus in (2, 3):
+            assert self.run(monkeypatch, capsys, tmp_path, cpus, extra) == serial
+        assert len(forks) == 1 + 2
+        assert no_child_left()
+
+    def test_the_split_covers_tie_rows(self, monkeypatch, capsys, tmp_path):
+        # seed 3 at 6 x 9 has Lovász tie rows under a wide step
+        monkeypatch.setattr(cli, "_MIN_PROBES_PER_PROCESS", 1)
+        extra = ("--loss", "ll", "--step", "0.05")
+        serial = self.run(monkeypatch, capsys, tmp_path, 1, extra)
+        assert "skipped=0" not in serial[1]
+        assert self.run(monkeypatch, capsys, tmp_path, 2, extra) == serial
+
+    def test_without_an_affinity_call_the_cpu_count_decides(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert cli._row_blocks(10, 10**6) == [range(0, 2), range(2, 5), range(5, 7), range(7, 10)]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._row_blocks(10, 10**6) == [range(0, 10)]
+
+    def test_small_checks_stay_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        least = cli._MIN_PROBES_PER_PROCESS
+        assert cli._row_blocks(16, 2 * least - 1) == [range(0, 16)]
+        assert cli._row_blocks(16, 2 * least) == [range(0, 8), range(8, 16)]
+        assert cli._row_blocks(3, 10**9) == [range(0, 1), range(1, 2), range(2, 3)]
+        assert cli._row_blocks(1, 10**9) == [range(0, 1)]
+        # the default batch, and the 4 x 64 batch of every loss, stay serial
+        assert len(cli._row_blocks(8, 7 * 8 * 17)) == 1
+        assert len(cli._row_blocks(4, 7 * 4 * 64)) == 1
+
+    def test_a_float64_error_survives_the_pipe(self, monkeypatch):
+        sent = GradCheckReport(np.float64(1.25e-7), (3, 1), [(2, 0), (2, 1)], 5)
+        monkeypatch.setattr(cli, "check_named_loss", lambda *args: sent)
+        worker = cli._GradCheckWorker(["ce", "ll"], None, 1e-5, 1e-4, range(2, 4), [])
+        try:
+            received = [worker.report(1e-4), worker.report(1e-4)]
+            worker.join()
+        finally:
+            worker.stop()
+        assert received == [sent, sent]
+        assert type(received[0].max_rel_error) is float
+        assert no_child_left()
+
+    def test_a_failing_worker_exits_3_and_is_reaped(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_MIN_PROBES_PER_PROCESS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, real_check = os.getpid(), cli.check_named_loss
+
+        def check(name, *args):
+            if os.getpid() != parent and name == "dl":
+                raise RuntimeError("injected")
+            return real_check(name, *args)
+
+        monkeypatch.setattr(cli, "check_named_loss", check)
+        assert run_main(self.ARGV) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert "fl: PASS" in captured.out and "dl:" not in captured.out
+        assert "internal error: RuntimeError: grad-check worker" in captured.err
+        assert "(rows 3-5) failed with exit code 1" in captured.err
+        assert no_child_left()
+
+    def test_an_interrupted_parent_kills_its_worker(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MIN_PROBES_PER_PROCESS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+
+        def check(*args):
+            if os.getpid() != parent:
+                time.sleep(60)  # a worker that would outlive the test
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "check_named_loss", check)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_main(self.ARGV)
+        assert time.perf_counter() - start < 30
+        assert no_child_left()
 
 
 class TestTokensCommand:

@@ -1,8 +1,11 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losslab import gradcheck
 from losslab.gradcheck import (
@@ -11,6 +14,7 @@ from losslab.gradcheck import (
     build_loss_fn,
     check_named_loss,
     finite_difference_check,
+    merge_reports,
 )
 from losslab.cli import build_parser
 from losslab.losses import (
@@ -19,6 +23,7 @@ from losslab.losses import (
     AuxiliaryKind,
     LogitBatch,
     LossConfig,
+    LossResult,
     ce_loss,
     combined_loss,
     lovasz_loss,
@@ -255,3 +260,99 @@ def test_checks_call_their_loss_by_module_name(name, monkeypatch):
     report = check_named_loss(name, random_batch(5, n=3, vocab=5))
     assert calls["loss"] == 2 * report.n_checked + 1
     assert calls["ties"] == (name in ("ll", "combined"))
+
+
+def assert_same_report(got, expected):
+    """Equal down to the bits of the error, a NaN matching only a NaN."""
+    def bits(x):
+        return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+    assert bits(got.max_rel_error) == bits(expected.max_rel_error)
+    assert got.worst_coordinate == expected.worst_coordinate
+    assert got.skipped == expected.skipped
+    assert got.n_checked == expected.n_checked
+    assert got.tolerance == expected.tolerance
+
+
+def assert_every_split_merges_to(check, n, serial):
+    for m in range(n + 1):
+        merged = merge_reports(check(range(0, m)), check(range(m, n)))
+        assert_same_report(merged, serial)
+
+
+@st.composite
+def split_batches(draw):
+    """Small batches with PAD rows and, for Lovász, rows that repeat row 0
+    (an exact tie, so those rows are skipped)."""
+    n = draw(st.integers(1, 6))
+    vocab = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.standard_normal((n, vocab)) * draw(st.sampled_from([1.0, 5.0]))
+    targets = rng.integers(0, vocab, n)
+    roles = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    roles[draw(st.integers(0, n - 1))] = 1  # one ANSWER row, so no batch is all PAD
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        logits[i], targets[i] = logits[0], targets[0]
+    return LogitBatch(logits, targets, roles)
+
+
+class TestRowSplit:
+    """The reports of two adjacent row ranges merge into the serial report."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=split_batches(), name=st.sampled_from(["ce", "dl", "ll", "combined"]))
+    def test_named_losses(self, batch, name):
+        n = batch.logits.shape[0]
+        serial = check_named_loss(name, batch)
+        assert_every_split_merges_to(lambda rows: check_named_loss(name, batch, rows=rows), n, serial)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=split_batches(),
+        values=st.lists(st.sampled_from([0.0, 1e-7, 5e-7, 2.0, -2.0, math.nan]), min_size=24),
+        nan_coordinates=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=3),
+    )
+    def test_equal_maxima_and_nans(self, batch, values, nan_coordinates):
+        # The value is 0 except at probes of a chosen coordinate, where it is
+        # NaN, so each relative error is |g| / max(|g|, DENOM_FLOOR) of a
+        # gradient drawn from a few values: 0, 0.1, 0.5, 1 or NaN, with ties
+        # everywhere. The first and last coordinates share the largest
+        # magnitude, so every proper split has that maximum in both halves.
+        n, vocab = batch.logits.shape
+        grad = np.array(values[: n * vocab]).reshape(n, vocab)
+        grad[0, 0] = grad[-1, -1] = np.nanmax(np.abs(np.r_[values[: n * vocab], 0.0]))
+        original = batch.logits.copy()
+        nan_at = [(i, k) for i, k in nan_coordinates if i < n and k < vocab]
+
+        def table_loss(b):
+            moved = b.logits != original
+            return LossResult(math.nan if any(moved[c] for c in nan_at) else 0.0, lambda: grad)
+
+        serial = finite_difference_check(table_loss, batch)
+        assert_every_split_merges_to(
+            lambda rows: finite_difference_check(table_loss, batch, rows=rows), n, serial
+        )
+
+    @pytest.mark.parametrize(
+        "rows", [range(0, 9), range(-1, 3), range(3, 2), range(0, 8, 2), range(8, 0, -1)]
+    )
+    def test_rows_outside_the_batch_are_rejected(self, rows):
+        fn, _ = build_loss_fn("ce")
+        with pytest.raises(ValueError, match="rows must be consecutive rows of the batch's 8"):
+            finite_difference_check(fn, random_batch(0), rows=rows)
+
+    def test_rows_limit_the_probes_and_the_skipped_list(self):
+        fn, _ = build_loss_fn("ce")
+        report = finite_difference_check(fn, random_batch(0), skip_rows={1, 5}, rows=range(1, 4))
+        assert report.skipped == [(1, k) for k in range(17)]
+        assert report.n_checked == 2 * 17
+        assert report.worst_coordinate[0] in (2, 3)
+        empty = finite_difference_check(fn, random_batch(0), rows=range(4, 4))
+        assert (empty.max_rel_error, empty.worst_coordinate, empty.n_checked) == (0.0, None, 0)
+
+
+def test_a_check_that_probes_nothing_fails():
+    # a step as wide as the whole error range flags every row as a tie
+    report = check_named_loss("ll", random_batch(0, n=4, vocab=4), step=0.5)
+    assert report.n_checked == 0 and len(report.skipped) == 16
+    assert report.summary() == "FAIL max_rel_error=0.000e+00 worst=- checked=0 skipped=16"

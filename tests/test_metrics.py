@@ -24,6 +24,7 @@ from losslab.parsing import (
     RationaleFormat,
     ReasoningStep,
     canonicalize_step,
+    normalize_final_answer,
     parse_rationale,
 )
 
@@ -68,6 +69,21 @@ class TestExactMatch:
         assert not exact_match("inf", "1e999")
         assert exact_match("9" * 500, "9" * 500)
         assert not exact_match("9" * 500, "9" * 499 + "8")
+
+    def test_normalized_answers_are_compared_as_given(self):
+        assert exact_match(270.0, 270.0000001, normalized=True)
+        assert exact_match("c", "c", normalized=True)
+        assert not exact_match("C", "c", normalized=True)
+        assert not exact_match(1.0, "1", normalized=True)
+        assert not exact_match(None, 1.0, normalized=True)
+
+    @pytest.mark.parametrize(
+        "text", ["<<1+2=3>> #### 1,000", "#### C", "#### nan", "#### ", "#### 9e999", "no marker"]
+    )
+    def test_a_parse_keeps_its_normalized_answer(self, text):
+        parsed = parse_rationale(text, GSM8K)
+        final = parsed.final_answer
+        assert parsed.answer_key == (None if final is None else normalize_final_answer(final))
 
 
 class TestOverlap:
