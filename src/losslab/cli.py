@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, get_type_hints
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -238,7 +238,7 @@ def score_record(
     diagnostics = [f"gold: {d}" for d in gold.diagnostics]
     diagnostics += [f"prediction: {d}" for d in pred.diagnostics]
 
-    em = exact_match(pred.answer_key, gold.answer_key, normalized=True)
+    em = exact_match(pred.answer_key, gold.answer_key)
 
     plain_pred = StepSet.from_steps(pred.steps, commutative=False)
     plain_gold = StepSet.from_steps(gold.steps, commutative=False)
@@ -795,95 +795,77 @@ def _gradcheck_batch(seed: int, positions: int, vocab: int) -> LogitBatch:
 # default 8 x 17 batch and the 4 x 64 batch of every loss stay serial.
 _MIN_PROBES_PER_PROCESS = 1024
 
+# The processes a grad-check splits its rows among: at most one worker, as
+# the split was only ever measured on two CPUs. The CPU affinity does not see
+# a container's CPU quota, and each worker holds its own copy of every page
+# either process writes, so a larger count wants its own measurement.
+_MAX_PROCESSES = 2
+
 
 def _row_blocks(positions: int, probes: int) -> list[range]:
     """The consecutive row blocks that grad-check splits each loss's rows
-    into: one per CPU this process may run on, but no more than there are
-    rows, and few enough that each block has _MIN_PROBES_PER_PROCESS of the
-    ``probes`` coordinates the command checks over all its losses."""
+    into: one per CPU this process may run on, but no more than
+    _MAX_PROCESSES or there are rows, and few enough that each block has
+    _MIN_PROBES_PER_PROCESS of the ``probes`` coordinates the command checks
+    over all its losses."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    parts = max(1, min(cpus, positions, probes // _MIN_PROBES_PER_PROCESS))
+    parts = max(1, min(cpus, _MAX_PROCESSES, positions, probes // _MIN_PROBES_PER_PROCESS))
     bounds = [positions * j // parts for j in range(parts + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _run_worker(writer, names, batch, step, tolerance, rows: range) -> None:
+    """A grad-check worker's life: send the report of ``rows`` of each named
+    loss, in name order, as soon as it has it. The interrupt that reaches
+    the parent is ignored, since the parent then kills the worker, and the
+    worker exits as soon as the parent is gone, however the parent ended."""
+    import multiprocessing
+    import signal
+    import threading
+
+    def exit_with_parent() -> None:
+        multiprocessing.parent_process().join()  # until its end of a pipe closes
+        os._exit(1)
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+    for name in names:
+        writer.send(check_named_loss(name, batch, step, tolerance, rows))
+
+
 class _GradCheckWorker:
-    """A forked process that checks one row block of each named loss and
-    sends each report, in name order, through a pipe as soon as it has it.
+    """A forked process that runs :func:`_run_worker` on one row block;
+    :meth:`report` reads its next report and :meth:`stop` kills it if it
+    still runs and reaps it."""
 
-    The parent reads every report, then reads the pipe to its end and reaps
-    the worker with :meth:`join`; :meth:`stop` kills and reaps a worker the
-    parent gives up on.
-    """
+    def __init__(self, names, batch, step, tolerance, rows: range) -> None:
+        import multiprocessing  # imported here, as only a run that forks needs it
 
-    def __init__(self, names, batch, step, tolerance, rows: range, siblings) -> None:
-        self.rows = rows
-        read_fd, write_fd = os.pipe()
-        sys.stdout.flush()  # so no buffered text is written twice
-        sys.stderr.flush()
-        self.pid = os.fork()
-        if self.pid == 0:
-            self.pid = os.getpid()
-            os.close(read_fd)
-            for sibling in siblings:
-                sibling.reader.close()
-            self._run(names, batch, step, tolerance, write_fd)
-        os.close(write_fd)
-        self.reader = os.fdopen(read_fd, "rb")
+        context = multiprocessing.get_context("fork")
+        self.reader, writer = context.Pipe(duplex=False)
+        self.process = context.Process(
+            target=_run_worker,
+            args=(writer, names, batch, step, tolerance, rows),
+            name=f"grad-check worker (rows {rows.start}-{rows.stop - 1})",
+        )
+        self.process.start()
+        writer.close()
 
-    def __str__(self) -> str:
-        return f"grad-check worker {self.pid} (rows {self.rows.start}-{self.rows.stop - 1})"
-
-    def _run(self, names, batch, step, tolerance, write_fd: int) -> NoReturn:
-        """The worker's whole life; it leaves by ``os._exit``, so no handler,
-        buffer or exit hook inherited from the parent runs twice."""
-        import marshal  # imported here, as only a run that forks needs it
-
-        status = 1
+    def report(self) -> GradCheckReport:
         try:
-            with os.fdopen(write_fd, "wb") as pipe:
-                for name in names:
-                    r = check_named_loss(name, batch, step, tolerance, self.rows)
-                    # marshal writes a NumPy float64 as its raw bytes, so the
-                    # error goes as a float
-                    fields = (float(r.max_rel_error), r.worst_coordinate, r.skipped, r.n_checked)
-                    marshal.dump(fields, pipe)
-                    pipe.flush()
-            status = 0
-        except Exception as exc:  # noqa: BLE001 - reported by the parent's exit 3
-            print(f"{self}: {type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
-        finally:
-            os._exit(status)
-
-    def report(self, tolerance: float) -> GradCheckReport:
-        import marshal
-
-        try:
-            max_rel, worst, skipped, n_checked = marshal.load(self.reader)
-        except (EOFError, ValueError):  # it died before it sent this report
-            self.join()
-            raise RuntimeError(f"{self} sent a truncated report") from None
-        return GradCheckReport(max_rel, worst, skipped, n_checked, tolerance)
-
-    def join(self) -> None:
-        """Read the pipe to its end, reap the worker and raise if it failed."""
-        extra = self.reader.read()
-        self.reader.close()
-        _, status = os.waitpid(self.pid, 0)
-        code, self.pid = os.waitstatus_to_exitcode(status), 0
-        if code or extra:
-            raise RuntimeError(f"{self} failed with exit code {code}")
+            return self.reader.recv()
+        except EOFError:  # it died before it sent this report
+            self.process.join()
+            raise RuntimeError(
+                f"{self.process.name} failed with exit code {self.process.exitcode}"
+            ) from None
 
     def stop(self) -> None:
-        import signal
-
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
+        self.process.kill()
+        self.process.join()
         self.reader.close()
 
 
@@ -900,13 +882,11 @@ def _cmd_grad_check(args, argv: list[str]) -> int:
     workers: list[_GradCheckWorker] = []
     try:
         for rows in blocks[1:]:
-            workers.append(
-                _GradCheckWorker(names, batch, args.step, args.tolerance, rows, workers)
-            )
+            workers.append(_GradCheckWorker(names, batch, args.step, args.tolerance, rows))
         for name in names:
             report = check_named_loss(name, batch, args.step, args.tolerance, blocks[0])
             for worker in workers:
-                report = merge_reports(report, worker.report(args.tolerance))
+                report = merge_reports(report, worker.report())
             results[name] = {
                 "max_rel_error": float(report.max_rel_error),
                 "worst_coordinate": [int(c) for c in report.worst_coordinate]
@@ -918,8 +898,6 @@ def _cmd_grad_check(args, argv: list[str]) -> int:
             }
             all_passed &= report.passed
             print(f"{name}: {report.summary()}")
-        for worker in workers:
-            worker.join()
     finally:
         for worker in workers:
             worker.stop()

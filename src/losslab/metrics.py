@@ -14,33 +14,27 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from . import DataError
-from .parsing import ReasoningStep, normalize_final_answer
+from .parsing import ReasoningStep
 
 NUMERIC_TOLERANCE = 1e-6
 
 
-def exact_match(
-    prediction: float | str | None, gold: float | str | None, normalized: bool = False
-) -> bool:
-    """Compare two final answers after normalization.
+def exact_match(prediction: float | str | None, gold: float | str | None) -> bool:
+    """Compare two final answers in their :func:`normalize_final_answer`
+    form, such as two parses' ``answer_key``.
 
     Numeric answers match within 1e-6 absolute tolerance; everything else is
-    compared as trimmed lowercase text (single-letter answers therefore match
-    case-insensitively). A missing side never matches. With ``normalized``
-    set, both sides are already :func:`normalize_final_answer` results, such
-    as two parses' ``answer_key``.
+    compared as the trimmed lowercase text that normalization leaves (so
+    single-letter answers match case-insensitively). A missing side never
+    matches.
     """
     if prediction is None or gold is None:
         return False
-    if normalized:
-        p, g = prediction, gold
-    else:
-        p, g = normalize_final_answer(prediction), normalize_final_answer(gold)
-    if isinstance(p, float) and isinstance(g, float):
-        return abs(p - g) <= NUMERIC_TOLERANCE
-    if isinstance(p, float) or isinstance(g, float):
+    if isinstance(prediction, float) and isinstance(gold, float):
+        return abs(prediction - gold) <= NUMERIC_TOLERANCE
+    if isinstance(prediction, float) or isinstance(gold, float):
         return False
-    return p == g
+    return prediction == gold
 
 
 @dataclass

@@ -41,41 +41,47 @@ def sets_for(pred_text, gold_text, commutative):
     return ps, gts
 
 
+def text_match(prediction, gold):
+    """exact_match on two answer texts, normalized as a parse normalizes them."""
+    keys = [None if text is None else normalize_final_answer(text) for text in (prediction, gold)]
+    return exact_match(*keys)
+
+
 class TestExactMatch:
     def test_numeric_string_pairs(self):
-        assert exact_match("35", "35")
-        assert exact_match("270.0", "270")
-        assert exact_match("1,000", "1000")
+        assert text_match("35", "35")
+        assert text_match("270.0", "270")
+        assert text_match("1,000", "1000")
 
     def test_tolerance_boundary(self):
-        assert not exact_match("270", "270.00001")
-        assert exact_match("270", "270.0000001")
+        assert not text_match("270", "270.00001")
+        assert text_match("270", "270.0000001")
 
     def test_letters_case_insensitive(self):
-        assert exact_match("C", "c")
-        assert not exact_match("B", "C")
+        assert text_match("C", "c")
+        assert not text_match("B", "C")
 
     def test_mixed_kinds_never_match(self):
-        assert not exact_match("abc", "1")
+        assert not text_match("abc", "1")
 
     def test_missing_side(self):
-        assert not exact_match(None, "5")
-        assert not exact_match("5", None)
+        assert not text_match(None, "5")
+        assert not text_match("5", None)
 
     def test_non_finite_answers_compare_as_text(self):
-        assert exact_match("nan", "NaN")
-        assert exact_match("inf", "inf")
-        assert not exact_match("inf", "nan")
-        assert not exact_match("inf", "1e999")
-        assert exact_match("9" * 500, "9" * 500)
-        assert not exact_match("9" * 500, "9" * 499 + "8")
+        assert text_match("nan", "NaN")
+        assert text_match("inf", "inf")
+        assert not text_match("inf", "nan")
+        assert not text_match("inf", "1e999")
+        assert text_match("9" * 500, "9" * 500)
+        assert not text_match("9" * 500, "9" * 499 + "8")
 
     def test_normalized_answers_are_compared_as_given(self):
-        assert exact_match(270.0, 270.0000001, normalized=True)
-        assert exact_match("c", "c", normalized=True)
-        assert not exact_match("C", "c", normalized=True)
-        assert not exact_match(1.0, "1", normalized=True)
-        assert not exact_match(None, 1.0, normalized=True)
+        assert exact_match(270.0, 270.0000001)
+        assert exact_match("c", "c")
+        assert not exact_match("C", "c")
+        assert not exact_match(1.0, "1")
+        assert not exact_match(None, 1.0)
 
     @pytest.mark.parametrize(
         "text", ["<<1+2=3>> #### 1,000", "#### C", "#### nan", "#### ", "#### 9e999", "no marker"]
@@ -439,7 +445,7 @@ MICRO5 = [
 def score_pair(gold_text, pred_text):
     gold = parse_rationale(gold_text, GSM8K)
     pred = parse_rationale(pred_text, GSM8K)
-    em = exact_match(pred.final_answer, gold.final_answer)
+    em = text_match(pred.final_answer, gold.final_answer)
     plain_p = StepSet.from_steps(pred.steps, commutative=False)
     plain_g = StepSet.from_steps(gold.steps, commutative=False)
     comm_p = StepSet.from_steps(pred.steps, commutative=True)
