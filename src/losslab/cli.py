@@ -118,6 +118,25 @@ def _output_path(text: str, directory: bool = False) -> str:
     return text
 
 
+def _check_outputs(
+    inputs: Iterable[tuple[str, str]], outputs: Iterable[tuple[str, str | Path | None]]
+) -> None:
+    """Refuse, as a usage error, an output that names the file of an input or
+    of another output, so that a run never writes over what it reads or
+    writes. Each pair is the name the message gives a file, a flag say, and
+    its path; an output whose path is None is not written. Paths are
+    compared by ``os.path.realpath``."""
+    named = {os.path.realpath(path): name for name, path in inputs}
+    for name, path in outputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in named:
+            message = f"{named[real]} and {name} name the same file '{path}'"
+            raise argparse.ArgumentError(None, message)
+        named[real] = name
+
+
 # json.loads raises more than JSONDecodeError on text it cannot hold: ValueError
 # for an integer past int()'s digit limit, RecursionError for deep nesting
 JSON_ERRORS = (ValueError, RecursionError)
@@ -487,6 +506,12 @@ def emit_report(report: dict, out_format: str, out_path: str | None) -> None:
 
 
 def _cmd_eval(args, argv: list[str]) -> int:
+    sidecar = f"{args.out}.manifest.json" if args.out and args.out_format != "json" else None
+    _check_outputs(
+        [("--pred", args.pred), ("--gold", args.gold)],
+        [("--out", args.out), ("the manifest of --out", sidecar),
+         ("--dump-parse", args.dump_parse)],
+    )
     commutative = not args.no_commutative
     report, dump = run_eval(
         args.pred, args.gold, args.format, commutative, keep_parses=bool(args.dump_parse)
@@ -613,6 +638,7 @@ def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
 
 
 def _cmd_stats(args, argv: list[str]) -> int:
+    _check_outputs([("a report", path) for path in args.reports], [("--out", args.out)])
     result = run_stats(args.test, args.reports, args.metric)
     manifest = build_manifest(
         argv, {"test": args.test, "metric": args.metric}, args.reports
@@ -712,11 +738,17 @@ def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
     config = {**TRAIN_CONFIG_KEYS, **raw}
     _check_array_sizes(config, path)
     if loss_by_task is not None:
-        config["auxiliary"] = {"mwp": "ll", "qa": "fl"}[loss_by_task]
+        kind = {"mwp": AuxiliaryKind.LOVASZ, "qa": AuxiliaryKind.FOCAL}[loss_by_task]
+        config["auxiliary"] = kind.value
     return config
 
 
 def _cmd_train(args, argv: list[str]) -> int:
+    written = ("trace.jsonl", "model.sltm", "model_best.sltm", "manifest.json")
+    _check_outputs(
+        [("--config", args.config)],
+        [(f"{name} in --out-dir", Path(args.out_dir) / name) for name in written],
+    )
     config = load_train_config(args.config, args.loss_by_task)
     # an integer in a float key reaches the trainer, and its trace, as a float
     typed = {k: float(v) if type(TRAIN_CONFIG_KEYS[k]) is float else v for k, v in config.items()}
@@ -795,61 +827,55 @@ def _gradcheck_batch(seed: int, positions: int, vocab: int) -> LogitBatch:
 # default 8 x 17 batch and the 4 x 64 batch of every loss stay serial.
 _MIN_PROBES_PER_PROCESS = 1024
 
-# The processes a grad-check splits its rows among: at most one worker, as
-# the split was only ever measured on two CPUs. The CPU affinity does not see
-# a container's CPU quota, and each worker holds its own copy of every page
-# either process writes, so a larger count wants its own measurement.
-_MAX_PROCESSES = 2
 
+def _worker_rows(positions: int, probes: int) -> range:
+    """The rows of each loss that grad-check's one forked worker checks: the
+    second half, when this process may run on two or more CPUs, there are
+    two or more rows, and each half of the ``probes`` coordinates the
+    command checks over all its losses has _MIN_PROBES_PER_PROCESS.
+    Otherwise none, and this process checks every row.
 
-def _row_blocks(positions: int, probes: int) -> list[range]:
-    """The consecutive row blocks that grad-check splits each loss's rows
-    into: one per CPU this process may run on, but no more than
-    _MAX_PROCESSES or there are rows, and few enough that each block has
-    _MIN_PROBES_PER_PROCESS of the ``probes`` coordinates the command checks
-    over all its losses."""
+    There is one worker at most, as the split was only ever measured on two
+    CPUs: the CPU affinity does not see a container's CPU quota, and each
+    worker holds its own copy of every page either process writes."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    parts = max(1, min(cpus, _MAX_PROCESSES, positions, probes // _MIN_PROBES_PER_PROCESS))
-    bounds = [positions * j // parts for j in range(parts + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _run_worker(writer, names, batch, step, tolerance, rows: range) -> None:
-    """A grad-check worker's life: send the report of ``rows`` of each named
-    loss, in name order, as soon as it has it. The interrupt that reaches
-    the parent is ignored, since the parent then kills the worker, and the
-    worker exits as soon as the parent is gone, however the parent ended."""
-    import multiprocessing
-    import signal
-    import threading
-
-    def exit_with_parent() -> None:
-        multiprocessing.parent_process().join()  # until its end of a pipe closes
-        os._exit(1)
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-    for name in names:
-        writer.send(check_named_loss(name, batch, step, tolerance, rows))
+    if cpus < 2 or positions < 2 or probes < 2 * _MIN_PROBES_PER_PROCESS:
+        return range(positions, positions)
+    return range(positions // 2, positions)
 
 
 class _GradCheckWorker:
-    """A forked process that runs :func:`_run_worker` on one row block;
-    :meth:`report` reads its next report and :meth:`stop` kills it if it
-    still runs and reaps it."""
+    """A forked process that sends the report of ``rows`` of each named
+    loss, in name order, as soon as it has it; :meth:`report` reads its next
+    report and :meth:`stop` kills it if it still runs and reaps it.
+
+    The worker ignores the interrupt that reaches the parent, since the
+    parent then kills it, and it exits as soon as the parent is gone,
+    however the parent ended."""
 
     def __init__(self, names, batch, step, tolerance, rows: range) -> None:
-        import multiprocessing  # imported here, as only a run that forks needs it
+        # imported here, as only a run that forks needs them
+        import multiprocessing
+        import signal
+        import threading
+
+        def exit_with_parent() -> None:
+            multiprocessing.parent_process().join()  # until its end of a pipe closes
+            os._exit(1)
+
+        def run() -> None:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            threading.Thread(target=exit_with_parent, daemon=True).start()
+            for name in names:
+                writer.send(check_named_loss(name, batch, step, tolerance, rows))
 
         context = multiprocessing.get_context("fork")
         self.reader, writer = context.Pipe(duplex=False)
         self.process = context.Process(
-            target=_run_worker,
-            args=(writer, names, batch, step, tolerance, rows),
-            name=f"grad-check worker (rows {rows.start}-{rows.stop - 1})",
+            target=run, name=f"grad-check worker (rows {rows.start}-{rows.stop - 1})"
         )
         self.process.start()
         writer.close()
@@ -870,22 +896,19 @@ class _GradCheckWorker:
 
 
 def _cmd_grad_check(args, argv: list[str]) -> int:
-    """Each loss's rows are split into consecutive blocks (:func:`_row_blocks`):
-    this process checks the first and a forked worker each other one, and
-    the merged reports equal those of one serial scan."""
+    """This process checks each loss's rows before those of
+    :func:`_worker_rows`, and a forked worker those rows, if any; the merged
+    reports equal those of one serial scan."""
     _check_grad_check_args(args)
     names = list(LOSS_NAMES) if args.loss == "all" else [args.loss]
     batch = _gradcheck_batch(args.seed, args.positions, args.vocab)
-    blocks = _row_blocks(args.positions, len(names) * args.positions * args.vocab)
+    rows = _worker_rows(args.positions, len(names) * args.positions * args.vocab)
+    worker = _GradCheckWorker(names, batch, args.step, args.tolerance, rows) if rows else None
     results = {}
-    all_passed = True
-    workers: list[_GradCheckWorker] = []
     try:
-        for rows in blocks[1:]:
-            workers.append(_GradCheckWorker(names, batch, args.step, args.tolerance, rows))
         for name in names:
-            report = check_named_loss(name, batch, args.step, args.tolerance, blocks[0])
-            for worker in workers:
+            report = check_named_loss(name, batch, args.step, args.tolerance, range(rows.start))
+            if worker is not None:
                 report = merge_reports(report, worker.report())
             results[name] = {
                 "max_rel_error": float(report.max_rel_error),
@@ -896,10 +919,9 @@ def _cmd_grad_check(args, argv: list[str]) -> int:
                 "n_skipped": len(report.skipped),
                 "passed": bool(report.passed),
             }
-            all_passed &= report.passed
             print(f"{name}: {report.summary()}")
     finally:
-        for worker in workers:
+        if worker is not None:
             worker.stop()
     if args.out:
         manifest = build_manifest(
@@ -915,10 +937,15 @@ def _cmd_grad_check(args, argv: list[str]) -> int:
             seed=args.seed,
         )
         _write(_json_text({"manifest": manifest, "results": results}), args.out)
-    return EXIT_OK if all_passed else EXIT_INTERNAL
+    return EXIT_OK if all(r["passed"] for r in results.values()) else EXIT_INTERNAL
 
 
 def _cmd_tokens(args, argv: list[str]) -> int:
+    sidecar = f"{args.out}.manifest.json"
+    _check_outputs(
+        [("--input", args.input)],
+        [("--out", args.out), ("the manifest of --out", sidecar), ("--json-out", args.json_out)],
+    )
     records = ingest_jsonl(args.input, required=("tokens",))
     exclude = set()
     if args.exclude_ids:
@@ -967,7 +994,7 @@ def _cmd_tokens(args, argv: list[str]) -> int:
         {"exclude_ids": sorted(exclude), "bandwidth": args.bandwidth},
         [args.input],
     )
-    _write(_json_text(manifest), f"{args.out}.manifest.json")
+    _write(_json_text(manifest), sidecar)
     if args.json_out:
         payload = {
             "manifest": manifest,
@@ -1069,6 +1096,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
+    except argparse.ArgumentError as exc:  # flags that clash
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -149,16 +149,20 @@ TieFn = Callable[[LogitBatch, float], set[int]]
 # the combined loss that grad-check runs: the default mix with the Lovász auxiliary
 _COMBINED = LossConfig(auxiliary_kind=AuxiliaryKind.LOVASZ)
 
-# Name -> (loss of a batch, tie-row detector or None). Each entry looks its
-# loss up by module-level name when called, so a loss rebound on this module
-# (for tracing, say) is the one the check runs.
+# Name -> (loss of a batch, tie-row detector or None); an auxiliary loss is
+# named by its AuxiliaryKind. Each entry looks its loss up by module-level
+# name when called, so a loss rebound on this module (for tracing, say) is
+# the one the check runs.
 _NAMED_LOSSES: dict[str, tuple[LossFn, TieFn | None]] = {
     "ce": (lambda b: ce_loss(b), None),
-    "fl": (lambda b: focal_loss(b), None),
-    "dl": (lambda b: dice_loss(b), None),
-    "gdl": (lambda b: generalized_dice_loss(b), None),
-    "sadl": (lambda b: self_adjusting_dice_loss(b), None),
-    "ll": (lambda b: lovasz_loss(b), lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h)),
+    AuxiliaryKind.FOCAL.value: (lambda b: focal_loss(b), None),
+    AuxiliaryKind.DICE.value: (lambda b: dice_loss(b), None),
+    AuxiliaryKind.GENERALIZED_DICE.value: (lambda b: generalized_dice_loss(b), None),
+    AuxiliaryKind.SELF_ADJUSTING_DICE.value: (lambda b: self_adjusting_dice_loss(b), None),
+    AuxiliaryKind.LOVASZ.value: (
+        lambda b: lovasz_loss(b),
+        lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h),
+    ),
     "combined": (
         lambda b: combined_loss(b, _COMBINED),
         lambda b, h: lovasz_tie_rows(b, ANSWER_ONLY, h),

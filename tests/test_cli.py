@@ -787,6 +787,102 @@ class TestUsageErrors:
         assert (out_dir / "trace.jsonl").exists()
 
 
+def file_bytes(directory):
+    return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+class TestOutputClashes:
+    """An output flag that names an input or another output is a usage
+    error before any input is read, and every file stays as it was."""
+
+    def refuse(self, argv, names, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "ingest_jsonl", unread)
+        monkeypatch.setattr(cli, "_read_json", unread)
+        before = file_bytes(tmp_path)
+        assert run_main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{argv[0]}: error: {names[0]} and {names[1]} name the same file" in err
+        assert file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "extra, names",
+        [
+            (["--out", "r.json", "--dump-parse", "r.json"], ["--out", "--dump-parse"]),
+            (["--out", "p.jsonl"], ["--pred", "--out"]),
+            (["--out", "sub/../g.jsonl"], ["--gold", "--out"]),
+            (["--dump-parse", "p.jsonl"], ["--pred", "--dump-parse"]),
+            (["--dump-parse", "./g.jsonl"], ["--gold", "--dump-parse"]),
+            (
+                ["--out-format", "csv", "--out", "r.csv", "--dump-parse", "r.csv.manifest.json"],
+                ["the manifest of --out", "--dump-parse"],
+            ),
+            (
+                ["--out-format", "markdown", "--out", "g"],
+                ["--gold", "the manifest of --out"],
+            ),
+        ],
+    )
+    def test_eval(self, tmp_path, monkeypatch, capsys, extra, names):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "p.jsonl").write_bytes(Path(MICRO5_PRED).read_bytes())
+        gold = "g.manifest.json" if "g" in extra else "g.jsonl"
+        (tmp_path / gold).write_bytes(Path(MICRO5_GOLD).read_bytes())
+        for name in ("r.json", "r.csv", "r.csv.manifest.json"):
+            (tmp_path / name).write_text("kept\n")
+        argv = ["eval", "--pred", "p.jsonl", "--gold", gold, *extra]
+        self.refuse(argv, names, tmp_path, monkeypatch, capsys)
+
+    def test_a_json_report_has_no_manifest_to_clash_with(self, tmp_path):
+        out = tmp_path / "r.json"
+        dump = tmp_path / "r.json.manifest.json"
+        argv = ["eval", "--pred", MICRO5_PRED, "--gold", MICRO5_GOLD, "--out", str(out)]
+        assert run_main([*argv, "--dump-parse", str(dump)]) == EXIT_OK
+        assert "per_sample" in json.loads(out.read_text())
+        assert "gold" in json.loads(dump.read_text())[0]
+
+    @pytest.mark.parametrize("clash", [0, 1])
+    def test_stats(self, tmp_path, monkeypatch, capsys, two_reports, clash):
+        argv = ["stats", "--test", "ttest", *two_reports, "--out", two_reports[clash]]
+        self.refuse(argv, ["a report", "--out"], tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "extra, names",
+        [
+            (["--out", "t.jsonl"], ["--input", "--out"]),
+            (["--out", "d.csv", "--json-out", "t.jsonl"], ["--input", "--json-out"]),
+            (["--out", "d.csv", "--json-out", "d.csv"], ["--out", "--json-out"]),
+            (
+                ["--out", "d.csv", "--json-out", "d.csv.manifest.json"],
+                ["the manifest of --out", "--json-out"],
+            ),
+            (["--out", "t"], ["--input", "the manifest of --out"]),
+        ],
+    )
+    def test_tokens(self, tmp_path, monkeypatch, capsys, extra, names):
+        source = "t.manifest.json" if extra[1] == "t" else "t.jsonl"
+        (tmp_path / source).write_text('{"tokens": [1, 2, 2, 3]}\n')
+        for name in ("d.csv", "d.csv.manifest.json"):
+            (tmp_path / name).write_text("kept\n")
+        argv = ["tokens", "--input", source, *extra]
+        self.refuse(argv, names, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "written", ["trace.jsonl", "model.sltm", "model_best.sltm", "manifest.json"]
+    )
+    def test_train(self, tmp_path, monkeypatch, capsys, written):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / written).write_text(json.dumps(TRAIN_CONFIG))
+        argv = ["train", "--config", f"run/{written}", "--out-dir", "run"]
+        names = ["--config", f"{written} in --out-dir"]
+        self.refuse(argv, names, tmp_path, monkeypatch, capsys)
+
+
 class TestErrorContract:
     def test_every_error_class_but_divergence_is_a_data_error(self):
         # main maps only DATA_ERRORS to exit 2; any other error type exits 3
@@ -1367,24 +1463,25 @@ class TestGradCheckSplit:
     def test_without_an_affinity_call_the_cpu_count_decides(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert cli._row_blocks(10, 10**6) == [range(0, 5), range(5, 10)]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert cli._row_blocks(10, 10**6) == [range(0, 10)]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli._row_blocks(10, 10**6) == [range(0, 10)]
+        assert cli._worker_rows(10, 10**6) == range(5, 10)
+        for count in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert not cli._worker_rows(10, 10**6)
 
     def test_small_checks_stay_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not cli._worker_rows(16, 10**9)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         least = cli._MIN_PROBES_PER_PROCESS
-        assert cli._row_blocks(16, 2 * least - 1) == [range(0, 16)]
-        assert cli._row_blocks(16, 2 * least) == [range(0, 8), range(8, 16)]
-        assert cli._row_blocks(3, 10**9) == [range(0, 1), range(1, 3)]
-        assert cli._row_blocks(1, 10**9) == [range(0, 1)]
+        assert not cli._worker_rows(16, 2 * least - 1)
+        assert cli._worker_rows(16, 2 * least) == range(8, 16)
+        assert cli._worker_rows(3, 10**9) == range(1, 3)
+        assert not cli._worker_rows(1, 10**9)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert cli._row_blocks(64, 10**9) == [range(0, 32), range(32, 64)]
+        assert cli._worker_rows(64, 10**9) == range(32, 64)
         # the default batch, and the 4 x 64 batch of every loss, stay serial
-        assert len(cli._row_blocks(8, 7 * 8 * 17)) == 1
-        assert len(cli._row_blocks(4, 7 * 4 * 64)) == 1
+        assert not cli._worker_rows(8, 7 * 8 * 17)
+        assert not cli._worker_rows(4, 7 * 4 * 64)
 
     def test_a_float64_error_survives_the_pipe(self, monkeypatch):
         sent = GradCheckReport(np.float64(1.25e-7), (3, 1), [(2, 0), (2, 1)], 5)

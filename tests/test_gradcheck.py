@@ -1,6 +1,8 @@
+import json
 import math
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from losslab.gradcheck import (
     finite_difference_check,
     merge_reports,
 )
-from losslab.cli import build_parser
+from losslab.cli import _gradcheck_batch, build_parser
 from losslab.losses import (
     ANSWER_ONLY,
     FULL_CONTEXT,
@@ -24,6 +26,7 @@ from losslab.losses import (
     LogitBatch,
     LossConfig,
     LossResult,
+    Role,
     ce_loss,
     combined_loss,
     lovasz_loss,
@@ -356,3 +359,69 @@ def test_a_check_that_probes_nothing_fails():
     report = check_named_loss("ll", random_batch(0, n=4, vocab=4), step=0.5)
     assert report.n_checked == 0 and len(report.skipped) == 16
     assert report.summary() == "FAIL max_rel_error=0.000e+00 worst=- checked=0 skipped=16"
+
+
+def test_the_benchmark_reference_counts_hold():
+    # the gradcheck-all workload fails a run whose checked/skipped counts
+    # differ from the ones perfbench/reference.json records for its batch
+    recorded = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+    )["gradcheck"]
+    for positions, seeds in ((4, range(4)), (16, range(2))):
+        for seed in seeds:
+            batch = _gradcheck_batch(seed, positions, 64)
+            counts = {}
+            for name in LOSS_NAMES:
+                report = check_named_loss(name, batch)
+                counts[name] = [report.n_checked, len(report.skipped)]
+            assert counts == recorded[f"{positions}x64"][str(seed)], (positions, seed)
+
+
+@pytest.fixture(scope="module")
+def benchmark_sized_batch():
+    """512 positions x 1024 classes, the size the benchmark trains at: normal
+    logits, Zipf(1.1) targets and instruction, answer and PAD roles."""
+    rng = np.random.default_rng(0)
+    n, vocab = 512, 1024
+    roles = rng.choice([int(Role.INSTRUCTION), int(Role.ANSWER), int(Role.PAD)], n)
+    targets = np.minimum(rng.zipf(1.1, n) - 1, vocab - 1)
+    return LogitBatch(rng.standard_normal((n, vocab)), targets, roles)
+
+
+def directional_error(loss_fn, batch, directions=6, eps=1e-4):
+    """The largest relative error between the central difference of the loss
+    along a standard-normal direction v and <gradient, v>, over a few v."""
+    gradient = loss_fn(batch).gradient
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(directions):
+        v = rng.standard_normal(batch.logits.shape)
+        plus, minus = (
+            loss_fn(LogitBatch(batch.logits + h * v, batch.targets, batch.role_mask)).value
+            for h in (eps, -eps)
+        )
+        numeric, analytic = (plus - minus) / (2 * eps), float(np.vdot(gradient, v))
+        worst = max(worst, abs(numeric - analytic) / max(abs(numeric), abs(analytic)))
+    return worst
+
+
+AUXILIARY_KINDS = [kind for kind in AuxiliaryKind if kind is not AuxiliaryKind.NONE]
+
+
+class TestDirectionalAtBenchmarkSize:
+    """Gradients agree with finite differences along random directions at
+    512 x 1024, where the Lovász loss takes its prefix path and a
+    per-coordinate check would need about a million loss calls."""
+
+    @pytest.mark.parametrize("name", [n for n in LOSS_NAMES if n != "combined"])
+    def test_each_loss(self, benchmark_sized_batch, name):
+        loss_fn, _ = build_loss_fn(name)
+        assert directional_error(loss_fn, benchmark_sized_batch) <= 1e-5
+
+    # at mix 0.6 the cross-entropy part dominates, so the bound is tighter
+    @pytest.mark.parametrize("mix, bound", [(0.0, 1e-5), (0.6, 1e-6)])
+    @pytest.mark.parametrize("kind", AUXILIARY_KINDS, ids=lambda kind: kind.value)
+    def test_combined(self, benchmark_sized_batch, kind, mix, bound):
+        config = LossConfig(mix, auxiliary_kind=kind)
+        error = directional_error(lambda b: combined_loss(b, config), benchmark_sized_batch)
+        assert error <= bound
