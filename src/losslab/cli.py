@@ -67,6 +67,7 @@ from .stats import (
     token_density,
 )
 from .training import (
+    Corpus,
     CorpusTemplate,
     TrainConfig,
     TrainingDiverged,
@@ -762,12 +763,16 @@ def _cmd_train(args, argv: list[str]) -> int:
         for key in ("samples", "val_samples"):  # make_synthetic_corpus names both n_samples
             if typed[key] < 1:
                 raise ValueError(f"{key} must be >= 1, got {typed[key]}")
-        corpus = make_synthetic_corpus(seed=typed["seed"], n_samples=typed["samples"], **shared)
-        val_corpus = make_synthetic_corpus(
-            seed=typed["seed"] + 1, n_samples=typed["val_samples"], **shared
+        # one draw, so validation follows the training samples' mapping; its
+        # first samples are those of a draw of the training samples alone
+        drawn = make_synthetic_corpus(
+            seed=typed["seed"], n_samples=typed["samples"] + typed["val_samples"], **shared
         )
     except ValueError as exc:
         raise DataError(f"invalid training config: {exc}") from exc
+    split = typed["samples"]
+    corpus = Corpus(drawn.vocab_size, drawn.samples[:split])
+    val_corpus = Corpus(drawn.vocab_size, drawn.samples[split:])
     trace = train(train_cfg, corpus, val_corpus)
 
     out = Path(args.out_dir)
@@ -776,6 +781,8 @@ def _cmd_train(args, argv: list[str]) -> int:
     save_model(trace.final_model, out / "model.sltm")
     if trace.best_model is not None:
         save_model(trace.best_model, out / "model_best.sltm")
+    else:  # so that no earlier run's best model stays beside a null best_step
+        (out / "model_best.sltm").unlink(missing_ok=True)
     manifest = build_manifest(argv, config, [args.config], seed=config["seed"])
     manifest["best_step"] = trace.best_step
     manifest["best_val_loss"] = trace.best_val_loss
@@ -785,8 +792,10 @@ def _cmd_train(args, argv: list[str]) -> int:
 
 
 # positions * vocab of the grad-check batch. Its arrays stay below 1 MiB, but
-# the check makes two loss calls per logit, each over the whole batch: at the
-# ceiling that is 131,072 calls per loss, minutes of work.
+# the check makes two loss calls per logit: at the ceiling that is 131,072
+# calls per loss. Each recomputes one softmax row, but the region losses
+# still read every row, so `--loss all` at 16 x 4096 takes about half a
+# minute on one CPU (`--loss ce` at 256 x 256 a few seconds).
 MAX_GRADCHECK_LOGITS = 2**16
 
 
@@ -822,9 +831,11 @@ def _gradcheck_batch(seed: int, positions: int, vocab: int) -> LogitBatch:
 
 # Coordinates (two loss calls each) that each process of a grad-check must
 # have to probe before a worker is forked. A worker costs 40-50 ms of CPU time
-# (the fork, and its copies of the pages either process writes), and on two
-# CPUs it broke even near 500 coordinates a process; at twice that, the
-# default 8 x 17 batch and the 4 x 64 batch of every loss stay serial.
+# (the fork, and its copies of the pages either process writes). On two CPUs
+# it broke even near 500 coordinates a process, and with the row-local
+# probes between about 220 and 450 (`--loss all` at 2 x 32 and 2 x 64); at
+# 1,024, the default 8 x 17 batch and the 4 x 64 batch of every loss stay
+# serial.
 _MIN_PROBES_PER_PROCESS = 1024
 
 

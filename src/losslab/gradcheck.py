@@ -5,6 +5,13 @@ the analytic gradient with a relative error whose denominator is floored so
 near-zero coordinates are judged on absolute deviation. Lovász losses are
 piecewise linear in sort order; coordinates in rows whose error ranking could
 flip within the step are reported as skipped rather than failed.
+
+A probe moves one logit, so it changes one row of the softmax. The check
+keeps the softmax of the instruction and answer rows, which every named
+loss reads, in one buffer, recomputes only the probed row into it, and
+hands the buffer to the loss as ``probs``; the values are those of
+whole-batch calls bit for bit, since a softmax row depends on its logit row
+alone.
 """
 
 from __future__ import annotations
@@ -13,13 +20,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .losses import (
     ANSWER_ONLY,
     FULL_CONTEXT,
     AuxiliaryKind,
     LogitBatch,
     LossConfig,
-    LossFn,
+    LossResult,
+    _selected,
     ce_loss,
     combined_loss,
     dice_loss,
@@ -28,6 +38,7 @@ from .losses import (
     lovasz_loss,
     lovasz_tie_rows,
     self_adjusting_dice_loss,
+    softmax,
 )
 
 DENOM_FLOOR = 1e-6
@@ -60,8 +71,14 @@ class GradCheckReport:
         )
 
 
+# A loss as the check calls it: ``loss_fn(batch)`` for the analytic
+# gradient, and ``loss_fn(batch, probs=p)`` for a probe's value, where ``p``
+# is the softmax of the batch's instruction and answer rows.
+ProbeLossFn = Callable[..., LossResult]
+
+
 def finite_difference_check(
-    loss_fn: LossFn,
+    loss_fn: ProbeLossFn,
     batch: LogitBatch,
     step: float = DEFAULT_STEP,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -69,6 +86,14 @@ def finite_difference_check(
     rows: range | None = None,
 ) -> GradCheckReport:
     """Compare ``loss_fn``'s analytic gradient to central differences.
+
+    The gradient comes from one plain call, ``loss_fn(batch)``. Each probe
+    calls ``loss_fn(perturbed, probs=buffer)`` and reads only its value:
+    ``buffer`` holds the softmax of the perturbed batch's instruction and
+    answer rows, the rows a loss over :data:`FULL_CONTEXT` reads. Only the
+    probed row of it is recomputed, and it is restored after that row's
+    probes. A loss takes ``probs`` as its own buffer and would overwrite it
+    in its backward, so a probe's gradient is never read.
 
     ``skip_rows`` marks logit rows whose coordinates go, never probed, into
     the report's skipped list instead of the max-error statistic (used for rows
@@ -95,6 +120,11 @@ def finite_difference_check(
     skip_rows = skip_rows or set()
 
     work = LogitBatch(batch.logits.copy(), batch.targets.copy(), batch.role_mask.copy())
+    read = _selected(work, FULL_CONTEXT)
+    probs = softmax(work.logits[read])
+    # each read row's softmax in the buffer; a PAD row's goes to a spare row
+    softmax_rows = {i: probs[j : j + 1] for j, i in enumerate(read.tolist())}
+    spare = np.empty((1, vocab))
     max_rel = 0.0
     worst: tuple[int, int] | None = None
     skipped: list[tuple[int, int]] = []
@@ -103,20 +133,23 @@ def finite_difference_check(
         if i in skip_rows:
             skipped.extend((i, k) for k in range(vocab))
             continue
+        logits, row = work.logits[i : i + 1], softmax_rows.get(i, spare)
         for k in range(vocab):
             original = work.logits[i, k]
-            work.logits[i, k] = original + step
-            f_plus = loss_fn(work).value
-            work.logits[i, k] = original - step
-            f_minus = loss_fn(work).value
+            values = []
+            for logit in (original + step, original - step):
+                work.logits[i, k] = logit
+                softmax(logits, out=row)
+                values.append(loss_fn(work, probs=probs).value)
             work.logits[i, k] = original
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (values[0] - values[1]) / (2.0 * step)
             a = analytic[i, k]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), DENOM_FLOOR)
             checked += 1
             if _worse(rel, max_rel):
                 max_rel = rel
                 worst = (i, k)
+        softmax(logits, out=row)  # the unperturbed row's, as before its probes
     return GradCheckReport(max_rel, worst, skipped, checked, tolerance)
 
 
@@ -150,21 +183,29 @@ TieFn = Callable[[LogitBatch, float], set[int]]
 _COMBINED = LossConfig(auxiliary_kind=AuxiliaryKind.LOVASZ)
 
 # Name -> (loss of a batch, tie-row detector or None); an auxiliary loss is
-# named by its AuxiliaryKind. Each entry looks its loss up by module-level
-# name when called, so a loss rebound on this module (for tracing, say) is
-# the one the check runs.
-_NAMED_LOSSES: dict[str, tuple[LossFn, TieFn | None]] = {
-    "ce": (lambda b: ce_loss(b), None),
-    AuxiliaryKind.FOCAL.value: (lambda b: focal_loss(b), None),
-    AuxiliaryKind.DICE.value: (lambda b: dice_loss(b), None),
-    AuxiliaryKind.GENERALIZED_DICE.value: (lambda b: generalized_dice_loss(b), None),
-    AuxiliaryKind.SELF_ADJUSTING_DICE.value: (lambda b: self_adjusting_dice_loss(b), None),
+# named by its AuxiliaryKind. Each loss reads the instruction and answer
+# rows (combined's mix is above 0), whose softmax finite_difference_check
+# passes as ``probs``. Each entry looks its loss up by module-level name
+# when called, so a loss rebound on this module (for tracing, say) is the
+# one the check runs.
+_NAMED_LOSSES: dict[str, tuple[ProbeLossFn, TieFn | None]] = {
+    "ce": (lambda b, probs=None: ce_loss(b, probs=probs), None),
+    AuxiliaryKind.FOCAL.value: (lambda b, probs=None: focal_loss(b, probs=probs), None),
+    AuxiliaryKind.DICE.value: (lambda b, probs=None: dice_loss(b, probs=probs), None),
+    AuxiliaryKind.GENERALIZED_DICE.value: (
+        lambda b, probs=None: generalized_dice_loss(b, probs=probs),
+        None,
+    ),
+    AuxiliaryKind.SELF_ADJUSTING_DICE.value: (
+        lambda b, probs=None: self_adjusting_dice_loss(b, probs=probs),
+        None,
+    ),
     AuxiliaryKind.LOVASZ.value: (
-        lambda b: lovasz_loss(b),
+        lambda b, probs=None: lovasz_loss(b, probs=probs),
         lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h),
     ),
     "combined": (
-        lambda b: combined_loss(b, _COMBINED),
+        lambda b, probs=None: combined_loss(b, _COMBINED, probs=probs),
         lambda b, h: lovasz_tie_rows(b, ANSWER_ONLY, h),
     ),
 }
@@ -172,7 +213,7 @@ _NAMED_LOSSES: dict[str, tuple[LossFn, TieFn | None]] = {
 LOSS_NAMES = tuple(_NAMED_LOSSES)
 
 
-def build_loss_fn(name: str) -> tuple[LossFn, TieFn | None]:
+def build_loss_fn(name: str) -> tuple[ProbeLossFn, TieFn | None]:
     """Named loss closure plus its tie-row detector, for the Lovász cases.
 
     Known names are those of :data:`LOSS_NAMES`. Each loss runs over

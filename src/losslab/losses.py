@@ -19,8 +19,10 @@ Conventions shared by every loss here:
   as the input logits and is built the first time it is read;
 * every public loss also takes ``probs``, the softmax of its selected rows
   computed by the caller, as its own buffer; its gradient then covers those
-  rows only. This is how :func:`combined_loss` runs one softmax for both
-  of its branches.
+  rows only. The loss reads the buffer and writes it only when its gradient
+  is built. This is how :func:`combined_loss` runs one softmax for both of
+  its branches, and how a gradient check recomputes only the row it
+  perturbs.
 """
 
 from __future__ import annotations
@@ -170,9 +172,6 @@ def _once(build: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
     return once
 
 
-LossFn = Callable[[LogitBatch], LossResult]
-
-
 @lru_cache(maxsize=16)
 def _role_table(roles: tuple[Role, ...]) -> np.ndarray:
     """Read-only lookup table, indexed by role, of the roles named in ``roles``."""
@@ -194,9 +193,11 @@ def _selected(batch: LogitBatch, roles: Iterable[Role]) -> np.ndarray:
     return idx
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax in float64, stable under large logits, in one fresh buffer."""
-    e = logits - logits.max(axis=1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax in float64, stable under large logits, in ``out`` (of the
+    shape of ``logits``) or one fresh buffer. Each row's softmax reads that
+    row alone: it has the same bits whatever rows are computed with it."""
+    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -551,7 +552,9 @@ _AUXILIARY: dict[AuxiliaryKind, Callable[..., LossResult]] = {
 }
 
 
-def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
+def combined_loss(
+    batch: LogitBatch, config: LossConfig, *, probs: np.ndarray | None = None
+) -> LossResult:
     """mix * CE(instruction + answer) + (1 - mix) * auxiliary(answer only).
 
     Instruction positions receive gradient only through the cross-entropy
@@ -567,6 +570,10 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
     the auxiliary one, scaled by 1 - mix, is added into the answer rows of
     the cross-entropy one, so no batch-sized buffer is built unless some
     row (PAD, or an instruction row when mix == 0) gets no gradient.
+
+    Its selected rows are the instruction and answer rows when mix > 0, and
+    the answer rows alone when mix == 0. As for every other loss, ``probs``
+    is their softmax, and it stands in for the one softmax above.
     """
     kind = config.auxiliary_kind
     if kind is not AuxiliaryKind.NONE and not (batch.role_mask == _ANSWER).any():
@@ -576,10 +583,13 @@ def combined_loss(batch: LogitBatch, config: LossConfig) -> LossResult:
     with_ce = mix > 0.0
     with_aux = mix < 1.0 and kind is not AuxiliaryKind.NONE
     if not (with_ce or with_aux):
-        return LossResult(0.0, lambda shape=batch.logits.shape: np.zeros(shape))
+        shape = batch.logits.shape if probs is None else probs.shape
+        return LossResult(0.0, lambda: np.zeros(shape))
 
     idx = _selected(batch, FULL_CONTEXT if with_ce else ANSWER_ONLY)
-    shape, probs = batch.logits.shape, _softmax_rows(batch, idx)
+    shape = None
+    if probs is None:
+        shape, probs = batch.logits.shape, _softmax_rows(batch, idx)
     value = 0.0
     ce = aux = None
     if with_ce:

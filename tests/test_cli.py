@@ -1146,6 +1146,54 @@ class TestTrainCommand:
         assert manifest["best_step"] is not None
         assert config in manifest["inputs"]
 
+    def test_a_run_without_a_best_model_removes_an_earlier_one(self, tmp_path):
+        out_dir = tmp_path / "run"
+        for interval in (2, 100):
+            config = self.write_config(tmp_path, extra={"eval_interval": interval})
+            assert run_main(["train", "--config", config, "--out-dir", str(out_dir)]) == EXIT_OK
+            if interval == 2:
+                assert (out_dir / "model_best.sltm").exists()
+        assert not (out_dir / "model_best.sltm").exists()
+        assert json.loads((out_dir / "manifest.json").read_text())["best_step"] is None
+
+    def train_corpora(self, tmp_path, monkeypatch, extra=None):
+        """The training and validation corpora that a train run trains on."""
+        corpora = []
+        train = cli.train
+
+        def recorded(config, corpus, val_corpus):
+            corpora.extend((corpus, val_corpus))
+            return train(config, corpus, val_corpus)
+
+        monkeypatch.setattr(cli, "train", recorded)
+        config = self.write_config(tmp_path, extra=extra)
+        out_dir = str(tmp_path / "run")
+        assert run_main(["train", "--config", config, "--out-dir", out_dir]) == EXIT_OK
+        return corpora
+
+    def test_validation_follows_the_training_mapping(self, tmp_path, monkeypatch):
+        extra = {"steps": 2, "warmup_steps": 1, "samples": 256, "val_samples": 64}
+        corpus, val_corpus = self.train_corpora(tmp_path, monkeypatch, extra)
+        assert (len(corpus.samples), len(val_corpus.samples)) == (256, 64)
+        half = TRAIN_CONFIG["instruction_len"]
+        mapping = {}
+        for sample in corpus.samples:
+            for token, answer in zip(sample.tokens[:half], sample.tokens[half:]):
+                assert mapping.setdefault(int(token), int(answer)) == answer
+        for sample in val_corpus.samples:
+            for token, answer in zip(sample.tokens[:half], sample.tokens[half:]):
+                assert mapping[int(token)] == answer
+
+    def test_the_training_corpus_is_a_draw_of_its_samples_alone(self, tmp_path, monkeypatch):
+        # so the validation samples leave trace.jsonl and model.sltm as they were
+        corpus, _ = self.train_corpora(tmp_path, monkeypatch)
+        shared = {k: TRAIN_CONFIG[k] for k in ("vocab_size", "instruction_len", "seq_len")}
+        alone = make_synthetic_corpus(0, zipf_exponent=1.0, n_samples=16, **shared)
+        assert len(corpus.samples) == len(alone.samples)
+        for got, expected in zip(corpus.samples, alone.samples):
+            assert got.tokens.tobytes() == expected.tokens.tobytes()
+            assert got.roles.tobytes() == expected.roles.tobytes()
+
     def test_trace_contents(self, tmp_path):
         config = self.write_config(tmp_path)
         out_dir = tmp_path / "run"

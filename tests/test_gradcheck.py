@@ -18,7 +18,7 @@ from losslab.gradcheck import (
     finite_difference_check,
     merge_reports,
 )
-from losslab.cli import _gradcheck_batch, build_parser
+from losslab.cli import _gradcheck_batch, build_parser, main
 from losslab.losses import (
     ANSWER_ONLY,
     FULL_CONTEXT,
@@ -75,8 +75,8 @@ class TestFiniteDifference:
     def test_nan_relative_error_fails(self):
         fn, _ = build_loss_fn("ce")
 
-        def nan_valued(batch):
-            return replace(fn(batch), value=math.nan)
+        def nan_valued(batch, probs=None):
+            return replace(fn(batch, probs=probs), value=math.nan)
 
         report = finite_difference_check(nan_valued, random_batch(0))
         assert math.isnan(report.max_rel_error)
@@ -89,9 +89,9 @@ class TestFiniteDifference:
         fn, _ = build_loss_fn(name)
         calls = {"loss": 0, "backward": 0}
 
-        def counted(batch):
+        def counted(batch, probs=None):
             calls["loss"] += 1
-            result = fn(batch)
+            result = fn(batch, probs=probs)
 
             def backward():
                 calls["backward"] += 1
@@ -107,9 +107,9 @@ class TestFiniteDifference:
         fn, _ = build_loss_fn("ce")
         calls = []
 
-        def counted(batch):
+        def counted(batch, probs=None):
             calls.append(batch.logits.copy())
-            return fn(batch)
+            return fn(batch, probs=probs)
 
         report = finite_difference_check(counted, random_batch(0), skip_rows={0, 1})
         assert len(calls) == 2 * 6 * 17 + 1
@@ -283,6 +283,33 @@ def assert_every_split_merges_to(check, n, serial):
         assert_same_report(merged, serial)
 
 
+def whole_batch_scan(loss_fn, batch, skip_rows=None, rows=None):
+    """The check as a plain scan: every probe calls the loss on the whole
+    perturbed batch, which runs its own softmax of every row it reads."""
+    step, tolerance = gradcheck.DEFAULT_STEP, gradcheck.DEFAULT_TOLERANCE
+    n, vocab = batch.logits.shape
+    analytic = loss_fn(batch).gradient
+    logits = batch.logits.copy()
+    max_rel, worst, skipped, checked = 0.0, None, [], 0
+    for i in range(n) if rows is None else rows:
+        if i in (skip_rows or set()):
+            skipped.extend((i, k) for k in range(vocab))
+            continue
+        for k in range(vocab):
+            values = []
+            for h in (step, -step):
+                moved = logits.copy()
+                moved[i, k] += h
+                values.append(loss_fn(LogitBatch(moved, batch.targets, batch.role_mask)).value)
+            numeric = (values[0] - values[1]) / (2.0 * step)
+            a = analytic[i, k]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), gradcheck.DENOM_FLOOR)
+            checked += 1
+            if rel > max_rel or (math.isnan(rel) and not math.isnan(max_rel)):
+                max_rel, worst = rel, (i, k)
+    return GradCheckReport(max_rel, worst, skipped, checked, tolerance)
+
+
 @st.composite
 def split_batches(draw):
     """Small batches with PAD rows and, for Lovász, rows that repeat row 0
@@ -302,12 +329,45 @@ def split_batches(draw):
 class TestRowSplit:
     """The reports of two adjacent row ranges merge into the serial report."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(batch=split_batches(), name=st.sampled_from(["ce", "dl", "ll", "combined"]))
+    @settings(max_examples=15, deadline=None)
+    @given(batch=split_batches())
+    @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_named_losses(self, batch, name):
+        # each range's report is the whole-batch scan's, and the reports of
+        # every split merge into the serial one
         n = batch.logits.shape[0]
+        fn, tie_fn = build_loss_fn(name)
+        skip = tie_fn(batch, gradcheck.DEFAULT_STEP) if tie_fn else None
         serial = check_named_loss(name, batch)
+        assert_same_report(serial, whole_batch_scan(fn, batch, skip_rows=skip))
+        for m in range(n + 1):
+            for rows in (range(0, m), range(m, n)):
+                expected = whole_batch_scan(fn, batch, skip_rows=skip, rows=rows)
+                assert_same_report(check_named_loss(name, batch, rows=rows), expected)
         assert_every_split_merges_to(lambda rows: check_named_loss(name, batch, rows=rows), n, serial)
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_each_row_is_probed_beside_the_unperturbed_softmax(self, name):
+        # the probes of row i see every other row at its unperturbed
+        # softmax, so the probes of row i + 1 see row i restored
+        fn, _ = build_loss_fn(name)
+        batch = random_batch(6, n=4, vocab=5)
+        unperturbed = softmax(batch.logits)
+        probes = []
+
+        def recorded(b, probs=None):
+            if probs is not None:
+                probes.append((b.logits.copy(), probs.copy()))
+            return fn(b, probs=probs)
+
+        finite_difference_check(recorded, batch)
+        assert len(probes) == 2 * 4 * 5
+        for number, (logits, probs) in enumerate(probes):
+            i = number // (2 * 5)
+            others = np.arange(4) != i
+            assert probs[others].tobytes() == unperturbed[others].tobytes()
+            assert probs[i].tobytes() == softmax(logits[i : i + 1])[0].tobytes()
+            assert probs[i].tobytes() != unperturbed[i].tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -327,7 +387,7 @@ class TestRowSplit:
         original = batch.logits.copy()
         nan_at = [(i, k) for i, k in nan_coordinates if i < n and k < vocab]
 
-        def table_loss(b):
+        def table_loss(b, probs=None):
             moved = b.logits != original
             return LossResult(math.nan if any(moved[c] for c in nan_at) else 0.0, lambda: grad)
 
@@ -359,6 +419,23 @@ def test_a_check_that_probes_nothing_fails():
     report = check_named_loss("ll", random_batch(0, n=4, vocab=4), step=0.5)
     assert report.n_checked == 0 and len(report.skipped) == 16
     assert report.summary() == "FAIL max_rel_error=0.000e+00 worst=- checked=0 skipped=16"
+
+
+FROZEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "gradcheck_frozen.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "case", FROZEN, ids=lambda case: " ".join(case["argv"][1:-2]) or "default"
+)
+def test_grad_check_matches_the_frozen_fixture(case, tmp_path, monkeypatch, capsys):
+    # stdout, exit status and --out of runs recorded by make_gradcheck_frozen.py
+    monkeypatch.chdir(tmp_path)
+    status = main(case["argv"])
+    assert capsys.readouterr().out == case["stdout"]
+    assert status == case["exit"]
+    assert (tmp_path / case["argv"][-1]).read_bytes() == case["out"].encode("utf-8")
 
 
 def test_the_benchmark_reference_counts_hold():

@@ -783,6 +783,27 @@ def test_in_place_losses_match_out_of_place_oracles(batch, scale, kind, mix):
     assert_same_bits(result.gradient, gradient)
 
 
+@pytest.mark.parametrize("mix", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("kind", list(AuxiliaryKind), ids=lambda kind: kind.value)
+@settings(max_examples=25, deadline=None)
+@given(batch=tied_batches(), pad_at=st.integers(0, 24))
+def test_combined_loss_given_probs_matches_the_batch_call(batch, pad_at, kind, mix):
+    # a PAD row inserted anywhere, and the softmax of the rows combined_loss
+    # selects: instruction and answer rows, or answer rows alone at mix 0
+    pad_at = min(pad_at, batch.logits.shape[0])
+    batch = LogitBatch(
+        np.insert(batch.logits, pad_at, 3.0, axis=0),
+        np.insert(batch.targets, pad_at, 1),
+        np.insert(batch.role_mask, pad_at, int(Role.PAD)),
+    )
+    config = LossConfig(mix=mix, auxiliary_kind=kind)
+    idx = selected_oracle(batch, FULL_CONTEXT if mix > 0.0 else ANSWER_ONLY)
+    whole = combined_loss(batch, config)
+    rows = combined_loss(batch, config, probs=softmax(batch.logits[idx]))
+    assert_same_bits(rows.value, whole.value)
+    assert_same_bits(rows.gradient, whole.gradient[idx])
+
+
 # Dense oracles of the focal and region kernels: a zero d(value)/dp buffer over
 # the whole vocabulary, the classes from np.unique, a full-row softmax
 # backward, and the Lovász sort applied with the along-axis calls.
