@@ -19,8 +19,38 @@ The package has six layers:
 :mod:`losslab.cli` ties the layers together behind the ``losslab`` command.
 """
 
+from enum import Enum
+
 __version__ = "0.1.0"
 
 
 class DataError(ValueError):
     """Input the program cannot use; ``losslab`` exits 2 on it."""
+
+
+# The names below live here, without NumPy, because ``losslab``'s parser and
+# ``main`` read them and load no numeric layer: the other error that main
+# turns into exit 2, and the loss names and check defaults of the grad-check
+# flags. ``training``, ``losses`` and ``gradcheck`` re-export them.
+
+
+class TrainingDiverged(ArithmeticError):
+    """A step's logits, loss or updated parameters stopped being finite."""
+
+
+class AuxiliaryKind(Enum):
+    """Which auxiliary loss the combined objective applies to answer positions."""
+
+    FOCAL = "fl"
+    DICE = "dl"
+    GENERALIZED_DICE = "gdl"
+    SELF_ADJUSTING_DICE = "sadl"
+    LOVASZ = "ll"
+    NONE = "none"
+
+
+# the losses grad-check knows, by name: an auxiliary loss by its AuxiliaryKind
+LOSS_NAMES = ("ce", *(k.value for k in AuxiliaryKind if k is not AuxiliaryKind.NONE), "combined")
+# the central-difference step and the pass threshold of every check
+DEFAULT_STEP = 1e-5
+DEFAULT_TOLERANCE = 1e-4

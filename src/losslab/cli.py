@@ -6,13 +6,23 @@ input files, the tool version, and the seed. Timestamps are deliberately left
 null so reruns stay byte-identical. Exit codes: 0 success, 1 usage error,
 2 data error, 3 internal error (also used when a requested gradient check
 fails).
+
+The numeric layers (``losses``, ``gradcheck``, ``stats``, ``training``) and
+NumPy load only when a command runs one of them, so the parser, ``eval`` and
+``parse`` start on the standard library, ``parsing`` and ``metrics`` alone.
+Each name cli takes from a numeric layer is still an attribute of cli, and
+cli's code calls it by that global name, but the name is bound on first
+use: by the module ``__getattr__`` when code outside cli looks it up, and by
+the one :func:`_bind` call that starts each entry point needing the layer.
+The bind keeps a name that is already bound, because a tracer or a test may
+set a stand-in on cli before the layer loads, and cli must then call it.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
+import importlib
 import json
 import math
 import os
@@ -21,22 +31,14 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable, Iterator, get_type_hints
 
-import numpy as np
-
-from . import DataError, __version__
-from .gradcheck import (
+from . import (
     DEFAULT_STEP,
     DEFAULT_TOLERANCE,
     LOSS_NAMES,
-    GradCheckReport,
-    check_named_loss,
-    merge_reports,
-)
-from .losses import (
     AuxiliaryKind,
-    LogitBatch,
-    LossConfig,
-    Role,
+    DataError,
+    TrainingDiverged,
+    __version__,
 )
 from .metrics import (
     CSV_COLUMNS,
@@ -57,24 +59,49 @@ from .parsing import (
     parse_rationale,
     step_spans,
 )
-from .stats import (
-    PairedOutcomes,
-    ScoreTable,
-    mcnemar_test,
-    mean_rank,
-    paired_t_test,
-    pearson_r,
-    token_density,
-)
-from .training import (
-    Corpus,
-    CorpusTemplate,
-    TrainConfig,
-    TrainingDiverged,
-    make_synthetic_corpus,
-    save_model,
-    train,
-)
+
+# The names cli takes from each numeric layer, none of them bound at import
+_LAYER_NAMES = {
+    "gradcheck": ("GradCheckReport", "check_named_loss", "merge_reports"),
+    "losses": ("LogitBatch", "LossConfig", "Role"),
+    "stats": (
+        "PairedOutcomes", "ScoreTable", "mcnemar_test", "mean_rank", "paired_t_test",
+        "pearson_r", "token_density",
+    ),
+    "training": (
+        "Corpus", "CorpusTemplate", "TrainConfig", "make_synthetic_corpus", "save_model", "train",
+    ),
+}
+# Each name bound on first use -> the layers whose bind binds it; every bind
+# binds np, and the training layer's also the config keys derived from it
+_BOUND_BY = {
+    "np": (),
+    "TRAIN_CONFIG_KEYS": ("training",),
+    **{name: (layer,) for layer, names in _LAYER_NAMES.items() for name in names},
+}
+
+
+def _bind(*layers: str) -> None:
+    """Bind ``np`` and the names cli takes from each of ``layers`` (keys of
+    _LAYER_NAMES) as globals of cli, loading those modules. A name that is
+    already bound keeps its value."""
+    bound = globals()
+    bound.setdefault("np", importlib.import_module("numpy"))
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            bound.setdefault(name, getattr(module, name))
+    if "training" in layers and "TRAIN_CONFIG_KEYS" not in bound:
+        bound["TRAIN_CONFIG_KEYS"] = _train_config_keys()
+
+
+def __getattr__(name: str):
+    """A numeric layer's name, bound the first time code outside cli looks it up."""
+    if name not in _BOUND_BY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(*_BOUND_BY[name])
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -605,6 +632,7 @@ def _aligned_columns(reports: list[dict], paths: list[str], column: str) -> list
 
 
 def run_stats(test: str, paths: list[str], metric: str = "iou") -> dict:
+    _bind("stats")
     reports = [_load_report(p) for p in paths]
     if test in ("mcnemar", "ttest", "pearson") and len(reports) != 2:
         raise DataError(f"{test} compares exactly two reports")
@@ -655,22 +683,31 @@ def _cmd_stats(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-# the loss is built from mix, gamma and auxiliary
-_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "loss"}
-_CORPUS_DEFAULTS = inspect.signature(make_synthetic_corpus).parameters
-TRAIN_CONFIG_KEYS = {
-    **_TRAIN_DEFAULTS,
-    "mix": LossConfig.mix,
-    "gamma": LossConfig.gamma,
-    "auxiliary": LossConfig.auxiliary_kind.value,
-    "vocab_size": 32,
-    "zipf_exponent": 1.0,
-    "samples": 256,
-    "template": _CORPUS_DEFAULTS["template"].default.value,
-    "instruction_len": _CORPUS_DEFAULTS["instruction_len"].default,
-    "seq_len": _CORPUS_DEFAULTS["seq_len"].default,
-    "val_samples": 64,
-}
+def _train_config_keys() -> dict:
+    """``TRAIN_CONFIG_KEYS``: every config key with its default, taken from
+    the layers' own definitions, not from cli's bound names, which a tracer
+    may have wrapped. The loss is built from mix, gamma and auxiliary."""
+    import inspect
+
+    from .losses import LossConfig
+    from .training import TrainConfig, make_synthetic_corpus
+
+    corpus_defaults = inspect.signature(make_synthetic_corpus).parameters
+    return {
+        **{f.name: f.default for f in fields(TrainConfig) if f.name != "loss"},
+        "mix": LossConfig.mix,
+        "gamma": LossConfig.gamma,
+        "auxiliary": LossConfig.auxiliary_kind.value,
+        "vocab_size": 32,
+        "zipf_exponent": 1.0,
+        "samples": 256,
+        "template": corpus_defaults["template"].default.value,
+        "instruction_len": corpus_defaults["instruction_len"].default,
+        "seq_len": corpus_defaults["seq_len"].default,
+        "val_samples": 64,
+    }
+
+
 # The largest value of each integer key, far above the trainer's toy scale.
 # One key at its ceiling, the others at their defaults, peaks below 300 MiB
 # in a two-step run; MAX_ARRAY_VALUES bounds the keys that combine.
@@ -722,6 +759,7 @@ def _check_array_sizes(config: dict, path: str) -> None:
 
 def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
     """Flat JSON config; unknown keys and ill-typed values are rejected by name."""
+    _bind("training")
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
@@ -745,6 +783,7 @@ def load_train_config(path: str, loss_by_task: str | None = None) -> dict:
 
 
 def _cmd_train(args, argv: list[str]) -> int:
+    _bind("losses", "training")
     written = ("trace.jsonl", "model.sltm", "model_best.sltm", "manifest.json")
     _check_outputs(
         [("--config", args.config)],
@@ -755,7 +794,8 @@ def _cmd_train(args, argv: list[str]) -> int:
     typed = {k: float(v) if type(TRAIN_CONFIG_KEYS[k]) is float else v for k, v in config.items()}
     try:
         loss_cfg = LossConfig(typed["mix"], typed["gamma"], AuxiliaryKind(typed["auxiliary"]))
-        train_cfg = TrainConfig(**{name: typed[name] for name in _TRAIN_DEFAULTS}, loss=loss_cfg)
+        trained = {f.name: typed[f.name] for f in fields(TrainConfig) if f.name != "loss"}
+        train_cfg = TrainConfig(**trained, loss=loss_cfg)
         shared = {
             k: typed[k] for k in ("vocab_size", "zipf_exponent", "instruction_len", "seq_len")
         }
@@ -819,6 +859,7 @@ def _check_grad_check_args(args) -> None:
 
 
 def _gradcheck_batch(seed: int, positions: int, vocab: int) -> LogitBatch:
+    _bind("losses")
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((positions, vocab))
     targets = rng.integers(0, vocab, size=positions)
@@ -910,6 +951,7 @@ def _cmd_grad_check(args, argv: list[str]) -> int:
     """This process checks each loss's rows before those of
     :func:`_worker_rows`, and a forked worker those rows, if any; the merged
     reports equal those of one serial scan."""
+    _bind("gradcheck")
     _check_grad_check_args(args)
     names = list(LOSS_NAMES) if args.loss == "all" else [args.loss]
     batch = _gradcheck_batch(args.seed, args.positions, args.vocab)
@@ -952,6 +994,7 @@ def _cmd_grad_check(args, argv: list[str]) -> int:
 
 
 def _cmd_tokens(args, argv: list[str]) -> int:
+    _bind("stats")
     sidecar = f"{args.out}.manifest.json"
     _check_outputs(
         [("--input", args.input)],
@@ -1040,7 +1083,8 @@ def _cmd_parse(args, argv: list[str]) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="losslab", description=__doc__)
+    # the docstring's first two paragraphs are for a user of the command
+    parser = _Parser(prog="losslab", description="\n\n".join(__doc__.split("\n\n")[:2]))
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -22,10 +22,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import DEFAULT_STEP, DEFAULT_TOLERANCE, LOSS_NAMES, AuxiliaryKind
 from .losses import (
     ANSWER_ONLY,
     FULL_CONTEXT,
-    AuxiliaryKind,
     LogitBatch,
     LossConfig,
     LossResult,
@@ -42,9 +42,6 @@ from .losses import (
 )
 
 DENOM_FLOOR = 1e-6
-# the central-difference step and the pass threshold of every check
-DEFAULT_STEP = 1e-5
-DEFAULT_TOLERANCE = 1e-4
 
 
 @dataclass
@@ -182,35 +179,33 @@ TieFn = Callable[[LogitBatch, float], set[int]]
 # the combined loss that grad-check runs: the default mix with the Lovász auxiliary
 _COMBINED = LossConfig(auxiliary_kind=AuxiliaryKind.LOVASZ)
 
-# Name -> (loss of a batch, tie-row detector or None); an auxiliary loss is
-# named by its AuxiliaryKind. Each loss reads the instruction and answer
-# rows (combined's mix is above 0), whose softmax finite_difference_check
-# passes as ``probs``. Each entry looks its loss up by module-level name
-# when called, so a loss rebound on this module (for tracing, say) is the
-# one the check runs.
-_NAMED_LOSSES: dict[str, tuple[ProbeLossFn, TieFn | None]] = {
-    "ce": (lambda b, probs=None: ce_loss(b, probs=probs), None),
-    AuxiliaryKind.FOCAL.value: (lambda b, probs=None: focal_loss(b, probs=probs), None),
-    AuxiliaryKind.DICE.value: (lambda b, probs=None: dice_loss(b, probs=probs), None),
-    AuxiliaryKind.GENERALIZED_DICE.value: (
-        lambda b, probs=None: generalized_dice_loss(b, probs=probs),
-        None,
-    ),
-    AuxiliaryKind.SELF_ADJUSTING_DICE.value: (
-        lambda b, probs=None: self_adjusting_dice_loss(b, probs=probs),
-        None,
-    ),
-    AuxiliaryKind.LOVASZ.value: (
-        lambda b, probs=None: lovasz_loss(b, probs=probs),
-        lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h),
-    ),
-    "combined": (
-        lambda b, probs=None: combined_loss(b, _COMBINED, probs=probs),
-        lambda b, h: lovasz_tie_rows(b, ANSWER_ONLY, h),
-    ),
-}
-
-LOSS_NAMES = tuple(_NAMED_LOSSES)
+# Name -> (loss of a batch, tie-row detector or None), in the order of
+# LOSS_NAMES: ce, each AuxiliaryKind but NONE, combined. Each loss reads the
+# instruction and answer rows (combined's mix is above 0), whose softmax
+# finite_difference_check passes as ``probs``. Each entry looks its loss up
+# by module-level name when called, so a loss rebound on this module (for
+# tracing, say) is the one the check runs.
+_NAMED_LOSSES: dict[str, tuple[ProbeLossFn, TieFn | None]] = dict(
+    zip(
+        LOSS_NAMES,
+        (
+            (lambda b, probs=None: ce_loss(b, probs=probs), None),
+            (lambda b, probs=None: focal_loss(b, probs=probs), None),
+            (lambda b, probs=None: dice_loss(b, probs=probs), None),
+            (lambda b, probs=None: generalized_dice_loss(b, probs=probs), None),
+            (lambda b, probs=None: self_adjusting_dice_loss(b, probs=probs), None),
+            (
+                lambda b, probs=None: lovasz_loss(b, probs=probs),
+                lambda b, h: lovasz_tie_rows(b, FULL_CONTEXT, h),
+            ),
+            (
+                lambda b, probs=None: combined_loss(b, _COMBINED, probs=probs),
+                lambda b, h: lovasz_tie_rows(b, ANSWER_ONLY, h),
+            ),
+        ),
+        strict=True,
+    )
+)
 
 
 def build_loss_fn(name: str) -> tuple[ProbeLossFn, TieFn | None]:

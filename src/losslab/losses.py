@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
 
-from . import DataError
+from . import AuxiliaryKind, DataError
 
 PROB_FLOOR = 1e-12
 
@@ -53,17 +53,6 @@ ANSWER_ONLY = (Role.ANSWER,)
 # Role values as plain ints, for comparing with role masks: NumPy compares an
 # array with an int several times faster than with an IntEnum member
 _ANSWER, _PAD = int(Role.ANSWER), int(Role.PAD)
-
-
-class AuxiliaryKind(Enum):
-    """Which auxiliary loss the combined objective applies to answer positions."""
-
-    FOCAL = "fl"
-    DICE = "dl"
-    GENERALIZED_DICE = "gdl"
-    SELF_ADJUSTING_DICE = "sadl"
-    LOVASZ = "ll"
-    NONE = "none"
 
 
 class NonFiniteLogits(DataError):

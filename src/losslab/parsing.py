@@ -30,8 +30,6 @@ from enum import Enum
 from functools import reduce
 from typing import Sequence
 
-import numpy as np
-
 from . import DataError
 
 FINAL_MARKER = "####"
@@ -181,9 +179,14 @@ def format_number(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     text = repr(value)
+    if "e" not in text:
+        return text
     # repr switches to an exponent below 1e-4 and from 1e16 up, which neither
-    # grammar reads; the same shortest digits, written out, read back as value
-    return np.format_float_positional(value, trim="-") if "e" in text else text
+    # grammar reads; the same shortest digits, written out, read back as value.
+    # Imported here, as only such a value needs it
+    from decimal import Decimal
+
+    return format(Decimal(text), "f")
 
 
 _NUMBER_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d*)?|\d+\.\d*|\.\d+|\d+")

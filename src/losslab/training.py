@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import DataError
+from . import DataError, TrainingDiverged
 from .losses import (
     LogitBatch,
     LossConfig,
@@ -36,10 +36,6 @@ SNAPSHOT_MAGIC = b"SLTM"
 SNAPSHOT_VERSION = 1
 # magic, version, vocab, dim, window, rank, adapter scale
 SNAPSHOT_HEADER = struct.Struct("<4sIIIIId")
-
-
-class TrainingDiverged(ArithmeticError):
-    """A step's logits, loss or updated parameters stopped being finite."""
 
 
 class CorpusTemplate(Enum):

@@ -1886,22 +1886,180 @@ class TestParseCommand:
         assert payload["values"][1] == {"poisoned_by_step": 0}
 
 
+NUMERIC_LAYERS = ("losslab.losses", "losslab.gradcheck", "losslab.stats", "losslab.training")
+
+
+def fresh_python(script: str, *args: str, cwd) -> subprocess.CompletedProcess:
+    """``script`` run by a new interpreter that imports this tree's losslab,
+    with help text wrapped at 80 columns."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
 class TestRuntimeImports:
-    def test_import_loads_only_stdlib_numpy_and_losslab(self, tmp_path):
+    def loaded_by(self, code: str, tmp_path) -> set[str]:
+        """The modules a fresh interpreter loads to run ``code``."""
         # the baseline is taken after startup, so site's .pth hooks stay out of it
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
-            "import losslab.cli\n"
+            f"{code}\n"
             "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
         )
-        src = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        out = subprocess.run(
-            [sys.executable, "-c", script], cwd=tmp_path, env=env,
-            capture_output=True, text=True, check=True,
-        ).stdout
-        loaded = {name.partition(".")[0] for name in out.split()}
+        done = fresh_python(script, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    def test_import_loads_only_stdlib_numpy_and_losslab(self, tmp_path):
+        code = "import losslab.cli\n" + "".join(f"import {name}\n" for name in NUMERIC_LAYERS)
+        loaded = {name.partition(".")[0] for name in self.loaded_by(code, tmp_path)}
         assert {"losslab", "numpy"} <= loaded
         assert loaded - sys.stdlib_module_names - {"numpy", "losslab"} == set()
+
+    def test_the_parser_loads_no_numpy_and_no_numeric_layer(self, tmp_path):
+        loaded = self.loaded_by("import losslab.cli\nlosslab.cli.build_parser()", tmp_path)
+        assert {"losslab.cli", "losslab.parsing", "losslab.metrics"} <= loaded
+        packages = {name.partition(".")[0] for name in loaded}
+        assert packages - sys.stdlib_module_names == {"losslab"}
+        assert loaded.isdisjoint(NUMERIC_LAYERS)
+
+    def test_the_layers_re_export_the_names_the_parser_reads(self):
+        from losslab import gradcheck, losses, training
+
+        assert losses.AuxiliaryKind is gradcheck.AuxiliaryKind is losslab.AuxiliaryKind
+        assert training.TrainingDiverged is losslab.TrainingDiverged
+        assert gradcheck.LOSS_NAMES is losslab.LOSS_NAMES
+        assert tuple(gradcheck._NAMED_LOSSES) == losslab.LOSS_NAMES
+        assert gradcheck.DEFAULT_STEP is losslab.DEFAULT_STEP
+        assert gradcheck.DEFAULT_TOLERANCE is losslab.DEFAULT_TOLERANCE
+        assert not hasattr(cli, "no_such_name")
+
+
+# A command run in a fresh interpreter; it writes the names of the modules
+# it loaded, as JSON, to the file its first argument names
+COMMAND_RUNNER = (
+    "import json, sys\n"
+    "from losslab import cli\n"
+    "status = cli.main(sys.argv[2:])\n"
+    "with open(sys.argv[1], 'w', encoding='utf-8') as fh:\n"
+    "    json.dump(sorted(sys.modules), fh)\n"
+    "sys.exit(status)\n"
+)
+TINY_TRAIN_CONFIG = {
+    "steps": 4, "warmup_steps": 1, "samples": 8, "val_samples": 3, "vocab_size": 16,
+    "embed_dim": 8, "eval_interval": 2, "seq_len": 6, "instruction_len": 2,
+}
+
+
+class TestFreshInterpreter:
+    """Each subcommand run by a new interpreter, where no earlier test has
+    loaded a numeric layer, against the same command run in this process."""
+
+    # argv, with its inputs as paths relative to the run directory: the
+    # name each input is copied to, and its source (a fixture or a text)
+    COMMANDS = {
+        "eval": (
+            ["eval", "--pred", "pred.jsonl", "--gold", "gold.jsonl", "--out", "report.json",
+             "--dump-parse", "dump.json"],
+            {"pred.jsonl": FIXTURES / "micro5_pred.jsonl",
+             "gold.jsonl": FIXTURES / "micro5_gold.jsonl"},
+        ),
+        "stats": (
+            ["stats", "--test", "mcnemar", "a.json", "b.json", "--out", "stats.json"],
+            {"a.json": FIXTURES / "mixed500_report.json",
+             "b.json": FIXTURES / "mixed500_report_nc.json"},
+        ),
+        "train": (
+            ["train", "--config", "config.json", "--out-dir", "run"],
+            {"config.json": json.dumps(TINY_TRAIN_CONFIG)},
+        ),
+        "grad-check": (["grad-check", "--loss", "all", "--out", "grad.json"], {}),
+        "tokens": (
+            ["tokens", "--input", "tokens.jsonl", "--out", "density.csv",
+             "--json-out", "density.json"],
+            {"tokens.jsonl": '{"tokens": [1, 1, 2, 3, 5, 8]}\n'},
+        ),
+        "parse": (["parse", "--text", "<<6*7=42>> #### 42"], {}),
+        "--help": (["--help"], {}),
+    }
+    WITHOUT_NUMPY = {"eval", "parse", "--help"}
+
+    @staticmethod
+    def prepared(directory: Path, inputs: dict) -> Path:
+        directory.mkdir()
+        for name, source in inputs.items():
+            text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
+            (directory / name).write_text(text, encoding="utf-8")
+        return directory
+
+    @staticmethod
+    def files(directory: Path) -> dict[str, bytes]:
+        return {
+            str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()
+        }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_a_fresh_run_writes_what_an_in_process_run_writes(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        argv, inputs = self.COMMANDS[command]
+        fresh = self.prepared(tmp_path / "fresh", inputs)
+        done = fresh_python(COMMAND_RUNNER, str(tmp_path / "modules.json"), *argv, cwd=fresh)
+        assert done.returncode == EXIT_OK, done.stderr
+
+        here = self.prepared(tmp_path / "here", inputs)
+        monkeypatch.chdir(here)
+        monkeypatch.setenv("COLUMNS", "80")
+        capsys.readouterr()
+        assert main(list(argv)) == EXIT_OK
+        out, err = capsys.readouterr()
+
+        assert (done.stdout, done.stderr) == (out, err)
+        assert self.files(fresh) == self.files(here)
+        loaded = set(json.loads((tmp_path / "modules.json").read_text(encoding="utf-8")))
+        assert ("numpy" in loaded) is (command not in self.WITHOUT_NUMPY)
+
+
+class TestStandInsBeforeTheLayerLoads:
+    """A name set on cli before its layer loads, as perfbench's tracer sets
+    its wrappers, is the one the command calls."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from losslab import cli\n"
+        "layers = {layers!r}\n"
+        "assert not [m for m in ('numpy', *layers) if m in sys.modules]\n"
+        "calls = []\n"
+        "def stand_in(*args, **kwargs):\n"
+        "    from {module} import {name} as real\n"
+        "    calls.append(real)\n"
+        "    return real(*args, **kwargs)\n"
+        "setattr(cli, {name!r}, stand_in)\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "json.dump([status, len(calls), cli.{name} is stand_in], sys.stderr)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "module, name, argv, inputs",
+        [
+            ("losslab.stats", "token_density",
+             ["tokens", "--input", "tokens.jsonl", "--out", "density.csv"],
+             {"tokens.jsonl": '{"tokens": [1, 1, 2, 3, 5, 8]}\n'}),
+            ("losslab.training", "train",
+             ["train", "--config", "config.json", "--out-dir", "run"],
+             {"config.json": json.dumps(TINY_TRAIN_CONFIG)}),
+        ],
+        ids=["token_density", "train"],
+    )
+    def test_the_command_calls_the_stand_in(self, module, name, argv, inputs, tmp_path):
+        for file_name, text in inputs.items():
+            (tmp_path / file_name).write_text(text, encoding="utf-8")
+        script = self.SCRIPT.format(layers=NUMERIC_LAYERS, module=module, name=name)
+        done = fresh_python(script, *argv, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stderr) == [EXIT_OK, 1, True]

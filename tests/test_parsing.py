@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import struct
 import time
 from functools import partial
 
@@ -708,6 +709,27 @@ class TestCanonicalization:
         assert format_number(-1.5e-07) == "-0.00000015"
         assert format_number(1e16) == "10000000000000000"
         assert format_number(1.2345e20) == "123450000000000000000"
+
+
+# Every finite float whose repr has an exponent, drawn from its bit pattern
+# so that every exponent is as likely as in memory
+EXPONENT_FLOATS = (
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(lambda v: math.isfinite(v) and "e" in repr(v))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(EXPONENT_FLOATS)
+@example(5e-324)
+@example(-5e-324)
+@example(1e-05)
+@example(1e16)
+@example(1.7976931348623157e308)
+def test_format_number_writes_an_exponent_float_as_numpy_does(value):
+    assert "e" in repr(value)
+    assert format_number(value) == np.format_float_positional(value, trim="-")
 
 
 def generated_steps(seed, count):
